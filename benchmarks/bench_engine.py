@@ -232,76 +232,6 @@ def measure_sharded(workers=DEFAULT_WORKERS, executor_name="process", repeats=3)
     return records
 
 
-# The streamed-stop comparison workloads: the all-accept headline scheme
-# (interval collapses fast — streaming mostly saves the tail of the first
-# shard) and a two-sided noisy workload (mid-range p — the interval
-# tightens slowly, so the stop granularity dominates total trials).
-STREAMED_WORKLOADS = [
-    (
-        "compiled(spanning-tree)",
-        workload_spec(
-            "spanning-tree", rng_mode="vector", node_count=NODE_COUNT,
-            extra_edges=EXTRA_EDGES, seed=1,
-        ),
-        20000,
-        0.02,
-    ),
-    (
-        "noisy(spanning-tree)",
-        workload_spec("noisy-spanning-tree", rng_mode="fast", node_count=24),
-        20000,
-        0.04,
-    ),
-]
-
-
-def measure_streamed(instance, shard_count=16, chunk_size=64):
-    """Shard-granular vs chunk-granular Wilson stops on one warm executor.
-
-    Runs each STREAMED_WORKLOADS entry twice with the same ``stop_halfwidth``
-    — once with the PR 4 shard-granular aggregator, once with progressive
-    streaming — and records the total trials each stop consumed.  The
-    trials-saved column is the streaming payoff: the Wilson interval
-    reaches the target width at the same trial count either way, but the
-    shard-granular stop cannot act before whole shards finish.  (The exact
-    stop points depend on backend scheduling; the deterministic assertion
-    lives in ``tests/test_streaming.py`` on the serial backend.)
-    """
-    records = []
-    for name, spec, trials, halfwidth in STREAMED_WORKLOADS:
-        shard_stop = estimate_acceptance_sharded(
-            spec, trials, seed=0, executor=instance, shard_count=shard_count,
-            chunk_size=chunk_size, stop_halfwidth=halfwidth,
-        )
-        stream_stop = estimate_acceptance_sharded(
-            spec, trials, seed=0, executor=instance, shard_count=shard_count,
-            chunk_size=chunk_size, stop_halfwidth=halfwidth,
-            stream_progress=True,
-        )
-        saved = shard_stop.estimate.trials - stream_stop.estimate.trials
-        records.append(
-            {
-                "scheme": name,
-                "requested_trials": trials,
-                "stop_halfwidth": halfwidth,
-                "shards": shard_count,
-                "executor": instance.name,
-                "workers": instance.workers,
-                "shard_stop_trials": shard_stop.estimate.trials,
-                "stream_stop_trials": stream_stop.estimate.trials,
-                "trials_saved_by_streaming": saved,
-                "saved_pct": round(100.0 * saved / shard_stop.estimate.trials, 1)
-                if shard_stop.estimate.trials
-                else 0.0,
-                "progress_updates": stream_stop.progress_updates,
-                "both_stopped_early": bool(
-                    shard_stop.stopped_early and stream_stop.stopped_early
-                ),
-            }
-        )
-    return records
-
-
 # The adaptive-budget comparison campaign (PR 10): one lopsided cell that
 # converges in its probe and one genuinely noisy cell that needs real
 # budget — the shape where a fixed equal per-cell split wastes the most.
@@ -326,7 +256,7 @@ def measure_adaptive(
 ):
     """Global-budget allocation vs fixed per-cell budgets, same target.
 
-    First measures each cell's *actual* need: a streamed solo run to the
+    First measures each cell's *actual* need: a solo run to the
     target halfwidth.  A fixed equal per-cell split cannot size cells
     individually, so it must provision every cell at the worst cell's need
     — ``fixed_provision = n_cells * max(need)``.  Then one adaptive
@@ -342,7 +272,7 @@ def measure_adaptive(
     for name, spec in ADAPTIVE_CELLS:
         solo = estimate_acceptance_sharded(
             spec, probe_budget, seed=0, executor=instance,
-            stop_halfwidth=target_halfwidth, stream_progress=True,
+            stop_halfwidth=target_halfwidth,
         )
         assert solo.stopped_early, f"{name}: raise probe_budget"
         needs[name] = solo.estimate.trials
@@ -391,9 +321,6 @@ def measure_adaptive(
 
 
 SHARDED_TABLE_HEADER = ["sharded workload", "workers", "single/s", "sharded/s", "speedup"]
-STREAMED_TABLE_HEADER = [
-    "streamed workload", "halfwidth", "shard-stop trials", "stream-stop trials", "saved",
-]
 ADAPTIVE_TABLE_HEADER = [
     "adaptive campaign", "halfwidth", "fixed trials", "adaptive trials", "saved",
 ]
@@ -407,19 +334,6 @@ def _adaptive_rows(records):
             record["fixed_provision_trials"],
             record["adaptive_total_trials"],
             f"{record['trials_saved']} ({record['speedup']:.2f}x)",
-        ]
-        for record in records
-    ]
-
-
-def _streamed_rows(records):
-    return [
-        [
-            record["scheme"],
-            f"{record['stop_halfwidth']:.3f}",
-            record["shard_stop_trials"],
-            record["stream_stop_trials"],
-            f"{record['trials_saved_by_streaming']} ({record['saved_pct']:.1f}%)",
         ]
         for record in records
     ]
@@ -603,7 +517,6 @@ def test_engine_throughput(benchmark, report):
     sharded_results = measure_sharded()
     instance, owned = resolve_executor("process", DEFAULT_WORKERS)
     try:
-        streamed_results = measure_streamed(instance)
         adaptive_results = measure_adaptive(instance)
     finally:
         if owned:
@@ -629,8 +542,6 @@ def test_engine_throughput(benchmark, report):
         + "\n\n"
         + format_table(SHARDED_TABLE_HEADER, _sharded_rows(sharded_results))
         + "\n\n"
-        + format_table(STREAMED_TABLE_HEADER, _streamed_rows(streamed_results))
-        + "\n\n"
         + format_table(ADAPTIVE_TABLE_HEADER, _adaptive_rows(adaptive_results)),
     )
 
@@ -653,7 +564,6 @@ def test_engine_throughput(benchmark, report):
             "workers": sharded_results[0]["workers"] if sharded_results else 0,
             "results": results,
             "sharded_results": sharded_results,
-            "streamed_results": streamed_results,
             "adaptive_results": adaptive_results,
         }
     )
@@ -681,14 +591,6 @@ def test_engine_throughput(benchmark, report):
     # (asserted inside measure_sharded); the wall-clock bar only applies
     # where the hardware can physically provide it.
     assert all(record["verdict_identical"] for record in sharded_results)
-
-    # Streaming: both stop modes fired, and the chunk-granular stop never
-    # consumed more trials than the shard-granular one (the deterministic
-    # strictly-fewer assertion lives in tests/test_streaming.py).
-    assert all(record["both_stopped_early"] for record in streamed_results)
-    assert all(
-        record["trials_saved_by_streaming"] >= 0 for record in streamed_results
-    )
 
     # Adaptive budgets: every cell reached the target halfwidth, and the
     # global budget spent no more than the fixed per-cell provision it
@@ -739,13 +641,10 @@ def main(argv=None) -> int:
     print(format_table(SHARDED_TABLE_HEADER, _sharded_rows(records)))
     instance, owned = resolve_executor(args.executor, workers)
     try:
-        streamed = measure_streamed(instance)
         adaptive = measure_adaptive(instance)
     finally:
         if owned:
             instance.close()
-    print()
-    print(format_table(STREAMED_TABLE_HEADER, _streamed_rows(streamed)))
     print()
     print(format_table(ADAPTIVE_TABLE_HEADER, _adaptive_rows(adaptive)))
     print(f"\ncpu_count={available_cpus()} executor={args.executor}")

@@ -226,7 +226,7 @@ def _workers(backend):
 
 
 def _smoke_streamed_campaign(backend):
-    """One streamed, cell-parallel mini-campaign — the PR 5 wiring.
+    """One cell-parallel mini-campaign over the streamed shard channel.
 
     Two concurrent cells stream partial shard counts over the shared pool;
     the no-stop cells must land on the exact single-process counts
@@ -248,7 +248,6 @@ def _smoke_streamed_campaign(backend):
         workers=_workers(backend),
         sink=MemorySink(),
         cell_parallelism=2,
-        stream_progress=True,
     )
     assert len(records) == len(campaign.cells), "streamed campaign dropped cells"
     # Deterministic sink order: records arrive in campaign declaration order
@@ -258,7 +257,7 @@ def _smoke_streamed_campaign(backend):
     )
     for record, cell in zip(records, campaign.cells):
         single = estimate_acceptance_fast(cell.spec.resolve(), cell.trials, seed=cell.seed)
-        assert record["streamed"] and record["trials"] == single.trials, record["cell"]
+        assert record["trials"] == single.trials, record["cell"]
         assert record["accepted"] == single.accepted, (
             f"streamed cell {record['cell']}: counts diverged from single-process"
         )

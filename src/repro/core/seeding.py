@@ -104,48 +104,21 @@ def derive_trial_seed_array(seed: int, start: int, stop: int) -> "object":
     )
 
 
-def trial_seed_slice(seed: int, start: int, stop: int, seed_mode: str = "mix"):
+def trial_seed_slice(seed: int, start: int, stop: int):
     """The per-trial seeds of counters ``[start, stop)`` as a Python list.
 
     The one entry point every chunked/sharded driver uses to materialize a
     trial-counter range, so shard partitioning cannot drift from the
     sequential derivation: concatenating the slices of a partition of
     ``[0, trials)`` reproduces, element for element, the seeds a
-    single-process run derives.  ``seed_mode="mix"`` takes the vectorized
-    SplitMix64 kernel when numpy is present (bit-identical to the scalar
-    mix); ``"legacy"`` always derives scalar ``hash((seed, trial))`` values.
+    single-process run derives.  Takes the vectorized SplitMix64 kernel
+    when numpy is present (bit-identical to the scalar mix).
     """
     if stop <= start:
         return []
-    if seed_mode == "mix" and _np is not None:
+    if _np is not None:
         return [int(word) for word in derive_trial_seed_array(seed, start, stop)]
-    trial_seed = resolve_trial_seed(seed_mode)
-    return [trial_seed(seed, trial) for trial in range(start, stop)]
-
-
-def resolve_trial_seed(seed_mode: str):
-    """The per-trial derivation function for a ``seed_mode`` knob.
-
-    ``"mix"`` selects :func:`derive_trial_seed`, ``"legacy"``
-    :func:`legacy_trial_seed`; anything else raises :class:`ValueError`.
-    Every Monte-Carlo entry point dispatches through here so the two modes
-    cannot drift apart between call sites.
-    """
-    if seed_mode == "mix":
-        return derive_trial_seed
-    if seed_mode == "legacy":
-        return legacy_trial_seed
-    raise ValueError(f"unknown seed_mode {seed_mode!r}")
-
-
-def legacy_trial_seed(seed: int, trial: int) -> int:
-    """The historical per-trial derivation, kept for reproducing old runs.
-
-    This is the exact expression ``estimate_acceptance`` shipped with; pass
-    ``seed_mode="legacy"`` to the Monte-Carlo drivers to reproduce results
-    recorded before the SplitMix64 fix.
-    """
-    return hash((seed, trial))
+    return [derive_trial_seed(seed, trial) for trial in range(start, stop)]
 
 
 def stream_word(stream_seed: int, index: int) -> int:

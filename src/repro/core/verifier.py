@@ -227,7 +227,6 @@ def estimate_acceptance(
     seed: int = 0,
     labels: Optional[Dict[Node, BitString]] = None,
     randomness: RandomnessMode = "edge",
-    seed_mode: Literal["mix", "legacy"] = "mix",
 ) -> "AcceptanceEstimate":
     """Monte-Carlo estimate of the acceptance probability — reference path.
 
@@ -237,9 +236,7 @@ def estimate_acceptance(
 
     Trial ``i`` runs with seed ``derive_trial_seed(seed, i)`` — the explicit
     SplitMix64 mix of :mod:`repro.core.seeding`, shared with the batched
-    engine so both paths sample identical trial sequences.  The historical
-    derivation ``hash((seed, trial))`` (an accidental mixing function) is
-    available as ``seed_mode="legacy"`` for reproducing old results.
+    engine so both paths sample identical trial sequences.
 
     This loop deliberately stays unoptimized: it is the reference oracle the
     batched engine (:mod:`repro.engine`) is tested against.  For hot
@@ -247,12 +244,11 @@ def estimate_acceptance(
     and use :func:`~repro.engine.montecarlo.estimate_acceptance_fast`, which
     produces identical per-trial decisions at a fraction of the cost.
     """
-    from repro.core.seeding import resolve_trial_seed
+    from repro.core.seeding import derive_trial_seed
     from repro.simulation.metrics import AcceptanceEstimate  # lazy: import cycle
 
     if trials <= 0:
         raise ValueError("trials must be positive")
-    trial_seed = resolve_trial_seed(seed_mode)
     if labels is None:
         labels = scheme.prover(configuration)
     accepted = 0
@@ -260,7 +256,7 @@ def estimate_acceptance(
         run = verify_randomized(
             scheme,
             configuration,
-            seed=trial_seed(seed, trial),
+            seed=derive_trial_seed(seed, trial),
             labels=labels,
             randomness=randomness,
         )

@@ -45,9 +45,6 @@ Knobs
   array op per Monte-Carlo chunk (scalar and vectorized executions
   bit-identical per trial; hook-path schemes only).  A plan compiled with
   ``rng_mode=...`` makes that mode its default for every run.
-- ``seed_mode="mix"`` (default) derives per-trial seeds with the shared
-  SplitMix64 mix; ``"legacy"`` reproduces the historical
-  ``hash((seed, trial))`` derivation.
 - ``stop_halfwidth=...`` enables the confidence-interval early exit of
   :func:`estimate_acceptance_fast`.
 - ``vectorize=...`` selects the numpy trial-chunk kernel

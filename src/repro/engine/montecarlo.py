@@ -11,7 +11,7 @@ vectorized numpy trial-chunk kernel of :mod:`repro.engine.kernels`.
 Bit-identical vs. statistically equivalent
 ------------------------------------------
 
-- **Bit-identical** (default ``rng_mode="compat"``, ``seed_mode="mix"``):
+- **Bit-identical** (default ``rng_mode="compat"``):
   trial ``i`` runs with seed ``derive_trial_seed(seed, i)`` in both paths,
   and ``plan.run_trial`` reproduces the legacy RNG streams exactly, so the
   two paths agree on every individual accept/reject decision — the property
@@ -78,7 +78,6 @@ def estimate_acceptance_fast(
     trials: int,
     seed: int = 0,
     rng_mode: Optional[RngMode] = None,
-    seed_mode: str = "mix",
     chunk_size: int = DEFAULT_CHUNK,
     chunk_schedule: Optional[object] = None,
     stop_halfwidth: Optional[float] = None,
@@ -87,7 +86,6 @@ def estimate_acceptance_fast(
     first_trial: int = 0,
     should_stop: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    heartbeat: Optional[Callable[[], None]] = None,
 ) -> "AcceptanceEstimate":
     """Estimate ``Pr[verifier accepts]`` by running ``trials`` plan rounds.
 
@@ -110,8 +108,6 @@ def estimate_acceptance_fast(
     ``chunk_size`` applies, bit-for-bit the historical behaviour.
 
     ``rng_mode=None`` (default) uses the plan's compiled default mode.
-    ``seed_mode="legacy"`` reproduces the pre-SplitMix64 per-trial seeds
-    (``hash((seed, trial))``) for comparison against historical results.
 
     ``vectorize`` selects the numpy trial-chunk kernel: ``None`` (default)
     uses it automatically in ``rng_mode="fast"`` / ``"vector"`` whenever
@@ -141,12 +137,8 @@ def estimate_acceptance_fast(
     chunk granularity across all workers.  The channel is observational
     only: it never changes which trials run or what they decide, so a run
     with ``progress`` set is count-identical to the same run without it.
-
-    ``heartbeat`` is the liveness channel of :mod:`repro.parallel.supervision`:
-    it is called (with no arguments) at the top of every chunk iteration —
-    including the first, before any trial runs — so a supervisor can
-    distinguish a worker that is merely between progress updates from one
-    that has died or hung.  Like ``progress`` it is observational only.
+    The supervisor of :mod:`repro.parallel.supervision` also reads these
+    updates as the shard's heartbeats.
 
     Plans with a compile-time verdict (``plan.constant_verdict``) return the
     exact degenerate estimate immediately, with no trials executed (one
@@ -174,10 +166,6 @@ def estimate_acceptance_fast(
     else:
         use_vector = False
 
-    from repro.core.seeding import resolve_trial_seed
-
-    resolve_trial_seed(seed_mode)  # validate the mode before any work
-
     if plan.constant_verdict is not None:
         accepted = trials if plan.constant_verdict else 0
         if progress is not None:
@@ -189,8 +177,6 @@ def estimate_acceptance_fast(
     accepted = 0
     done = 0
     while done < trials:
-        if heartbeat is not None:
-            heartbeat()
         if should_stop is not None and should_stop():
             break
         # The final chunk is exactly the remaining trials — `done + chunk`
@@ -203,9 +189,7 @@ def estimate_acceptance_fast(
         else:
             chunk = min(chunk_size, trials - done)
         accepted += plan.run_trials(
-            trial_seed_slice(
-                seed, first_trial + done, first_trial + done + chunk, seed_mode
-            ),
+            trial_seed_slice(seed, first_trial + done, first_trial + done + chunk),
             rng_mode=rng_mode,
             vectorize=use_vector,
         )

@@ -363,10 +363,10 @@ class ChunkProgress:
     deltas.  The inner callback (the streaming publish channel) is always
     forwarded unchanged — tracing adds information, never filters it.
 
-    Regressive updates (cumulative trials going backwards — only the chaos
-    harness's torn fault produces them) and zero-trial liveness pings are
-    forwarded but get no span: a span for a non-chunk would make the trace
-    lie about the trial sequence.
+    Updates that do not advance the cumulative trial count (the chaos
+    harness's torn fault sends regressive ones) are forwarded but get no
+    span: a span for a non-chunk would make the trace lie about the trial
+    sequence.
     """
 
     __slots__ = ("_recorder", "_parent", "_inner", "_last", "_prev")
@@ -381,7 +381,7 @@ class ChunkProgress:
     def __call__(self, accepted: int, trials: int) -> None:
         now = time.monotonic()
         prev_accepted, prev_trials = self._prev
-        if trials >= prev_trials and (accepted, trials) != (0, 0):
+        if trials > prev_trials:
             self._recorder.write_span(
                 "chunk",
                 start=self._last,

@@ -39,9 +39,10 @@ import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.runtime import get_recorder
 from repro.parallel.controller import CampaignAllocator
@@ -53,6 +54,7 @@ from repro.parallel.executors import (
 )
 from repro.parallel.factories import workload_spec
 from repro.parallel.spec import PlanSpec
+from repro.simulation.metrics import AcceptanceEstimate
 
 
 @dataclass(frozen=True)
@@ -235,21 +237,97 @@ class JsonlSink:
             self._keys.add(record.get("cell_key"))
 
 
-def _run_cell(
+def _record(campaign: Campaign, cell: Cell, status: str, **fields) -> Dict:
+    """The one campaign record builder: the cell identity, then ``fields``."""
+    return {
+        "campaign": campaign.name,
+        "cell": cell.name,
+        "cell_key": cell.key(),
+        "status": status,
+        **cell.spec.describe(),
+        "requested_trials": cell.trials,
+        **fields,
+    }
+
+
+def _ok_record(
     campaign: Campaign,
     cell: Cell,
     instance,
-    planner: Optional[ShardPlanner],
-    chunk_size: int,
-    chunk_policy,
-    vectorize: Optional[bool],
-    stream_progress: bool,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = 0,
-    trace_parent: Optional[str] = None,
+    estimate: AcceptanceEstimate,
+    stopped_early: bool,
+    shards: int,
+    elapsed: float,
+    **fields,
+) -> Dict:
+    """A ``status="ok"`` record: the estimate, its interval, and provenance.
+
+    Zero-trial estimates report nan probability/interval directly (a
+    pre-satisfied stop can legitimately produce them); no guards needed.
+    """
+    low, high = estimate.interval
+    return _record(
+        campaign,
+        cell,
+        "ok",
+        trials=estimate.trials,
+        accepted=estimate.accepted,
+        probability=estimate.probability,
+        wilson_low=low,
+        wilson_high=high,
+        stopped_early=stopped_early,
+        shards=shards,
+        executor=getattr(instance, "name", "?"),
+        workers=getattr(instance, "workers", 1),
+        elapsed_sec=round(elapsed, 6),
+        **fields,
+    )
+
+
+def _failure_record(campaign: Campaign, cell: Cell, error: Exception, **fields) -> Dict:
+    """The ``status="failed"`` record of a cell that ran out of attempts.
+
+    Carries the cell identity and the error payload but never marks the
+    cell complete (see :func:`_record_completes`): a resumed campaign
+    re-attempts exactly the failed cells.
+    """
+    return _record(
+        campaign,
+        cell,
+        "failed",
+        error={"type": type(error).__name__, "message": str(error)},
+        **fields,
+    )
+
+
+def _under_cell_policy(on_cell_error: str, cell_retries: int, attempt: Callable):
+    """Call ``attempt()`` under the campaign's cell error policy.
+
+    Returns ``(result, None)`` on success and ``(None, error)`` when the
+    policy swallowed the failure (``skip``, or ``retry`` exhausted);
+    ``on_cell_error="raise"`` propagates instead.  Only :class:`Exception`
+    is ever swallowed — ``KeyboardInterrupt``/``SystemExit`` always
+    propagate, so an interrupt cannot be degraded into a failure record.
+    """
+    attempts = 1 + (max(0, cell_retries) if on_cell_error == "retry" else 0)
+    last_error: Optional[Exception] = None
+    for _attempt in range(attempts):
+        try:
+            return attempt(), None
+        except Exception as exc:
+            if on_cell_error == "raise":
+                raise
+            last_error = exc
+    return None, last_error
+
+
+def _run_cell(
+    campaign: Campaign, cell: Cell, options: Dict, trace_parent: Optional[str]
 ) -> Dict:
     """Execute one cell on the shared executor and build its record.
 
+    ``options`` are the campaign-wide keyword arguments of
+    :func:`~repro.parallel.executors.estimate_acceptance_sharded`.
     ``trace_parent`` is the campaign span's id, passed explicitly because
     concurrent cells run on scheduler threads where the recorder's
     thread-local span stack cannot see the campaign span.  The *cell* span
@@ -271,100 +349,34 @@ def _run_cell(
             cell.spec,
             cell.trials,
             seed=cell.seed,
-            executor=instance,
-            planner=planner,
-            chunk_size=chunk_size,
-            chunk_policy=chunk_policy,
             stop_halfwidth=cell.stop_halfwidth,
-            vectorize=vectorize,
-            stream_progress=stream_progress,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
+            **options,
         )
         cell_span.set("trials_run", sharded.estimate.trials)
         cell_span.set("stopped_early", sharded.stopped_early)
     elapsed = time.perf_counter() - start
-    estimate = sharded.estimate
-    # Zero-trial estimates report nan probability/interval directly (a
-    # pre-satisfied stop can legitimately produce them); no guards needed.
-    low, high = estimate.interval
-    record = {
-        "campaign": campaign.name,
-        "cell": cell.name,
-        "cell_key": cell.key(),
-        "status": "ok",
-        **cell.spec.describe(),
-        "requested_trials": cell.trials,
-        "trials": estimate.trials,
-        "accepted": estimate.accepted,
-        "probability": estimate.probability,
-        "wilson_low": low,
-        "wilson_high": high,
-        "stopped_early": sharded.stopped_early,
-        "streamed": sharded.streamed,
-        "shards": sharded.shards,
-        "executor": sharded.executor,
-        "workers": sharded.workers,
-        "elapsed_sec": round(elapsed, 6),
-    }
-    if sharded.report is not None:
-        record["supervision"] = sharded.report.as_dict()
-        # Executor-lifetime router drop/leak counters (process backend; see
-        # ProgressRouter.stats) — recorded, not warning-only.
-        stats = getattr(instance, "progress_stats", None)
-        if stats is not None:
-            try:
-                router_stats = stats()
-            except Exception:
-                router_stats = None
-            if router_stats is not None:
-                record["supervision"]["progress_router"] = router_stats
-    return record
-
-
-def _failure_record(campaign: Campaign, cell: Cell, error: Exception) -> Dict:
-    """The ``status="failed"`` record of a cell that ran out of attempts.
-
-    Carries the cell identity and the error payload but never marks the
-    cell complete (see :func:`_record_completes`): a resumed campaign
-    re-attempts exactly the failed cells.
-    """
-    return {
-        "campaign": campaign.name,
-        "cell": cell.name,
-        "cell_key": cell.key(),
-        "status": "failed",
-        **cell.spec.describe(),
-        "requested_trials": cell.trials,
-        "error": {"type": type(error).__name__, "message": str(error)},
-    }
-
-
-def _attempt_cell(
-    campaign: Campaign,
-    cell: Cell,
-    on_cell_error: str,
-    cell_retries: int,
-    run_args,
-) -> Tuple[Optional[Dict], Optional[Exception]]:
-    """Run one cell under the campaign's error policy.
-
-    Returns ``(record, None)`` on success and ``(None, error)`` when the
-    policy swallowed the failure (``skip``, or ``retry`` exhausted);
-    ``on_cell_error="raise"`` propagates instead.  Only :class:`Exception`
-    is ever swallowed — ``KeyboardInterrupt``/``SystemExit`` always
-    propagate, so an interrupt cannot be degraded into a failure record.
-    """
-    attempts = 1 + (max(0, cell_retries) if on_cell_error == "retry" else 0)
-    last_error: Optional[Exception] = None
-    for _attempt in range(attempts):
+    instance = options["executor"]
+    supervision = sharded.report.as_dict()
+    # Executor-lifetime router drop/leak counters (process backend; see
+    # ProgressRouter.stats) — recorded, not warning-only.
+    stats = getattr(instance, "progress_stats", None)
+    if stats is not None:
         try:
-            return _run_cell(campaign, cell, *run_args), None
-        except Exception as exc:
-            if on_cell_error == "raise":
-                raise
-            last_error = exc
-    return None, last_error
+            router_stats = stats()
+        except Exception:
+            router_stats = None
+        if router_stats is not None:
+            supervision["progress_router"] = router_stats
+    return _ok_record(
+        campaign,
+        cell,
+        instance,
+        sharded.estimate,
+        sharded.stopped_early,
+        sharded.shards,
+        elapsed,
+        supervision=supervision,
+    )
 
 
 def run_campaign(
@@ -377,7 +389,6 @@ def run_campaign(
     chunk_policy=None,
     vectorize: Optional[bool] = None,
     cell_parallelism: int = 1,
-    stream_progress: bool = False,
     on_cell_error: str = "raise",
     cell_retries: int = 1,
     shard_timeout: Optional[float] = None,
@@ -395,8 +406,10 @@ def run_campaign(
 
     ``campaign, cell, cell_key, factory, args, kwargs, randomness,
     rng_mode, requested_trials, trials, accepted, probability, wilson_low,
-    wilson_high, stopped_early, streamed, shards, executor, workers,
-    elapsed_sec``
+    wilson_high, stopped_early, shards, executor, workers, elapsed_sec``
+
+    plus the run's ``supervision`` ledger (fixed budgets) or the cell's
+    ``allocation`` history (adaptive budgets).
 
     ``cell_parallelism`` > 1 schedules that many independent cells
     concurrently over the *same* executor pool — the cell scheduler keeps
@@ -405,10 +418,8 @@ def run_campaign(
     sink in campaign declaration order (a completed cell buffers until
     every earlier cell has been written), cells are independent jobs with
     per-run stop tokens, and skip-on-resume happens before scheduling.
-    Apart from ``elapsed_sec``, concurrent-cell records are identical to a
-    serial-cell run's.  ``stream_progress`` turns on the progressive shard
-    channel for every cell (see
-    :func:`~repro.parallel.executors.estimate_acceptance_sharded`).
+    Apart from wall-clock fields (``elapsed_sec`` and the supervision
+    timing), concurrent-cell records are identical to a serial-cell run's.
 
     Graceful degradation (``on_cell_error``): with ``"raise"`` (default,
     the historical behaviour) the first failing cell aborts the campaign.
@@ -422,7 +433,7 @@ def run_campaign(
 
     ``shard_timeout`` / ``max_retries`` pass through to every cell's
     :func:`~repro.parallel.executors.estimate_acceptance_sharded` call —
-    shard-level supervision (heartbeat deadlines, deterministic retry,
+    shard-level supervision (progress deadlines, deterministic retry,
     quarantine; see :mod:`repro.parallel.supervision`) underneath the
     cell-level policy above.
 
@@ -433,13 +444,13 @@ def run_campaign(
     whose cumulative Wilson interval reaches the target halfwidth are
     starved, and their unspent budget flows to the widest remaining cells.
     Installments always extend a cell's consumed counter prefix (future
-    ranges only — per-trial verdicts are untouched by allocation), run with
-    ``stream_progress`` forced on, and each cell's record carries its
-    ``allocation`` history (per-installment ``first_trial``/``trials``) so
-    a resumed or follow-up campaign can continue the exact counter range.
-    ``chunk_policy`` (a policy object from
-    :mod:`repro.parallel.controller`, e.g. ``parse_chunk_policy("geometric")``)
-    applies to every cell on both the fixed and adaptive paths.
+    ranges only — per-trial verdicts are untouched by allocation), and each
+    cell's record carries its ``allocation`` history (per-installment
+    ``first_trial``/``trials``) so a resumed or follow-up campaign can
+    continue the exact counter range.  ``chunk_policy`` (a policy object
+    from :mod:`repro.parallel.controller`, e.g.
+    ``parse_chunk_policy("geometric")``) applies to every cell on both the
+    fixed and adaptive paths.
     """
     if cell_parallelism < 1:
         raise ValueError("cell_parallelism must be positive")
@@ -486,31 +497,40 @@ def run_campaign(
             campaign_attrs["global_budget"] = global_budget
             campaign_attrs["target_halfwidth"] = target_halfwidth
     campaign_span = recorder.span("campaign", campaign_attrs)
-    run_args = (
-        instance, planner, chunk_size, chunk_policy, vectorize, stream_progress,
-        shard_timeout, max_retries, campaign_span.span_id,
-    )
+    options = {
+        "executor": instance,
+        "planner": planner,
+        "chunk_size": chunk_size,
+        "chunk_policy": chunk_policy,
+        "vectorize": vectorize,
+        "shard_timeout": shard_timeout,
+        "max_retries": max_retries,
+    }
+
+    def run_fixed_cell(cell: Cell) -> Dict:
+        record, error = _under_cell_policy(
+            on_cell_error,
+            cell_retries,
+            lambda: _run_cell(campaign, cell, options, campaign_span.span_id),
+        )
+        return record if error is None else _failure_record(campaign, cell, error)
+
     try:
         if global_budget is not None and pending:
             _run_adaptive_campaign(
-                campaign, pending, instance, planner, chunk_size, chunk_policy,
-                vectorize, shard_timeout, max_retries, global_budget,
-                target_halfwidth, min_installment, cell_parallelism,
-                on_cell_error, cell_retries, sink, new_records, campaign_span,
+                campaign, pending, options, global_budget, target_halfwidth,
+                min_installment, cell_parallelism, on_cell_error, cell_retries,
+                sink, new_records, campaign_span,
             )
         elif cell_parallelism == 1 or len(pending) <= 1:
             for cell in pending:
-                record, error = _attempt_cell(
-                    campaign, cell, on_cell_error, cell_retries, run_args
-                )
-                if record is None:
-                    record = _failure_record(campaign, cell, error)
+                record = run_fixed_cell(cell)
                 sink.write(record)
                 new_records.append(record)
         else:
             _run_cells_concurrently(
-                campaign, pending, run_args, on_cell_error, cell_retries,
-                min(cell_parallelism, len(pending)), sink, new_records,
+                pending, run_fixed_cell, min(cell_parallelism, len(pending)),
+                sink, new_records,
             )
     except BaseException as exc:
         campaign_span.__exit__(type(exc), exc, None)
@@ -524,11 +544,8 @@ def run_campaign(
 
 
 def _run_cells_concurrently(
-    campaign: Campaign,
     pending: List[Cell],
-    run_args,
-    on_cell_error: str,
-    cell_retries: int,
+    run_cell: Callable[[Cell], Dict],
     threads: int,
     sink,
     new_records: List[Dict],
@@ -538,13 +555,14 @@ def _run_cells_concurrently(
     until every earlier cell's record is written, so the sink sees campaign
     declaration order regardless of completion order.
 
-    Cell failures follow ``on_cell_error`` exactly like the serial path:
-    under ``skip``/``retry`` a failed cell contributes a ``status="failed"``
-    record that flushes in declaration order like any other, and siblings
-    keep running.  Under ``raise`` (and for ``KeyboardInterrupt`` always)
-    the contiguous prefix of completed records stays written (resume will
-    skip it); records of cells *after* the failure are discarded rather
-    than written out of order, and the first error re-raises.
+    ``run_cell`` applies the campaign's ``on_cell_error`` policy exactly
+    like the serial path: under ``skip``/``retry`` a failed cell
+    contributes a ``status="failed"`` record that flushes in declaration
+    order like any other, and siblings keep running.  Under ``raise`` (and
+    for ``KeyboardInterrupt`` always) the contiguous prefix of completed
+    records stays written (resume will skip it); records of cells *after*
+    the failure are discarded rather than written out of order, and the
+    first error re-raises.
     """
     state_lock = threading.Lock()
     cursor = 0
@@ -560,13 +578,8 @@ def _run_cells_concurrently(
                     return
                 position = cursor
                 cursor += 1
-            cell = pending[position]
             try:
-                record, error = _attempt_cell(
-                    campaign, cell, on_cell_error, cell_retries, run_args
-                )
-                if record is None:
-                    record = _failure_record(campaign, cell, error)
+                record = run_cell(pending[position])
             except BaseException as exc:  # re-raised in the caller
                 with state_lock:
                     errors.append(exc)
@@ -599,13 +612,7 @@ def _run_cells_concurrently(
 def _run_adaptive_campaign(
     campaign: Campaign,
     pending: List[Cell],
-    instance,
-    planner: Optional[ShardPlanner],
-    chunk_size: int,
-    chunk_policy,
-    vectorize: Optional[bool],
-    shard_timeout: Optional[float],
-    max_retries: int,
+    options: Dict,
     global_budget: int,
     target_halfwidth: float,
     min_installment: int,
@@ -620,12 +627,16 @@ def _run_adaptive_campaign(
 
     Each round the :class:`~repro.parallel.controller.CampaignAllocator`
     produces a grant table; every granted cell runs one *installment* — a
-    streamed sharded estimate over the next ``granted`` trials of its
-    counter sequence (``first_trial`` = the consumed prefix, ``prior`` = the
+    sharded estimate over the next ``granted`` trials of its counter
+    sequence (``first_trial`` = the consumed prefix, ``prior`` = the
     prefix's counts, so the Wilson stop applies to the cell's *cumulative*
     interval and fires as soon as the target halfwidth is reached
-    mid-installment).  Only consumed trials are booked against the budget;
-    a converged installment's unspent grant implicitly returns to the pool.
+    mid-installment).  Only the installment's contiguous counter prefix
+    (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`) is booked:
+    a stop can leave later shards further along than an earlier one, and
+    those trials are dropped rather than booked as if they were the next
+    counters.  A converged installment's unspent grant implicitly returns
+    to the pool.
 
     Ordering and resume match the fixed path: one record per cell, written
     in declaration order after the budget is spent, each carrying the
@@ -633,8 +644,6 @@ def _run_adaptive_campaign(
     degrade a repeatedly-failing cell to a ``status="failed"`` record (its
     remaining budget serves the other cells); ``"raise"`` aborts.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     allocator = CampaignAllocator(
         [cell.name for cell in pending],
         global_budget,
@@ -649,34 +658,21 @@ def _run_adaptive_campaign(
     def run_installment(name: str, granted: int):
         cell = cells[name]
         prior = allocator.counts(name)
-        attempts = 1 + (max(0, cell_retries) if on_cell_error == "retry" else 0)
-        last_error: Optional[Exception] = None
-        for _attempt in range(attempts):
+
+        def attempt():
             start = time.perf_counter()
-            try:
-                sharded = estimate_acceptance_sharded(
-                    cell.spec,
-                    granted,
-                    seed=cell.seed,
-                    executor=instance,
-                    planner=planner,
-                    chunk_size=chunk_size,
-                    chunk_policy=chunk_policy,
-                    stop_halfwidth=target_halfwidth,
-                    vectorize=vectorize,
-                    stream_progress=True,
-                    first_trial=prior[1],
-                    prior=prior,
-                    shard_timeout=shard_timeout,
-                    max_retries=max_retries,
-                )
-            except Exception as exc:
-                if on_cell_error == "raise":
-                    raise
-                last_error = exc
-                continue
-            return sharded, time.perf_counter() - start, None
-        return None, 0.0, last_error
+            sharded = estimate_acceptance_sharded(
+                cell.spec,
+                granted,
+                seed=cell.seed,
+                stop_halfwidth=target_halfwidth,
+                first_trial=prior[1],
+                prior=prior,
+                **options,
+            )
+            return sharded, time.perf_counter() - start
+
+        return _under_cell_policy(on_cell_error, cell_retries, attempt)
 
     while True:
         grants = allocator.grants()
@@ -694,23 +690,24 @@ def _run_adaptive_campaign(
         else:
             outcomes = [run_installment(name, granted) for name, granted in ordered]
         progressed = False
-        for (name, granted), (sharded, spent, error) in zip(ordered, outcomes):
+        for (name, granted), (outcome, error) in zip(ordered, outcomes):
             if error is not None:
                 allocator.fail(name)
                 errors[name] = error
                 progressed = True
                 continue
-            estimate = sharded.estimate
+            sharded, spent = outcome
+            prefix = sharded.prefix
             allocator.settle(
                 name,
                 first_trial=allocator.counts(name)[1],
                 granted=granted,
-                accepted=estimate.accepted,
-                trials=estimate.trials,
+                accepted=prefix.accepted,
+                trials=prefix.trials,
             )
             elapsed[name] += spent
             shard_totals[name] += sharded.shards
-            if estimate.trials > 0:
+            if prefix.trials > 0:
                 progressed = True
         if not progressed:
             # A full round granted budget and nothing ran (wedged pool,
@@ -718,37 +715,25 @@ def _run_adaptive_campaign(
             # spinning — the records below document the shortfall.
             break
 
-    from repro.simulation.metrics import AcceptanceEstimate
-
+    instance = options["executor"]
     for cell in pending:
-        accepted, consumed = allocator.counts(cell.name)
         history = allocator.history(cell.name)
         if cell.name in errors:
-            record = _failure_record(campaign, cell, errors[cell.name])
-            record["allocation"] = history
+            record = _failure_record(
+                campaign, cell, errors[cell.name], allocation=history
+            )
         else:
-            estimate = AcceptanceEstimate(accepted=accepted, trials=consumed)
-            low, high = estimate.interval
-            record = {
-                "campaign": campaign.name,
-                "cell": cell.name,
-                "cell_key": cell.key(),
-                "status": "ok",
-                **cell.spec.describe(),
-                "requested_trials": cell.trials,
-                "trials": estimate.trials,
-                "accepted": estimate.accepted,
-                "probability": estimate.probability,
-                "wilson_low": low,
-                "wilson_high": high,
-                "stopped_early": history["converged"],
-                "streamed": True,
-                "shards": shard_totals[cell.name],
-                "executor": getattr(instance, "name", "?"),
-                "workers": getattr(instance, "workers", 1),
-                "elapsed_sec": round(elapsed[cell.name], 6),
-                "allocation": history,
-            }
+            accepted, consumed = allocator.counts(cell.name)
+            record = _ok_record(
+                campaign,
+                cell,
+                instance,
+                AcceptanceEstimate(accepted=accepted, trials=consumed),
+                history["converged"],
+                shard_totals[cell.name],
+                elapsed[cell.name],
+                allocation=history,
+            )
         sink.write(record)
         new_records.append(record)
     for key, value in allocator.summary().items():

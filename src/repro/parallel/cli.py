@@ -20,9 +20,8 @@ factory does not take are skipped with a warning, not a crash), and a
 --size k-flow:k=3``.
 
 ``--cell-parallelism N`` runs N campaign cells concurrently over the one
-worker pool; ``--stream-progress`` turns on progressive shard-result
-streaming so Wilson stops fire at chunk granularity (see
-``docs/parallel.md``).
+worker pool.  Workers stream partial shard counts, so Wilson stops fire at
+chunk granularity (see ``docs/parallel.md``).
 
 Adaptive budgets (see docs/parallel.md "Adaptive budgets"):
 ``--chunk-policy geometric`` lets chunks start small and grow as the Wilson
@@ -217,24 +216,18 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "(must lie in (0, 0.5))",
     )
     parser.add_argument(
-        "--stream-progress",
-        action="store_true",
-        help="stream partial shard counts so the Wilson stop fires at "
-        "chunk granularity across all workers",
-    )
-    parser.add_argument(
         "--shard-timeout",
         type=float,
         default=None,
-        help="heartbeat deadline per shard in seconds; a silent shard is "
-        "declared failed and retried (enables supervision)",
+        help="progress deadline per shard in seconds; a shard silent that "
+        "long is declared failed and retried or quarantined",
     )
     parser.add_argument(
         "--max-retries",
         type=int,
         default=0,
-        help="re-dispatches per failed shard before quarantine "
-        "(> 0 enables supervision; see docs/robustness.md)",
+        help="re-dispatches per failed shard before quarantine; with 0 a "
+        "shard's exception aborts the run (see docs/robustness.md)",
     )
     parser.add_argument(
         "--chaos-spec",
@@ -320,7 +313,6 @@ def _cmd_estimate(args) -> int:
                 chunk_size=args.chunk_size,
                 chunk_policy=args.chunk_policy,
                 stop_halfwidth=args.stop_halfwidth,
-                stream_progress=args.stream_progress,
                 shard_timeout=args.shard_timeout,
                 max_retries=args.max_retries,
             )
@@ -336,18 +328,17 @@ def _cmd_estimate(args) -> int:
             f"{result.shard.stop}) ran {result.trials}, accepted {result.accepted}"
         )
     report = sharded.report
-    if report is not None:
+    print(
+        f"  supervision: attempts={sum(report.attempts.values())} "
+        f"retries={report.retries} timeouts={report.timeouts} "
+        f"repairs={report.pool_repairs} "
+        f"quarantined={len(report.quarantined)}"
+    )
+    for bad in report.quarantined:
         print(
-            f"  supervision: attempts={sum(report.attempts.values())} "
-            f"retries={report.retries} timeouts={report.timeouts} "
-            f"repairs={report.pool_repairs} "
-            f"quarantined={len(report.quarantined)}"
+            f"    quarantined {bad.shard} after {bad.attempts} attempts: "
+            f"{bad.failures[-1].message}"
         )
-        for bad in report.quarantined:
-            print(
-                f"    quarantined {bad.shard} after {bad.attempts} attempts: "
-                f"{bad.failures[-1].message}"
-            )
     return 0
 
 
@@ -408,7 +399,6 @@ def _cmd_campaign(args) -> int:
                 chunk_size=args.chunk_size,
                 chunk_policy=args.chunk_policy,
                 cell_parallelism=args.cell_parallelism,
-                stream_progress=args.stream_progress,
                 on_cell_error=args.on_cell_error,
                 cell_retries=args.cell_retries,
                 shard_timeout=args.shard_timeout,

@@ -23,25 +23,20 @@ Cooperative early exit
 Every run gets its own stop token (:class:`~repro.parallel.progress.StopToken`),
 so concurrent runs over one pool — campaign cells — stop independently;
 the executor-wide ``request_stop()`` remains as a pool-global kill switch
-every token also observes.  The aggregator in
-:func:`estimate_acceptance_sharded` merges shard results as they complete
-and, once the Wilson interval of the running merge is narrow enough,
-requests a stop: shards not yet started are skipped, and running shards
-observe the flag between chunks (the ``should_stop`` hook of
+every token also observes.  :func:`estimate_acceptance_sharded` runs every
+shard under a :class:`~repro.parallel.supervision.ShardSupervisor`; workers
+publish partial cumulative counts after every chunk through a
+backend-appropriate conduit (direct callback in-process, a
+``multiprocessing`` queue plus parent-side router for the process pool),
+and one :class:`~repro.parallel.progress.StreamingAggregator` applies the
+Wilson rule to the merged partials.  Once the interval is narrow enough it
+stops the run at chunk granularity across all workers: shards not yet
+started are skipped, and running shards observe the flag between chunks
+(the ``should_stop`` hook of
 :func:`~repro.engine.montecarlo.estimate_acceptance_fast`) and return their
 partial counts.  Exactly like the single-process Wilson exit, stopping
 changes *which trials run*, never any individual verdict — so a stopped
 run is still an unbiased estimate over the trials it reports.
-
-With ``stream_progress=True`` the stop acts at **chunk granularity across
-all workers** instead of shard granularity: workers publish partial
-cumulative counts after every chunk through a backend-appropriate conduit
-(direct callback in-process, a ``multiprocessing`` queue plus parent-side
-router for the process pool), and a
-:class:`~repro.parallel.progress.StreamingAggregator` applies the Wilson
-rule to the merged partials — strictly fewer wasted trials on multi-shard
-stops, with no effect at all on no-stop runs (the channel is
-observational; see :mod:`repro.parallel.progress`).
 
 Determinism contract
 --------------------
@@ -62,7 +57,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.engine.montecarlo import DEFAULT_CHUNK, estimate_acceptance_fast
 from repro.engine.plan import VerificationPlan
@@ -83,7 +78,7 @@ from repro.parallel.progress import (
 from repro.parallel.shards import Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import RetryPolicy, RunReport, ShardSupervisor
-from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
+from repro.simulation.metrics import AcceptanceEstimate
 
 
 def available_cpus() -> int:
@@ -118,14 +113,10 @@ def _run_shard(
 ) -> ShardResult:
     """The shard worker body — runs on every backend, in-process or not.
 
-    ``publish``, when streaming is on, receives the shard's cumulative
+    ``publish``, when set, receives the shard's cumulative
     ``(shard_index, accepted, trials)`` after every chunk — the progress
-    conduit of :mod:`repro.parallel.progress`.  Under supervision
-    (``options["heartbeat"]``) the same conduit additionally carries
-    zero-trial liveness pings at each chunk boundary; the supervisor
-    filters them out of the user-facing stream, and they are harmless to a
-    raw :class:`~repro.parallel.progress.StreamingAggregator` anyway (a
-    ``(0, 0)`` update never regresses its totals).
+    conduit of :mod:`repro.parallel.progress`, which the supervisor also
+    reads as the shard's heartbeat.
 
     Tracing (``options["trace"]``, a picklable
     :class:`~repro.obs.trace.TraceSpec` parented on the run span) wraps
@@ -137,13 +128,10 @@ def _run_shard(
     target, shard, options = payload
     plan = target.resolve() if isinstance(target, PlanSpec) else target
     progress = None
-    heartbeat = None
     if publish is not None:
         progress = lambda accepted, trials: publish(  # noqa: E731
             shard.index, accepted, trials
         )
-        if options.get("heartbeat"):
-            heartbeat = lambda: publish(shard.index, 0, 0)  # noqa: E731
     spec = options.get("trace")
     recorder = spec.recorder() if spec is not None else NULL_RECORDER
     attrs = None
@@ -166,7 +154,6 @@ def _run_shard(
             shard.trials,
             seed=options["seed"],
             rng_mode=options["rng_mode"],
-            seed_mode=options["seed_mode"],
             chunk_size=options["chunk_size"],
             # The chunk-schedule seam: a picklable policy rides in the
             # options dict and is instantiated per shard engine-side (the
@@ -177,7 +164,6 @@ def _run_shard(
             first_trial=shard.start,
             should_stop=should_stop,
             progress=progress,
-            heartbeat=heartbeat,
         )
         span.set("accepted", estimate.accepted)
         span.set("trials", estimate.trials)
@@ -251,14 +237,6 @@ class SerialExecutor(_EpochStop):
 
         return RunHandle(results(), token)
 
-    def run(self, fn: Callable, payloads: Iterable) -> Iterator:
-        """Legacy two-argument interface (``fn(payload, should_stop)``)."""
-        should_stop = self._global_probe()
-        for payload in payloads:
-            if should_stop():
-                break
-            yield fn(payload, should_stop)
-
     def close(self) -> None:
         pass
 
@@ -301,12 +279,6 @@ class ThreadExecutor(_EpochStop):
             for payload in payloads
         ]
         return RunHandle(_drain_futures(futures), token)
-
-    def run(self, fn: Callable, payloads: Iterable) -> Iterator:
-        """Legacy two-argument interface (``fn(payload, should_stop)``)."""
-        should_stop = self._global_probe()
-        futures = [self._pool.submit(fn, payload, should_stop) for payload in payloads]
-        yield from _drain_futures(futures)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
@@ -359,16 +331,6 @@ def _init_shard_worker(stop_epoch, stop_board=None, progress_queue=None) -> None
     # Fork-started workers inherit the parent's metrics registry values;
     # zero them so a worker flush never re-reports parent-side counts.
     reset_metrics()
-
-
-def _invoke_in_worker(fn: Callable, payload, born_epoch: int = 0):
-    """Legacy worker body: pool-global stop epoch only."""
-    epoch = _WORKER_EPOCH
-
-    def should_stop() -> bool:
-        return epoch is not None and epoch.value > born_epoch
-
-    return fn(payload, should_stop)
 
 
 def _invoke_in_worker_run(
@@ -550,13 +512,21 @@ class ProcessExecutor:
             run_id = self._run_counter
             self._run_counter += 1
         self._board[slot] = 0
+        owned = True  # until release() hands the slot back
         stream = on_progress is not None
         if stream:
             self._router.subscribe(run_id, on_progress)
         born = self._stop_epoch.value
+
+        def poke_slot():
+            # A stop requested after release() must not land in a slot that
+            # a later run may already hold.
+            with self._lock:
+                if owned:
+                    self._board[slot] = 1
+
         token = StopToken(
-            extra=lambda: self._stop_epoch.value > born,
-            on_request=lambda: self._board.__setitem__(slot, 1),
+            extra=lambda: self._stop_epoch.value > born, on_request=poke_slot
         )
         # Worker metrics only flush while a trace is live — the off path
         # puts zero extra items on the queue.
@@ -565,19 +535,7 @@ class ProcessExecutor:
             "executor.start_run",
             {"executor": self.name, "shards": len(payloads), "run_id": run_id},
         )
-        futures = [
-            self._pool.submit(
-                _invoke_in_worker_run,
-                fn,
-                payload,
-                slot,
-                run_id,
-                stream,
-                born,
-                flush_metrics,
-            )
-            for payload in payloads
-        ]
+        futures = []
 
         def release():
             # Teardown order matters.  (1) Unsubscribe — the router
@@ -586,6 +544,7 @@ class ProcessExecutor:
             # this run's workers: pending futures cancel, already-running
             # shards see the slot flag at their next chunk.  Only then
             # (3) is the slot clean to hand to a concurrent run.
+            nonlocal owned
             if stream:
                 self._router.unsubscribe(run_id)
             self._board[slot] = 1
@@ -593,20 +552,30 @@ class ProcessExecutor:
                 future.cancel()
             concurrent.futures.wait(futures)
             with self._lock:
+                owned = False
                 self._board[slot] = 0
                 self._free_slots.append(slot)
 
+        try:
+            for payload in payloads:
+                futures.append(
+                    self._pool.submit(
+                        _invoke_in_worker_run,
+                        fn,
+                        payload,
+                        slot,
+                        run_id,
+                        stream,
+                        born,
+                        flush_metrics,
+                    )
+                )
+        except BaseException:
+            # A broken pool refuses submissions: hand back what this run
+            # took before the caller (the supervisor) repairs and retries.
+            release()
+            raise
         return RunHandle(_drain_futures(futures), token, on_finish=release)
-
-    def run(self, fn: Callable, payloads: Iterable) -> Iterator:
-        """Legacy two-argument interface (``fn(payload, should_stop)``)."""
-        payloads = self._check_payloads(payloads)
-        born = self._stop_epoch.value
-        futures = [
-            self._pool.submit(_invoke_in_worker, fn, payload, born)
-            for payload in payloads
-        ]
-        yield from _drain_futures(futures)
 
     def progress_stats(self) -> dict:
         """The router's drop/leak counters (see ``ProgressRouter.stats``)."""
@@ -706,17 +675,13 @@ def resolve_executor(
 class ShardedEstimate:
     """The merged estimate of a sharded run, with its per-shard provenance.
 
-    ``streamed`` records whether the run used the progressive progress
-    channel; ``progress_updates`` counts the partial-count updates the
-    streaming aggregator folded in (0 on non-streamed runs) — provenance
+    ``report`` is the run's supervision ledger
+    (:class:`~repro.parallel.supervision.RunReport`).  A report with
+    quarantined shards means the estimate merges only the shards that
+    completed — still exact over those counter ranges, but short of the
+    requested budget; check ``report.ok``.  ``progress_updates`` counts the
+    partial-count updates the streaming aggregator folded in — provenance
     for the chunk-granular stop, never part of the estimate itself.
-
-    ``report`` is the supervision ledger
-    (:class:`~repro.parallel.supervision.RunReport`) when the run was
-    supervised (``shard_timeout``/``max_retries``/``retry_policy``), else
-    ``None``.  A report with quarantined shards means the estimate merges
-    only the shards that completed — still exact over those counter
-    ranges, but short of the requested budget; check ``report.ok``.
     """
 
     estimate: AcceptanceEstimate
@@ -725,18 +690,36 @@ class ShardedEstimate:
     executor: str
     workers: int
     stopped_early: bool
-    streamed: bool = False
+    report: RunReport
     progress_updates: int = 0
-    report: Optional["RunReport"] = None
 
     @property
     def shards(self) -> int:
         return len(self.shard_results)
 
+    @property
+    def prefix(self) -> AcceptanceEstimate:
+        """The counts over the run's contiguous counter prefix.
+
+        A stop or a quarantine can leave gaps: shard 1 cut short while
+        shard 2 ran on, or shard 1 missing altogether.  ``estimate`` merges
+        everything that ran; ``prefix`` keeps the full shards in index
+        order up to the first short or missing one, plus that shard's
+        partial — exactly a single-process run over the first
+        ``prefix.trials`` counters of the range.
+        """
+        accepted = trials = 0
+        for index, result in enumerate(self.shard_results):
+            if result.shard.index != index:
+                break
+            accepted += result.accepted
+            trials += result.trials
+            if result.trials < result.shard.trials:
+                break
+        return AcceptanceEstimate(accepted=accepted, trials=trials)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         tag = " (stopped early)" if self.stopped_early else ""
-        if self.streamed:
-            tag += " [streamed]"
         return (
             f"{self.estimate} over {self.shards} shards "
             f"[{self.executor} x{self.workers}]{tag}"
@@ -752,13 +735,11 @@ def estimate_acceptance_sharded(
     planner: Optional[ShardPlanner] = None,
     shard_count: Optional[int] = None,
     rng_mode: Optional[str] = None,
-    seed_mode: str = "mix",
     chunk_size: int = DEFAULT_CHUNK,
     chunk_policy=None,
     stop_halfwidth: Optional[float] = None,
     min_trials: int = 2 * DEFAULT_CHUNK,
     vectorize: Optional[bool] = None,
-    stream_progress: bool = False,
     first_trial: int = 0,
     prior: Optional[Tuple[int, int]] = None,
     progress_observer: Optional[Callable[[int, int], None]] = None,
@@ -778,20 +759,13 @@ def estimate_acceptance_sharded(
 
     ``target`` may be a compiled plan (serial/thread backends) or a
     :class:`~repro.parallel.spec.PlanSpec` (any backend; required for
-    processes).  With ``stop_halfwidth`` set, the aggregator applies the
-    Wilson stop rule to the *merged* running estimate and cancels
-    outstanding shards cooperatively.  Without it, the result is exactly the
+    processes).  Workers publish partial cumulative counts after every
+    chunk, and with ``stop_halfwidth`` set one
+    :class:`~repro.parallel.progress.StreamingAggregator` applies the
+    Wilson stop rule to the merged partials, stopping every in-flight shard
+    at chunk granularity.  Without it, the result is exactly the
     single-process estimate — see the module docstring's determinism
-    contract.
-
-    ``stream_progress=True`` turns on the progressive channel of
-    :mod:`repro.parallel.progress`: workers publish partial cumulative
-    counts after every chunk and the Wilson stop rule runs on the merged
-    partials, firing at chunk granularity across all workers instead of
-    waiting for whole shards — never more trials than the shard-granular
-    stop, usually measurably fewer.  Streaming is observational: a no-stop
-    streamed run is count-identical to the non-streamed (and single-process)
-    run on every backend and rng mode.
+    contract; the progress channel is observational.
 
     Adaptive-budget hooks (see :mod:`repro.parallel.controller`):
 
@@ -810,37 +784,42 @@ def estimate_acceptance_sharded(
       installments.  The returned estimate still reports only this call's
       counts — the caller owns the cumulative ledger.
     - ``progress_observer`` receives the merged cumulative totals (prior
-      included) after every streamed update; observational only.
+      included) after every update; observational only.
 
-    Fault tolerance (``shard_timeout`` / ``max_retries`` / ``retry_policy``,
-    see :mod:`repro.parallel.supervision`): setting any of them routes the
-    run through a :class:`~repro.parallel.supervision.ShardSupervisor` —
-    shards get heartbeat deadlines, failed or timed-out shards retry with
+    Every run goes through a
+    :class:`~repro.parallel.supervision.ShardSupervisor`, configured by
+    ``retry_policy`` or its ``shard_timeout`` / ``max_retries`` shorthands.
+    With the default zero retries a shard's exception propagates, as from
+    any function; with ``max_retries > 0`` failed shards retry with
     deterministic backoff (bit-identical re-execution, so any crash/retry
-    schedule merges to the undisturbed estimate), shards that exhaust the
-    budget are quarantined, and the returned estimate carries the
+    schedule merges to the undisturbed estimate) and shards that exhaust
+    the budget are quarantined.  ``shard_timeout`` is a progress deadline:
+    a shard silent that long is timed out and retried or quarantined.  The
+    returned estimate carries the
     :class:`~repro.parallel.supervision.RunReport` in ``report``.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if first_trial < 0:
         raise ValueError("first_trial must be non-negative")
-    prior_accepted, prior_trials = prior if prior is not None else (0, 0)
-    if prior_accepted < 0 or prior_trials < 0 or prior_accepted > prior_trials:
-        raise ValueError("prior must be valid (accepted, trials) counts")
     if planner is not None and shard_count is not None:
         raise ValueError("pass either planner or shard_count, not both")
     if planner is None:
         planner = ShardPlanner(shard_count=shard_count)
-    supervised = (
-        retry_policy is not None or shard_timeout is not None or max_retries > 0
-    )
-    if retry_policy is not None and (shard_timeout is not None or max_retries):
+    if retry_policy is None:
+        retry_policy = RetryPolicy(max_retries=max_retries, shard_timeout=shard_timeout)
+    elif shard_timeout is not None or max_retries:
         raise ValueError(
             "pass either retry_policy or shard_timeout/max_retries, not both"
         )
-    if supervised and retry_policy is None:
-        retry_policy = RetryPolicy(max_retries=max_retries, shard_timeout=shard_timeout)
+    # Stop decisions act on the cumulative counts: the prior prefix plus
+    # whatever this call's shards have published so far.
+    aggregator = StreamingAggregator(
+        stop_halfwidth=stop_halfwidth,
+        min_trials=min_trials,
+        baseline=prior if prior is not None else (0, 0),
+        observer=progress_observer,
+    )
 
     instance, owned = resolve_executor(executor, workers)
     recorder = get_recorder()
@@ -852,8 +831,6 @@ def estimate_acceptance_sharded(
             "trials": trials,
             "seed": seed,
             "first_trial": first_trial,
-            "supervised": supervised,
-            "streamed": stream_progress,
         }
     run_span = recorder.span("run", run_attrs)
     try:
@@ -889,15 +866,10 @@ def estimate_acceptance_sharded(
         options = {
             "seed": seed,
             "rng_mode": rng_mode,
-            "seed_mode": seed_mode,
             "chunk_size": chunk_size,
             "chunk_policy": chunk_policy,
             "vectorize": vectorize,
         }
-        if supervised:
-            # The liveness-ping channel (see _run_shard); supervision needs
-            # heartbeats even on non-streamed runs.
-            options["heartbeat"] = True
         if recorder.enabled:
             run_span.set("rng_mode", rng_mode)
             run_span.set("shards", len(shards))
@@ -906,97 +878,21 @@ def estimate_acceptance_sharded(
             options["trace"] = recorder.spec(parent=run_span.span_id)
         payloads = [(shard_target, shard, options) for shard in shards]
 
-        aggregator: Optional[StreamingAggregator] = None
-        on_progress = None
-        if stream_progress:
-            aggregator = StreamingAggregator(
-                stop_halfwidth=stop_halfwidth,
-                min_trials=min_trials,
-                baseline=(prior_accepted, prior_trials),
-                observer=progress_observer,
-            )
-            on_progress = aggregator.update
-
-        results: List[ShardResult] = []
-        # Stop checks act on the cumulative counts: the prior prefix plus
-        # whatever this call has merged so far.
-        accepted = prior_accepted
-        done = prior_trials
-        stopped = False
-        report: Optional[RunReport] = None
-
-        if supervised:
-            def on_result(result):
-                # Runs on the supervisor thread, once per accepted shard —
-                # the same merge-and-maybe-stop step the unsupervised drain
-                # loop below performs inline.
-                nonlocal accepted, done, stopped
-                accepted += result.accepted
-                done += result.trials
-                if aggregator is not None:
-                    aggregator.update(
-                        result.shard.index, result.accepted, result.trials
-                    )
-                    if aggregator.satisfied:
-                        stopped = True
-                elif (
-                    not stopped
-                    and stop_halfwidth is not None
-                    and done >= min_trials
-                ):
-                    low, high = wilson_interval(accepted, done)
-                    if high - low <= 2 * stop_halfwidth:
-                        stopped = True
-                        supervisor.request_stop()
-
-            supervisor = ShardSupervisor(
-                instance,
-                _run_shard,
-                payloads,
-                policy=retry_policy,
-                on_progress=on_progress,
-                on_result=on_result,
-            )
-            if aggregator is not None:
-                aggregator.bind_stop(supervisor.request_stop)
-            result_map, report = supervisor.run()
-            results = list(result_map.values())
-            if aggregator is not None and aggregator.satisfied:
-                stopped = True
-        else:
-            # The context manager guarantees the run's backend resources
-            # (stop-board slot, progress subscription) are released on every
-            # exit path — including errors raised *before* the first result
-            # is iterated, where closing the result generator alone would
-            # never reach its finally (a never-started generator's body does
-            # not run on close; see RunHandle.close).
-            with instance.start_run(
-                _run_shard, payloads, on_progress=on_progress
-            ) as handle:
-                if aggregator is not None:
-                    aggregator.bind_stop(handle.request_stop)
-                for result in handle.results():
-                    results.append(result)
-                    accepted += result.accepted
-                    done += result.trials
-                    if aggregator is not None:
-                        # Completed shards fold in through the same path as
-                        # their partials (idempotent: the final counts equal
-                        # the shard's last published update), so the stop
-                        # decision never waits on queue latency.
-                        aggregator.update(
-                            result.shard.index, result.accepted, result.trials
-                        )
-                        stopped = aggregator.satisfied
-                    elif (
-                        not stopped
-                        and stop_halfwidth is not None
-                        and done >= min_trials
-                    ):
-                        low, high = wilson_interval(accepted, done)
-                        if high - low <= 2 * stop_halfwidth:
-                            stopped = True
-                            handle.request_stop()
+        supervisor = ShardSupervisor(
+            instance,
+            _run_shard,
+            payloads,
+            policy=retry_policy,
+            on_progress=aggregator.update,
+            # A completed shard folds in through the same path as its
+            # partials (idempotent: its final counts equal its last
+            # published update), so the stop never waits on queue latency.
+            on_result=lambda result: aggregator.update(
+                result.shard.index, result.accepted, result.trials
+            ),
+        )
+        aggregator.bind_stop(supervisor.request_stop)
+        result_map, report = supervisor.run()
     except BaseException as exc:
         # Close the run span on the error path (status="error"); the
         # success path closes it after the merge, with the final counts.
@@ -1006,9 +902,9 @@ def estimate_acceptance_sharded(
         if owned:
             instance.close()
 
-    results.sort(key=lambda result: result.shard.index)
+    results = sorted(result_map.values(), key=lambda result: result.shard.index)
     merged = AcceptanceEstimate.merge(result.estimate for result in results)
-    stopped_early = stopped or merged.trials < trials
+    stopped_early = aggregator.satisfied or merged.trials < trials
     run_span.set("trials_run", merged.trials)
     run_span.set("accepted", merged.accepted)
     run_span.set("stopped_early", stopped_early)
@@ -1020,7 +916,6 @@ def estimate_acceptance_sharded(
         executor=instance.name,
         workers=instance.workers,
         stopped_early=stopped_early,
-        streamed=stream_progress,
-        progress_updates=aggregator.updates if aggregator is not None else 0,
         report=report,
+        progress_updates=aggregator.updates,
     )

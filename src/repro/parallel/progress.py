@@ -28,7 +28,8 @@ it just acts on fresher information.
 
 Determinism is untouched: the channel is observational.  With no stop rule
 every shard runs to completion and the merged result equals the
-single-process estimate bit for bit, streaming on or off.
+single-process estimate bit for bit.  The same updates are the shards'
+heartbeats under :mod:`repro.parallel.supervision`.
 
 Conduits per backend
 --------------------
@@ -395,19 +396,17 @@ class ProgressRouter:
                     continue
                 # Stale accounting: a cumulative partial whose trial count
                 # regressed was superseded in transit (or torn by chaos).
-                # Heartbeat pings are (0, 0) by contract and never count.
                 # Still dispatched — the aggregator's never-regress rule is
                 # the authority; the router only observes.
-                if (accepted, trials) != (0, 0):
-                    try:
-                        per_shard = self._last_trials.setdefault(run_id, {})
-                        if trials < per_shard.get(shard_index, 0):
-                            self.stale_updates += 1
-                        else:
-                            per_shard[shard_index] = trials
-                    except TypeError:  # unhashable shard index: garbage
-                        self.malformed_items += 1
-                        continue
+                try:
+                    per_shard = self._last_trials.setdefault(run_id, {})
+                    if trials < per_shard.get(shard_index, 0):
+                        self.stale_updates += 1
+                    else:
+                        per_shard[shard_index] = trials
+                except TypeError:  # unhashable shard index: garbage
+                    self.malformed_items += 1
+                    continue
                 try:
                     callback(shard_index, accepted, trials)
                 except Exception:

@@ -6,11 +6,10 @@ one hung shard, and ``estimate_acceptance_sharded`` either raises mid-merge
 or waits forever.  This module adds the layer that makes shard execution
 *fault-tolerant* without touching its determinism contract:
 
-- **Deadlines.** Every shard's progress-channel messages double as
-  heartbeats (the streamed partials of PR 5, plus an explicit liveness ping
-  at each chunk boundary — the ``heartbeat`` hook of
-  :func:`~repro.engine.montecarlo.estimate_acceptance_fast`).  A shard that
-  produces no heartbeat within ``shard_timeout`` is declared failed, its
+- **Deadlines.** Every shard's progress updates — the cumulative
+  partial counts it publishes after each chunk — double as heartbeats, and
+  the dispatch itself counts as the first beat.  A shard that produces no
+  heartbeat within ``shard_timeout`` is declared failed, its
   dispatch is stopped cooperatively, and on the process backend a worker
   that ignores the stop past ``kill_grace`` escalates to a pool repair
   (dead/hung processes reaped, replacements spawned —
@@ -30,6 +29,9 @@ or waits forever.  This module adds the layer that makes shard execution
   quarantined — execution continues for its siblings, and the structured
   :class:`RunReport` surfaces the shard, its attempt count, and every
   recorded failure, instead of one exception destroying the whole run.
+  With ``max_retries=0`` there is no budget to exhaust: a shard's (or a
+  dispatch's) exception stops the run and propagates from :meth:`run`,
+  as from any function.  Timeouts are quarantined under every policy.
 
 The supervisor is backend-agnostic: it only needs the executor's
 ``start_run`` contract (per-run stop tokens) and, optionally, a ``repair()``
@@ -213,14 +215,12 @@ class ShardSupervisor:
     onto an internal queue; the supervisor's main loop dispatches, applies
     deadlines, schedules retries, and quarantines.
 
-    ``on_progress`` (the streaming aggregator's ``update``, when streaming)
-    receives every real partial exactly as an unsupervised run would; the
-    supervisor additionally treats *every* progress message — including the
-    zero-trial liveness pings, which it filters out of the user channel —
-    as that shard's heartbeat.  ``on_result`` fires on the supervisor
-    thread for each accepted shard result (the estimator's Wilson stop
-    hook).  ``request_stop`` is safe from any thread (the aggregator calls
-    it from a drain/worker thread); it takes effect within one tick.
+    ``on_progress`` (the streaming aggregator's ``update``) receives every
+    partial, and the supervisor treats each one as that shard's heartbeat.
+    ``on_result`` fires on the supervisor thread for each accepted shard
+    result.  ``request_stop`` is safe from any thread (the aggregator calls
+    it from a drain/worker thread) and synchronous: every in-flight
+    dispatch is asked to stop before it returns, and nothing new starts.
     """
 
     def __init__(
@@ -254,6 +254,9 @@ class ShardSupervisor:
         self._beat_lock = threading.Lock()
         self._beats: Dict[int, float] = {}
         self._stop_event = threading.Event()
+        # In-flight dispatches; request_stop reads them from other threads.
+        self._inflight_lock = threading.Lock()
+        self._inflight: set = set()
         # Supervision ledger
         self._attempts: Dict[int, int] = {}
         self._failures: List[ShardFailure] = []
@@ -273,8 +276,7 @@ class ShardSupervisor:
     def _beat(self, shard_index: int, accepted: int, trials: int) -> None:
         with self._beat_lock:
             self._beats[shard_index] = self._clock()
-        # Liveness pings are (0, 0); real partials always cover >= 1 trial.
-        if self._user_progress is not None and trials > 0:
+        if self._user_progress is not None:
             self._user_progress(shard_index, accepted, trials)
 
     def _last_beat(self, shard_index: int) -> float:
@@ -284,8 +286,12 @@ class ShardSupervisor:
     # -- external stop (Wilson rule) ------------------------------------------
 
     def request_stop(self) -> None:
-        """Cooperatively stop the whole run; callable from any thread."""
+        """Stop the whole run now; callable from any thread."""
         self._stop_event.set()
+        with self._inflight_lock:
+            inflight = list(self._inflight)
+        for dispatch in inflight:
+            dispatch.handle.request_stop()
 
     # -- internals -------------------------------------------------------------
 
@@ -332,8 +338,8 @@ class ShardSupervisor:
             error = exc
         self._outcomes.put((dispatch, result, error))
 
-    def _dispatch(self, index: int, inflight: set) -> bool:
-        """Start one attempt of shard ``index``; False if dispatch failed."""
+    def _dispatch(self, index: int) -> Optional[Exception]:
+        """Start one attempt of shard ``index``; the error if dispatch failed."""
         attempt = self._attempts.get(index, 0)
         self._attempts[index] = attempt + 1
         if attempt > 0:
@@ -355,18 +361,23 @@ class ShardSupervisor:
                 self._record_failure(
                     index, attempt, "error", f"dispatch failed: {exc!r}"
                 )
-                return False
+                return exc
+        # The dispatch is the shard's first heartbeat.
         with self._beat_lock:
             self._beats[index] = self._clock()
         dispatch = _Dispatch(index, attempt, handle)
-        inflight.add(dispatch)
+        with self._inflight_lock:
+            self._inflight.add(dispatch)
+        if self._stop_event.is_set():
+            # A stop raced this dispatch (a sibling's partial fired it).
+            handle.request_stop()
         threading.Thread(
             target=self._watch,
             args=(dispatch,),
             name=f"repro-supervise-{index}",
             daemon=True,
         ).start()
-        return True
+        return None
 
     def run(self) -> Tuple[Dict[int, object], RunReport]:
         """Supervise every shard to a result, quarantine, or stop-skip.
@@ -374,9 +385,10 @@ class ShardSupervisor:
         Returns ``(results, report)`` where ``results`` maps shard index to
         the accepted :class:`~repro.parallel.executors.ShardResult` —
         complete results always, partial results only once a global stop
-        was requested (matching the unsupervised Wilson-stop semantics,
-        where cancelled shards report the prefix they ran and never-started
-        shards are skipped).
+        was requested (cancelled shards report the prefix they ran and
+        never-started shards are skipped).  Under ``max_retries=0`` the
+        first shard or dispatch exception stops the run and is re-raised
+        here once every in-flight dispatch has wound down.
         """
         policy = self._policy
         self._start_mono = self._clock()
@@ -385,8 +397,8 @@ class ShardSupervisor:
         not_before: Dict[int, float] = {}
         results: Dict[int, object] = {}
         quarantined: Dict[int, QuarantinedShard] = {}
-        inflight: set = set()
-        stop_propagated = False
+        inflight = self._inflight
+        fatal: List[BaseException] = []
 
         def retry_or_quarantine(index: int) -> None:
             failures = self._failures_by_shard.get(index, [])
@@ -416,19 +428,25 @@ class ShardSupervisor:
                 },
             )
 
+        def charge_error(index: int, error: BaseException) -> None:
+            if policy.max_retries == 0 and not fatal:
+                fatal.append(error)
+                self.request_stop()
+            else:
+                retry_or_quarantine(index)
+
         while True:
             now = self._clock()
 
-            # Propagate an external stop exactly once: stop every in-flight
-            # dispatch, drop everything not yet started.
-            if self._stop_event.is_set() and not stop_propagated:
-                stop_propagated = True
-                pending.clear()
-                for dispatch in inflight:
-                    dispatch.handle.request_stop()
+            if self._stop_event.is_set():
+                pending.clear()  # a stop drops everything not yet started
 
             # Dispatch eligible shards up to the in-flight cap.
-            while pending and len(inflight) < self._max_inflight:
+            while (
+                pending
+                and len(inflight) < self._max_inflight
+                and not self._stop_event.is_set()
+            ):
                 ready = [
                     index for index in pending if not_before.get(index, 0.0) <= now
                 ]
@@ -436,8 +454,9 @@ class ShardSupervisor:
                     break
                 index = ready[0]
                 pending.remove(index)
-                if not self._dispatch(index, inflight):
-                    retry_or_quarantine(index)
+                error = self._dispatch(index)
+                if error is not None:
+                    charge_error(index, error)
 
             if not inflight and not pending:
                 # Every shard is resolved (result or quarantine) or was
@@ -451,7 +470,8 @@ class ShardSupervisor:
                 dispatch = result = error = None
 
             if dispatch is not None:
-                inflight.discard(dispatch)
+                with self._inflight_lock:
+                    inflight.discard(dispatch)
                 index = dispatch.index
                 if index in results:
                     pass  # already resolved by a sibling attempt
@@ -460,15 +480,15 @@ class ShardSupervisor:
                         self._record_failure(
                             index, dispatch.attempt, "error", repr(error)
                         )
-                        retry_or_quarantine(index)
+                        charge_error(index, error)
                     # abandoned dispatches already charged a timeout failure
                 elif result is not None and (
                     result.trials == self._shards[index].trials
                     or self._stop_event.is_set()
                 ):
-                    # Complete — or partial under a global stop, which the
-                    # unsupervised path also reports.  A late completion from
-                    # an abandoned attempt is free (bit-identical) work.
+                    # Complete — or partial under a global stop.  A late
+                    # completion from an abandoned attempt is free
+                    # (bit-identical) work.
                     quarantined.pop(index, None)
                     if index in pending:
                         pending.remove(index)
@@ -513,6 +533,8 @@ class ShardSupervisor:
                         dispatch.escalated = True
                         self._try_repair()
 
+        if fatal:
+            raise fatal[0]
         report = RunReport(
             attempts=dict(self._attempts),
             failures=tuple(self._failures),

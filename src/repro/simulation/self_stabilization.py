@@ -236,8 +236,12 @@ def summarize_trace(
     )
 
 
-def _replica_worker(payload, should_stop) -> StabilizationSummary:
-    """One replica of the loop — runs on any repro.parallel backend."""
+def _replica_worker(payload, should_stop, publish=None) -> StabilizationSummary:
+    """One replica of the loop — runs on any repro.parallel backend.
+
+    A replica runs to completion: it neither polls ``should_stop`` nor
+    publishes progress.
+    """
     setup, run_index, run_seed = payload
     kwargs = dict(setup(run_index, run_seed))
     kwargs.setdefault("seed", run_seed)
@@ -284,7 +288,8 @@ def run_stabilization_replicas(
     ]
     instance, owned = resolve_executor(executor, workers)
     try:
-        summaries = list(instance.run(_replica_worker, payloads))
+        with instance.start_run(_replica_worker, payloads) as handle:
+            summaries = list(handle.results())
     finally:
         if owned:
             instance.close()

@@ -216,7 +216,6 @@ class TestTornProgress:
         sharded = estimate_acceptance_sharded(
             small_spec(), TRIALS, seed=SEED, executor=chaos, shard_count=4,
             retry_policy=RetryPolicy(max_retries=2, backoff_base=0.001),
-            stream_progress=True,
         )
         assert all(kind == "torn" for _, _, kind in chaos.injected)
         assert sharded.estimate == _single(small_spec())
@@ -469,7 +468,6 @@ class TestProcessBackendChaos:
             sharded = estimate_acceptance_sharded(
                 spec, TRIALS, seed=SEED, executor=chaos, shard_count=4,
                 retry_policy=RetryPolicy(max_retries=2, backoff_base=0.01),
-                stream_progress=True,
             )
             assert sharded.estimate == _single(spec)
             assert sharded.report.ok

@@ -12,13 +12,17 @@ same range.  Covers the four layers the controller threads through:
   end to end through ``run_campaign`` and the CLI.
 """
 
+import functools
 import json
 import math
 import multiprocessing
 import pickle
+import threading
+import time
 
 import pytest
 
+from repro.engine import estimate_acceptance_fast
 from repro.parallel import (
     Campaign,
     CampaignAllocator,
@@ -28,7 +32,9 @@ from repro.parallel import (
     GeometricChunkPolicy,
     JsonlSink,
     MemorySink,
+    ShardPlanner,
     StreamingAggregator,
+    ThreadExecutor,
     estimate_acceptance_sharded,
     parse_chunk_policy,
     run_campaign,
@@ -214,7 +220,7 @@ class TestInstallments:
         # installment stops far short of its grant.
         sharded = estimate_acceptance_sharded(
             easy_spec(), 512, seed=0, executor="serial",
-            stop_halfwidth=0.05, stream_progress=True,
+            stop_halfwidth=0.05,
             first_trial=256, prior=(256, 256),
         )
         assert sharded.stopped_early
@@ -406,6 +412,69 @@ def assert_contiguous(allocation):
     assert consumed == allocation["consumed"]
 
 
+#: A master seed whose counters 64.. and 256.. disagree in acceptance, so
+#: booking shard 1's counts as the next prefix would be caught.
+NON_PREFIX_SEED = 3
+
+
+class _StaggeredExecutor:
+    """A thread pool that forces a non-prefix stop on every shard's first run.
+
+    Shard 0 runs one chunk and then waits for the run's stop; shard 1
+    starts after that chunk and runs until the Wilson stop fires; shards 2
+    and 3 start after shard 1 returns, when the stop is already set.
+    Later dispatches of a shard index run unhindered.
+    """
+
+    name = "staggered"
+    in_process = True
+    workers = 4
+
+    def __init__(self):
+        self._inner = ThreadExecutor(workers=4)
+        self._done = {index: threading.Event() for index in range(4)}
+        self._seen = set()
+        self._lock = threading.Lock()
+
+    def _body(self, fn, payload, should_stop, publish=None):
+        index = payload[1].index
+        with self._lock:
+            first = index not in self._seen
+            self._seen.add(index)
+        if not first:
+            return fn(payload, should_stop, publish)
+        stop = should_stop
+        if index == 0:
+            polls = []
+
+            def stop():  # noqa: F811 - one chunk, then wait for the run's stop
+                polls.append(None)
+                if len(polls) > 1:
+                    self._done[0].set()
+                    deadline = time.monotonic() + 10
+                    while not should_stop() and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                return should_stop()
+
+        else:
+            assert self._done[index - 1].wait(10)
+        try:
+            return fn(payload, stop, publish)
+        finally:
+            self._done[index].set()
+
+    def start_run(self, fn, payloads, on_progress=None):
+        return self._inner.start_run(
+            functools.partial(self._body, fn), payloads, on_progress=on_progress
+        )
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._inner.close()
+
+
 class TestAdaptiveCampaign:
     def test_serial_adaptive_campaign(self):
         records = run_campaign(
@@ -456,6 +525,32 @@ class TestAdaptiveCampaign:
             )
             assert replay.estimate.accepted == record["accepted"]
             assert replay.estimate.trials == record["trials"]
+
+    def test_non_prefix_stop_books_only_the_contiguous_prefix(self):
+        # The staggered executor makes the first 4-shard installment stop
+        # with shard 0 one chunk in and shard 1 further along: the counts
+        # merged over both are not a counter prefix.  Only the prefix may
+        # be booked, so the record replays exactly from counter 0.
+        cell = Cell(name="hard", spec=noisy_spec(), trials=64, seed=NON_PREFIX_SEED)
+        with _StaggeredExecutor() as executor:
+            (record,) = run_campaign(
+                Campaign(name="non-prefix", cells=(cell,)),
+                executor=executor,
+                planner=ShardPlanner(shard_count=4),
+                global_budget=20000,
+                target_halfwidth=0.05,
+                min_installment=512,
+            )
+        first = record["allocation"]["installments"][0]
+        assert (first["granted"], first["trials"]) == (1024, DEFAULT_CHUNK)
+        assert_contiguous(record["allocation"])
+        replay = estimate_acceptance_fast(
+            cell.spec.resolve(), record["trials"], seed=cell.seed
+        )
+        assert (replay.accepted, replay.trials) == (
+            record["accepted"],
+            record["trials"],
+        )
 
     def test_adaptive_campaign_resumes_from_sink(self, tmp_path):
         path = tmp_path / "adaptive.jsonl"

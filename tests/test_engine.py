@@ -20,7 +20,6 @@ from repro.core.noise import NoisyChannelRPLS
 from repro.core.seeding import (
     derive_stream_seed,
     derive_trial_seed,
-    legacy_trial_seed,
     splitmix64,
 )
 from repro.core.shared import SharedCoinsCompiledRPLS
@@ -290,17 +289,6 @@ class TestEstimators:
             reference.trials,
         )
 
-    def test_legacy_seed_mode_matches_legacy_derivation(self):
-        config = uniform_configuration(8, 6, equal=False, seed=18)
-        scheme = DirectUnifRPLS()
-        labels = scheme.prover(config)
-        reference = estimate_acceptance(
-            scheme, config, trials=40, seed=19, labels=labels, seed_mode="legacy"
-        )
-        plan = VerificationPlan.compile(scheme, config, labels=labels)
-        batched = estimate_acceptance_fast(plan, 40, seed=19, seed_mode="legacy")
-        assert batched.accepted == reference.accepted
-
     def test_chunking_is_invisible(self):
         config = uniform_configuration(8, 6, equal=False, seed=20)
         scheme = DirectUnifRPLS()
@@ -348,11 +336,7 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_acceptance_fast(plan, 10, chunk_size=0)
         with pytest.raises(ValueError):
-            estimate_acceptance_fast(plan, 10, seed_mode="nope")
-        with pytest.raises(ValueError):
             plan.run_trial(0, rng_mode="nope")
-        with pytest.raises(ValueError):
-            estimate_acceptance(DirectUnifRPLS(), config, trials=10, seed_mode="nope")
 
 
 class TestFastRngMode:
@@ -841,16 +825,6 @@ class TestVectorRngMode:
             plan, [derive_trial_seed(6, t) for t in range(8)], rng_modes=("vector",)
         )
 
-    def test_legacy_seed_mode_negative_seeds(self):
-        """hash((seed, trial)) can be negative; the uint64 kernels must mask
-        exactly like the scalar derivation."""
-        config = spanning_tree_configuration(10, 3, seed=73)
-        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
-        plan = VerificationPlan.compile(scheme, config)
-        seeds = [legacy_trial_seed(-9, t) for t in range(8)]
-        assert any(seed < 0 for seed in seeds)
-        _assert_vector_identical(plan, seeds, rng_modes=("vector",))
-
     def test_generic_path_rejects_vector_mode(self):
         from repro.core.noise import NoisyChannelRPLS
 
@@ -1116,6 +1090,3 @@ class TestSeeding:
             for port in range(6):
                 seeds.add(derive_stream_seed(trial, node_index, port))
         assert len(seeds) == 1 + 10 + 60
-
-    def test_legacy_trial_seed_is_the_old_expression(self):
-        assert legacy_trial_seed(3, 9) == hash((3, 9))

@@ -163,7 +163,7 @@ class TestChunkProgress:
         recorder = TraceRecorder(tmp_path, trace_id="c2")
         seen = []
         progress = ChunkProgress(recorder, None, inner=lambda a, t: seen.append((a, t)))
-        progress(0, 0)  # heartbeat ping
+        progress(0, 0)  # no trials: not a chunk
         progress(4, 8)
         progress(0, -1)  # chaos torn partial: regressive
         recorder.close()
@@ -310,7 +310,6 @@ class TestProgressRouterStats:
         q.put((7, 0, 3, 10))  # good
         q.put((99, 0, 1, 1))  # unknown run
         q.put(("garbage",))  # malformed
-        q.put((7, 0, 0, 0))  # heartbeat ping: never stale
         q.put((7, 0, 0, 4))  # regressed vs 10: stale
         assert _settled(router, lambda: router.stale_updates == 1)
         router.close()
@@ -387,10 +386,8 @@ class TestRunReportTiming:
         options = {
             "seed": 0,
             "rng_mode": "vector",
-            "seed_mode": "mix",
             "chunk_size": 16,
             "vectorize": None,
-            "heartbeat": True,
         }
         payloads = [(plan, shard, options) for shard in shards]
         with SerialExecutor() as executor:

@@ -117,7 +117,6 @@ class TestShardedEstimateIdentity:
                 executor="process",
                 workers=2,
                 shard_count=4,
-                stream_progress=True,
             )
         assert traced.estimate == untraced.estimate
         # Worker processes wrote their own trace files across the pickle

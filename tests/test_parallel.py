@@ -741,18 +741,25 @@ class TestCli:
             ["campaign", "--workloads", "spanning-tree", "--rng-modes",
              "fast,vector", "--trials", "48", "--size", "node_count=12",
              "--executor", "thread", "--workers", "2",
-             "--cell-parallelism", "2", "--stream-progress", "--out", out_path]
+             "--cell-parallelism", "2", "--out", out_path]
         )
         assert code == 0
         assert "2 cells run" in capsys.readouterr().out
         lines = [json.loads(line) for line in
                  (tmp_path / "stream.jsonl").read_text().splitlines()]
-        assert [record["streamed"] for record in lines] == [True, True]
+        assert [record["trials"] for record in lines] == [48, 48]
+        assert all("streamed" not in record for record in lines)
 
     def test_estimate_stream_progress_flag(self, capsys):
+        # Streaming is how every sharded estimate runs; there is no flag.
+        with pytest.raises(SystemExit):
+            cli_main(
+                ["estimate", "--workload", "spanning-tree", "--trials", "96",
+                 "--size", "node_count=12", "--shards", "3", "--stream-progress"]
+            )
         code = cli_main(
             ["estimate", "--workload", "spanning-tree", "--trials", "96",
-             "--size", "node_count=12", "--shards", "3", "--stream-progress"]
+             "--size", "node_count=12", "--shards", "3"]
         )
         assert code == 0
-        assert "[streamed]" in capsys.readouterr().out
+        assert "supervision: attempts=3" in capsys.readouterr().out

@@ -26,6 +26,7 @@ test-stream` forces them on (mirroring ``make test-parallel``).
 import json
 import math
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -211,10 +212,9 @@ class TestStreamedDeterminism:
         spec = small_spec(rng_mode=rng_mode)
         streamed = estimate_acceptance_sharded(
             spec, TRIALS, seed=SEED, executor="serial", shard_count=shards,
-            stream_progress=True,
         )
         assert streamed.estimate == _single(spec)
-        assert streamed.streamed and streamed.progress_updates > 0
+        assert streamed.progress_updates > 0
         assert not streamed.stopped_early
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
@@ -223,7 +223,7 @@ class TestStreamedDeterminism:
         spec = small_spec(rng_mode=rng_mode)
         streamed = estimate_acceptance_sharded(
             spec, TRIALS, seed=SEED, executor="thread", workers=2,
-            shard_count=shards, stream_progress=True,
+            shard_count=shards,
         )
         assert streamed.estimate == _single(spec)
         assert streamed.progress_updates > 0
@@ -234,7 +234,6 @@ class TestStreamedDeterminism:
         assert 0 < single.accepted < single.trials
         streamed = estimate_acceptance_sharded(
             spec, TRIALS, seed=SEED, executor="thread", workers=2, shard_count=8,
-            stream_progress=True,
         )
         assert streamed.estimate == single
 
@@ -248,7 +247,6 @@ class TestProcessStreaming:
         with ProcessExecutor(workers=2) as executor:
             streamed = estimate_acceptance_sharded(
                 spec, TRIALS, seed=SEED, executor=executor, shard_count=shards,
-                stream_progress=True,
             )
         assert streamed.estimate == _single(spec)
         assert streamed.progress_updates > 0
@@ -260,7 +258,6 @@ class TestProcessStreaming:
             streamed = estimate_acceptance_sharded(
                 spec, 20000, seed=SEED, executor=executor, shard_count=16,
                 chunk_size=32, stop_halfwidth=0.05, min_trials=100,
-                stream_progress=True,
             )
         assert streamed.stopped_early
         assert streamed.estimate.trials < 20000
@@ -274,7 +271,6 @@ class TestProcessStreaming:
             for _ in range(5):
                 estimate_acceptance_sharded(
                     spec, 128, seed=SEED, executor=executor, shard_count=2,
-                    stream_progress=True,
                 )
             assert len(executor._free_slots) == len(executor._board)
         assert multiprocessing.active_children() == []
@@ -287,27 +283,21 @@ class TestProcessStreaming:
 
 class TestChunkGranularStop:
     def test_streamed_stop_saves_trials_on_serial(self):
-        # Serial is fully deterministic: the shard-granular stop cannot act
-        # before the first 1000-trial shard completes, while the streamed
-        # stop acts on the first chunk whose merged Wilson interval is
-        # narrow enough — strictly fewer trials, pure function of inputs.
+        # Serial is fully deterministic: the streamed stop acts on the first
+        # chunk whose merged Wilson interval is narrow enough, well before
+        # the first 1000-trial shard completes — a pure function of inputs.
         spec = small_spec()
         kwargs = dict(
             seed=SEED, executor="serial", shard_count=4,
             chunk_size=32, stop_halfwidth=0.05, min_trials=64,
         )
-        plain = estimate_acceptance_sharded(spec, 4000, **kwargs)
-        streamed = estimate_acceptance_sharded(
-            spec, 4000, stream_progress=True, **kwargs
-        )
-        assert plain.stopped_early and streamed.stopped_early
-        assert streamed.estimate.trials < plain.estimate.trials
+        streamed = estimate_acceptance_sharded(spec, 4000, **kwargs)
+        assert streamed.stopped_early
+        assert streamed.estimate.trials < 1000
         # Chunk granularity: the streamed run consumed whole chunks only.
         assert streamed.estimate.trials % 32 == 0
         # Deterministic: the streamed stop point reproduces exactly.
-        again = estimate_acceptance_sharded(
-            spec, 4000, stream_progress=True, **kwargs
-        )
+        again = estimate_acceptance_sharded(spec, 4000, **kwargs)
         assert again.estimate == streamed.estimate
 
     def test_streamed_stop_on_slow_synthetic_plan_thread_backend(self):
@@ -319,18 +309,44 @@ class TestChunkGranularStop:
         streamed = estimate_acceptance_sharded(
             plan, 4000, seed=SEED, executor="thread", workers=2, shard_count=8,
             chunk_size=25, stop_halfwidth=0.05, min_trials=50,
-            stream_progress=True,
         )
         assert streamed.stopped_early
         assert streamed.estimate.trials < 4000
         # Every executed trial kept its verdict (all-accept workload).
         assert streamed.estimate.accepted == streamed.estimate.trials
 
+    def test_stop_under_thread_contention_keeps_counts_exact(self):
+        # More workers than cores and a tiny switch interval: stops racing
+        # dispatches and partials must still merge exact per-shard prefixes
+        # whose total satisfies the stop rule the run claims.
+        spec = noisy_spec()
+        plan = spec.resolve()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for seed in range(2):
+                sharded = estimate_acceptance_sharded(
+                    spec, 2000, seed=seed, executor="thread", workers=8,
+                    shard_count=16, chunk_size=8, stop_halfwidth=0.05,
+                    min_trials=64,
+                )
+                assert sharded.stopped_early and sharded.report.ok
+                low, high = sharded.estimate.interval
+                assert high - low <= 2 * 0.05
+                for result in sharded.shard_results:
+                    if result.trials:
+                        replay = estimate_acceptance_fast(
+                            plan, result.trials, seed=seed,
+                            first_trial=result.shard.start,
+                        )
+                        assert replay == result.estimate
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_streamed_never_worse_than_requested_budget_without_stop(self):
         spec = noisy_spec()
         streamed = estimate_acceptance_sharded(
             spec, TRIALS, seed=SEED, executor="serial", shard_count=4,
-            stream_progress=True,
         )
         assert streamed.estimate.trials == TRIALS
 
@@ -351,11 +367,13 @@ class TestConcurrentCells:
 
     @staticmethod
     def _stripped(path):
-        """Sink records with the one nondeterministic field removed."""
+        """Sink records with the wall-clock fields removed."""
         records = []
         for line in path.read_text().splitlines():
             record = json.loads(line)
             record.pop("elapsed_sec")
+            for key in ("started_unix", "finished_unix", "duration_sec"):
+                record["supervision"].pop(key)
             records.append(record)
         return records
 
@@ -368,7 +386,7 @@ class TestConcurrentCells:
         run_campaign(campaign, executor="thread", workers=2,
                      sink=JsonlSink(parallel_path), cell_parallelism=4)
         # Identical records in identical (campaign declaration) order —
-        # elapsed_sec is wall-clock and the only field allowed to differ.
+        # the wall-clock fields are the only ones allowed to differ.
         assert self._stripped(serial_path) == self._stripped(parallel_path)
 
     def test_streamed_concurrent_cells_keep_exact_counts(self, tmp_path):
@@ -376,7 +394,7 @@ class TestConcurrentCells:
         sink = JsonlSink(tmp_path / "streamed.jsonl")
         records = run_campaign(
             campaign, executor="thread", workers=2, sink=sink,
-            cell_parallelism=3, stream_progress=True,
+            cell_parallelism=3,
         )
         assert [r["cell"] for r in records] == [c.name for c in campaign.cells]
         for record, cell in zip(records, campaign.cells):
@@ -480,8 +498,7 @@ class TestStopEpoch:
         plan = spec.resolve().prepare(None)
         executor = SerialExecutor()
         options = {
-            "seed": SEED, "rng_mode": None, "seed_mode": "mix",
-            "chunk_size": 64, "vectorize": None,
+            "seed": SEED, "rng_mode": None, "chunk_size": 64, "vectorize": None,
         }
         shards = ShardPlanner(shard_count=4).plan(256)
         handle = executor.start_run(
@@ -621,7 +638,6 @@ class TestProcessHandleRelease:
         options = {
             "seed": SEED,
             "rng_mode": spec.rng_mode,
-            "seed_mode": "mix",
             "chunk_size": 64,
             "vectorize": None,
         }
@@ -645,6 +661,37 @@ class TestProcessHandleRelease:
                 spec, 128, seed=SEED, executor=executor, shard_count=2
             )
             assert sharded.estimate.trials == 128
+        assert multiprocessing.active_children() == []
+
+    def test_refused_submission_frees_slot_and_subscription(self):
+        from repro.parallel.executors import STOP_SLOTS, _run_shard
+
+        spec = small_spec()
+        with ProcessExecutor(workers=1) as executor:
+            executor._pool.shutdown(wait=True)  # submissions now raise
+            with pytest.raises(RuntimeError):
+                executor.start_run(
+                    _run_shard, self._payloads(spec), on_progress=lambda *a: None
+                )
+            assert len(executor._free_slots) == STOP_SLOTS
+            assert executor._router._subscribers == {}
+        assert multiprocessing.active_children() == []
+
+    def test_stop_after_release_spares_the_next_run_in_its_slot(self):
+        from repro.parallel.executors import _run_shard
+
+        spec = small_spec()
+        with ProcessExecutor(workers=2) as executor:
+            first = executor.start_run(
+                _run_shard, self._payloads(spec, shard_count=1, trials=64)
+            )
+            assert [r.trials for r in first.results()] == [64]
+            # The next run takes the slot the first one just released.
+            second = executor.start_run(
+                _run_shard, self._payloads(spec, shard_count=1, trials=20000)
+            )
+            first.request_stop()  # stale: must not reach the new owner
+            assert [r.trials for r in second.results()] == [20000]
         assert multiprocessing.active_children() == []
 
     def test_error_before_iteration_frees_slot_via_context_manager(self):

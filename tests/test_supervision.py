@@ -36,6 +36,7 @@ from repro.parallel import (
     Campaign,
     Cell,
     ChaosExecutor,
+    ChaosWorkerCrash,
     FaultPolicy,
     JsonlSink,
     PlanSpec,
@@ -191,21 +192,15 @@ class TestSupervisedIdentity:
         assert sharded.report.ok
 
     def test_supervised_streamed_run_is_observational(self):
-        # Liveness pings share the progress conduit with real partials; the
-        # streamed estimate (and its update counts' meaning) must not change.
+        # Progress updates double as heartbeats; the streamed estimate (and
+        # its update counts' meaning) must not change.
         spec = small_spec()
         sharded = estimate_acceptance_sharded(
             spec, TRIALS, seed=SEED, executor="serial", shard_count=4,
-            max_retries=2, stream_progress=True,
+            max_retries=2,
         )
         assert sharded.estimate == _single(spec)
-        assert sharded.streamed and sharded.report.ok
-
-    def test_unsupervised_run_has_no_report(self):
-        sharded = estimate_acceptance_sharded(
-            small_spec(), TRIALS, seed=SEED, executor="serial", shard_count=2
-        )
-        assert sharded.report is None
+        assert sharded.progress_updates > 0 and sharded.report.ok
 
     def test_retry_policy_conflicts_with_shorthands(self):
         with pytest.raises(ValueError):
@@ -303,12 +298,18 @@ class TestCrashIdentity:
         sharded, chaos = _chaos_run(
             small_spec(), policy, shard_count=8, trials=4000,
             chunk_size=32, stop_halfwidth=0.05, min_trials=64,
-            stream_progress=True,
         )
         assert sharded.stopped_early
         assert sharded.estimate.trials < 4000
         low, high = sharded.estimate.interval
         assert high - low <= 2 * 0.05
+
+    def test_zero_retries_propagates_crash_from_estimator(self):
+        chaos = ChaosExecutor(SerialExecutor(), FaultPolicy(seed=1, crash_rate=1.0))
+        with pytest.raises(ChaosWorkerCrash):
+            estimate_acceptance_sharded(
+                small_spec(), TRIALS, seed=SEED, executor=chaos, shard_count=4
+            )
 
     def test_quarantine_merges_completed_shards_only(self):
         # Shard attempts always crash: every shard quarantines, the merge
@@ -445,6 +446,59 @@ class TestShardSupervisor:
         # while shard 0 was in flight, so later shards never started.
         assert report.ok
         assert len(started) < 4
+
+    def test_request_stop_reaches_in_flight_dispatch_at_once(self):
+        seen = []
+
+        def body(payload, should_stop, publish=None):
+            _, shard, _ = payload
+            publish(shard.index, 1, 1)  # the progress callback stops the run
+            seen.append(should_stop())  # no tick later: already stopped
+            return ShardResult(shard=shard, accepted=1, trials=1)
+
+        supervisor = ShardSupervisor(
+            SerialExecutor(), body, _toy_payloads(shard_count=3),
+            on_progress=lambda *update: supervisor.request_stop(),
+        )
+        results, report = supervisor.run()
+        assert seen == [True]  # later shards were never dispatched
+        assert sorted(results) == [0] and report.ok
+
+    def test_zero_retries_propagates_the_shard_exception(self):
+        def body(payload, should_stop, publish=None):
+            _, shard, _ = payload
+            if shard.index == 1:
+                raise KeyError("poisoned shard")
+            return _complete(shard)
+
+        supervisor = ShardSupervisor(
+            SerialExecutor(), body, _toy_payloads(shard_count=3),
+            policy=RetryPolicy(max_retries=0),
+        )
+        with pytest.raises(KeyError, match="poisoned shard"):
+            supervisor.run()
+
+    def test_zero_retries_still_quarantines_a_timeout(self):
+        def body(payload, should_stop, publish=None):
+            _, shard, _ = payload
+            if shard.index == 0:
+                while not should_stop():
+                    time.sleep(0.005)
+                raise RuntimeError("hung attempt stopped")
+            return _complete(shard)
+
+        with ThreadExecutor(workers=2) as executor:
+            supervisor = ShardSupervisor(
+                executor, body, _toy_payloads(shard_count=2),
+                policy=RetryPolicy(
+                    max_retries=0, shard_timeout=0.05, kill_grace=5.0
+                ),
+                tick=0.005,
+            )
+            results, report = supervisor.run()
+        assert sorted(results) == [1]
+        assert [q.shard.index for q in report.quarantined] == [0]
+        assert report.timeouts == 1
 
     def test_duplicate_shard_indices_rejected(self):
         payloads = _toy_payloads(shard_count=1) * 2
