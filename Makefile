@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-specs test-stats test-parallel test-stream test-chaos test-controller test-obs bench bench-smoke bench-record bench-diff bench-gate
+.PHONY: test test-specs test-stats test-parallel test-stream test-chaos test-controller test-obs bench bench-smoke bench-record bench-diff bench-gate perfbench perfbench-smoke
 
 # Tier-1: the full test suite (includes the benchmark smoke harness and
 # the verdict-spec differential matrix, see test-specs).  Heavy statistical
@@ -44,7 +44,7 @@ test-chaos:
 	REPRO_FORCE_PARALLEL_PROC=1 $(PYTHON) -m pytest \
 		tests/test_supervision.py tests/test_chaos.py -q
 
-# The adaptive-budget tier: chunk-schedule policies, the campaign
+# The adaptive-budget tier: chunk policies, the campaign
 # allocator, and the installment seam, plus the chunk-tail suite that pins
 # the decision-validity contract (any chunk policy -> per-trial verdicts
 # bit-identical to the fixed-chunk run), with process-backend tests forced
@@ -96,3 +96,14 @@ bench-diff:
 # and tier-1): exit 1 if the snapshot degraded any recorded kernel.
 bench-gate:
 	$(PYTHON) -m repro.benchhistory gate
+
+# The repo benchmark declared in BENCHMARK.json (see perfbench/README.md):
+# time to a target Wilson halfwidth on faulted plans, three workloads; the
+# last output line is the JSON result.  Not part of tier-1.
+perfbench:
+	python3 perfbench/run.py
+
+# The benchmark at tiny sizes (~1 min): every metric name and unit, the
+# manifest, repeatability, and the bare-checkout failure.  Not part of tier-1.
+perfbench-smoke:
+	python3 perfbench/smoke.py

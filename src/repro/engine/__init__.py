@@ -46,7 +46,8 @@ Knobs
   bit-identical per trial; hook-path schemes only).  A plan compiled with
   ``rng_mode=...`` makes that mode its default for every run.
 - ``stop_halfwidth=...`` enables the confidence-interval early exit of
-  :func:`estimate_acceptance_fast`.
+  :func:`estimate_acceptance_fast`; ``chunk_policy=FixedChunkPolicy(n)``
+  sets how many trials run between stop-rule checks.
 - ``vectorize=...`` selects the numpy trial-chunk kernel
   (:mod:`repro.engine.kernels`): fingerprint-certificate schemes run whole
   Monte-Carlo chunks as batched Horner passes, decision-identical to the
@@ -75,6 +76,7 @@ See ``docs/engine.md`` for the full architecture and hook contract, and
 
 from repro.engine.cache import PlanCache
 from repro.engine.montecarlo import (
+    FixedChunkPolicy,
     estimate_acceptance_batched,
     estimate_acceptance_fast,
 )
@@ -96,6 +98,7 @@ from repro.engine.specs import (
 
 __all__ = [
     "FAMILIES",
+    "FixedChunkPolicy",
     "PlanCache",
     "UnknownSchemeError",
     "VerdictSpec",

@@ -60,6 +60,7 @@ decisions the trial loop would have produced, minus the loop.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.core.bitstrings import BitString
@@ -73,13 +74,41 @@ from repro.graphs.port_graph import Node
 DEFAULT_CHUNK = 64
 
 
+@dataclass(frozen=True)
+class FixedChunkPolicy:
+    """The constant-size chunk policy — the default of every estimator.
+
+    Frozen (hence picklable: policies ride to process-pool workers inside
+    the shard options dict); per-call mutable state lives in the session
+    object :meth:`session` returns.  Adaptive policies live in
+    :mod:`repro.parallel.controller`.
+    """
+
+    chunk_size: int = DEFAULT_CHUNK
+
+    def __post_init__(self):
+        if self.chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+
+    def describe(self) -> str:
+        return f"fixed:{self.chunk_size}"
+
+    def session(self):
+        """A fresh per-run decision function (stateless for fixed size)."""
+        size = self.chunk_size
+
+        def next_chunk(accepted: int, done: int, remaining: int) -> int:
+            return size
+
+        return next_chunk
+
+
 def estimate_acceptance_fast(
     plan: VerificationPlan,
     trials: int,
     seed: int = 0,
     rng_mode: Optional[RngMode] = None,
-    chunk_size: int = DEFAULT_CHUNK,
-    chunk_schedule: Optional[object] = None,
+    chunk_policy=FixedChunkPolicy(),
     stop_halfwidth: Optional[float] = None,
     min_trials: int = 2 * DEFAULT_CHUNK,
     vectorize: Optional[bool] = None,
@@ -89,23 +118,23 @@ def estimate_acceptance_fast(
 ) -> "AcceptanceEstimate":
     """Estimate ``Pr[verifier accepts]`` by running ``trials`` plan rounds.
 
-    Trials run in chunks of ``chunk_size``.  When ``stop_halfwidth`` is
-    given, the estimator stops early once the Wilson score interval of the
-    running estimate is narrower than ``2 * stop_halfwidth`` (and at least
-    ``min_trials`` trials have run); the returned estimate then reports the
-    trials actually executed.  Early exit changes *which prefix* of the
-    trial sequence is used, never the per-trial decisions.
+    Trials run in chunks sized by ``chunk_policy``.  When
+    ``stop_halfwidth`` is given, the estimator stops early once the Wilson
+    score interval of the running estimate is narrower than ``2 *
+    stop_halfwidth`` (and at least ``min_trials`` trials have run); the
+    returned estimate then reports the trials actually executed.  Early
+    exit changes *which prefix* of the trial sequence is used, never the
+    per-trial decisions.
 
-    ``chunk_schedule`` is the chunk-schedule seam (see
-    :mod:`repro.parallel.controller`): an object whose ``session()`` returns
-    a per-run decision function ``next_chunk(accepted, done, remaining) ->
-    int``, consulted before every chunk in place of the constant
-    ``chunk_size``.  The schedule's decision-validity contract: chunking
-    only re-partitions the same deterministic trial prefix, so any schedule
-    changes *when* the stop rule is checked between chunks — never which
-    seed a trial derives or what it decides.  Returned sizes are clamped to
-    ``[1, remaining]``; with ``chunk_schedule=None`` the constant
-    ``chunk_size`` applies, bit-for-bit the historical behaviour.
+    ``chunk_policy`` is the chunk seam: an object whose ``session()``
+    returns a per-run decision function ``next_chunk(accepted, done,
+    remaining) -> int``, consulted before every chunk.  The default
+    :class:`FixedChunkPolicy` runs chunks of :data:`DEFAULT_CHUNK` trials;
+    adaptive policies live in :mod:`repro.parallel.controller`.  The
+    decision-validity contract: chunking only re-partitions the same
+    deterministic trial prefix, so any policy changes *when* the stop rule
+    is checked between chunks — never which seed a trial derives or what it
+    decides.  Returned sizes are clamped to ``[1, remaining]``.
 
     ``rng_mode=None`` (default) uses the plan's compiled default mode.
 
@@ -148,8 +177,6 @@ def estimate_acceptance_fast(
 
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
     if first_trial < 0:
         raise ValueError("first_trial must be non-negative")
     if rng_mode is None:
@@ -172,7 +199,7 @@ def estimate_acceptance_fast(
             progress(accepted, trials)
         return AcceptanceEstimate(accepted=accepted, trials=trials)
 
-    next_chunk = chunk_schedule.session() if chunk_schedule is not None else None
+    next_chunk = chunk_policy.session()
 
     accepted = 0
     done = 0
@@ -182,12 +209,9 @@ def estimate_acceptance_fast(
         # The final chunk is exactly the remaining trials — `done + chunk`
         # never overshoots `trials`, so the reported count equals the prefix
         # of the trial sequence actually consumed (pinned by the chunk-tail
-        # regression tests).  A schedule's answer is clamped to the same
-        # bounds, so no policy can overshoot the range or stall the loop.
-        if next_chunk is not None:
-            chunk = max(1, min(int(next_chunk(accepted, done, trials - done)), trials - done))
-        else:
-            chunk = min(chunk_size, trials - done)
+        # regression tests).  The policy's answer is clamped to [1, remaining],
+        # so no policy can overshoot the range or stall the loop.
+        chunk = max(1, min(int(next_chunk(accepted, done, trials - done)), trials - done))
         accepted += plan.run_trials(
             trial_seed_slice(seed, first_trial + done, first_trial + done + chunk),
             rng_mode=rng_mode,

@@ -37,15 +37,29 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.obs.runtime import get_recorder
-from repro.parallel.controller import CampaignAllocator
+from repro.parallel.controller import (
+    CampaignAllocator,
+    FixedChunkPolicy,
+    validate_halfwidth,
+)
 from repro.parallel.executors import (
     DEFAULT_CHUNK,
     ShardPlanner,
@@ -70,6 +84,8 @@ class Cell:
     def __post_init__(self):
         if self.trials <= 0:
             raise ValueError("trials must be positive")
+        if self.stop_halfwidth is not None:
+            validate_halfwidth(self.stop_halfwidth, "stop_halfwidth")
 
     def key(self) -> str:
         """The stable resume key of the cell.
@@ -321,41 +337,100 @@ def _under_cell_policy(on_cell_error: str, cell_retries: int, attempt: Callable)
     return None, last_error
 
 
-def _run_cell(
-    campaign: Campaign, cell: Cell, options: Dict, trace_parent: Optional[str]
-) -> Dict:
-    """Execute one cell on the shared executor and build its record.
+class _Installment(NamedTuple):
+    """One grant of one round: ``trials`` more counters for ``cell``.
 
+    The installment covers counters ``[prior[1], prior[1] + trials)`` and
+    its stop rule applies to the cumulative interval seeded by ``prior``,
+    the ``(accepted, trials)`` counts of the cell's consumed prefix.
+    """
+
+    cell: Cell
+    trials: int
+    stop_halfwidth: Optional[float]
+    prior: Tuple[int, int] = (0, 0)
+
+
+def _run_installment(
+    campaign: Campaign,
+    installment: _Installment,
+    options: Dict,
+    on_cell_error: str,
+    cell_retries: int,
+    trace_parent: Optional[str],
+):
+    """Run one installment on the shared executor under the cell policy.
+
+    Returns ``((sharded, elapsed_sec), None)`` or, when the policy
+    swallowed the failure, ``(None, error)`` (see :func:`_under_cell_policy`).
     ``options`` are the campaign-wide keyword arguments of
     :func:`~repro.parallel.executors.estimate_acceptance_sharded`.
     ``trace_parent`` is the campaign span's id, passed explicitly because
-    concurrent cells run on scheduler threads where the recorder's
+    concurrent installments run on scheduler threads where the recorder's
     thread-local span stack cannot see the campaign span.  The *cell* span
     opened here lives on the executing thread's stack, so the run span
     inside the estimator parents onto it automatically.
     """
+    cell, trials, stop_halfwidth, prior = installment
     recorder = get_recorder()
     cell_attrs = None
     if recorder.enabled:
         cell_attrs = {
             "key": cell.name,
             "campaign": campaign.name,
-            "trials": cell.trials,
+            "trials": trials,
+            "first_trial": prior[1],
             "seed": cell.seed,
         }
-    start = time.perf_counter()
-    with recorder.span("cell", cell_attrs, parent=trace_parent) as cell_span:
-        sharded = estimate_acceptance_sharded(
-            cell.spec,
-            cell.trials,
-            seed=cell.seed,
-            stop_halfwidth=cell.stop_halfwidth,
-            **options,
-        )
-        cell_span.set("trials_run", sharded.estimate.trials)
-        cell_span.set("stopped_early", sharded.stopped_early)
-    elapsed = time.perf_counter() - start
-    instance = options["executor"]
+
+    def attempt():
+        start = time.perf_counter()
+        with recorder.span("cell", cell_attrs, parent=trace_parent) as cell_span:
+            sharded = estimate_acceptance_sharded(
+                cell.spec,
+                trials,
+                seed=cell.seed,
+                stop_halfwidth=stop_halfwidth,
+                first_trial=prior[1],
+                prior=prior,
+                **options,
+            )
+            cell_span.set("trials_run", sharded.estimate.trials)
+            cell_span.set("stopped_early", sharded.stopped_early)
+        return sharded, time.perf_counter() - start
+
+    return _under_cell_policy(on_cell_error, cell_retries, attempt)
+
+
+def _run_round(
+    installments: Sequence[_Installment],
+    cell_parallelism: int,
+    run: Callable[[_Installment], Tuple],
+) -> Iterator[Tuple]:
+    """The round scheduler: yield ``run(installment)`` in declaration order.
+
+    With ``cell_parallelism`` > 1 a thread team runs up to that many
+    installments concurrently over the shared executor, and outcomes are
+    yielded in order as they become available — a finished installment
+    waits for every earlier one.  Close the generator (``closing``) on
+    every exit path: closing cancels the installments not yet started and
+    joins the team, so no cell thread outlives the caller's executor.
+    """
+    if cell_parallelism == 1 or len(installments) <= 1:
+        for installment in installments:
+            yield run(installment)
+        return
+    with ThreadPoolExecutor(
+        max_workers=min(cell_parallelism, len(installments)),
+        thread_name_prefix="repro-cell",
+    ) as team:
+        yield from team.map(run, installments)
+
+
+def _fixed_record(
+    campaign: Campaign, cell: Cell, instance, sharded, elapsed: float
+) -> Dict:
+    """The record of a fixed-budget cell, with its run's supervision ledger."""
     supervision = sharded.report.as_dict()
     # Executor-lifetime router drop/leak counters (process backend; see
     # ProgressRouter.stats) — recorded, not warning-only.
@@ -385,8 +460,7 @@ def run_campaign(
     workers: Optional[int] = None,
     sink=None,
     planner: Optional[ShardPlanner] = None,
-    chunk_size: int = DEFAULT_CHUNK,
-    chunk_policy=None,
+    chunk_policy=FixedChunkPolicy(),
     vectorize: Optional[bool] = None,
     cell_parallelism: int = 1,
     on_cell_error: str = "raise",
@@ -411,12 +485,14 @@ def run_campaign(
     plus the run's ``supervision`` ledger (fixed budgets) or the cell's
     ``allocation`` history (adaptive budgets).
 
-    ``cell_parallelism`` > 1 schedules that many independent cells
-    concurrently over the *same* executor pool — the cell scheduler keeps
-    the pool saturated when individual cells are too small to fill it.
-    Ordering and resume semantics are unchanged: records are written to the
-    sink in campaign declaration order (a completed cell buffers until
-    every earlier cell has been written), cells are independent jobs with
+    Cells run as *installments* in *rounds*.  A fixed-budget campaign is a
+    single round in which every cell is granted its own ``trials`` and
+    ``stop_halfwidth``; its records are written as their ordered outcomes
+    arrive.  ``cell_parallelism`` > 1 runs that many installments of a
+    round concurrently over the *same* executor pool — the round scheduler
+    keeps the pool saturated when individual cells are too small to fill
+    it.  Ordering and resume semantics are unchanged: records reach the
+    sink in campaign declaration order, cells are independent jobs with
     per-run stop tokens, and skip-on-resume happens before scheduling.
     Apart from wall-clock fields (``elapsed_sec`` and the supervision
     timing), concurrent-cell records are identical to a serial-cell run's.
@@ -440,17 +516,16 @@ def run_campaign(
     Adaptive budgets (``global_budget`` + ``target_halfwidth``; see
     :mod:`repro.parallel.controller` and docs/parallel.md): instead of each
     cell spending its own ``trials`` budget, one global pool of trials is
-    granted to cells in rounds by a :class:`CampaignAllocator` — cells
-    whose cumulative Wilson interval reaches the target halfwidth are
+    granted to cells over several rounds by a :class:`CampaignAllocator` —
+    cells whose cumulative Wilson interval reaches the target halfwidth are
     starved, and their unspent budget flows to the widest remaining cells.
     Installments always extend a cell's consumed counter prefix (future
     ranges only — per-trial verdicts are untouched by allocation), and each
     cell's record carries its ``allocation`` history (per-installment
     ``first_trial``/``trials``) so a resumed or follow-up campaign can
-    continue the exact counter range.  ``chunk_policy`` (a policy object
-    from :mod:`repro.parallel.controller`, e.g.
-    ``parse_chunk_policy("geometric")``) applies to every cell on both the
-    fixed and adaptive paths.
+    continue the exact counter range.  ``chunk_policy`` (a policy object,
+    e.g. ``parse_chunk_policy("geometric")`` from
+    :mod:`repro.parallel.controller`) applies to every installment.
     """
     if cell_parallelism < 1:
         raise ValueError("cell_parallelism must be positive")
@@ -500,37 +575,48 @@ def run_campaign(
     options = {
         "executor": instance,
         "planner": planner,
-        "chunk_size": chunk_size,
         "chunk_policy": chunk_policy,
         "vectorize": vectorize,
         "shard_timeout": shard_timeout,
         "max_retries": max_retries,
     }
 
-    def run_fixed_cell(cell: Cell) -> Dict:
-        record, error = _under_cell_policy(
-            on_cell_error,
-            cell_retries,
-            lambda: _run_cell(campaign, cell, options, campaign_span.span_id),
+    def run_round(installments: List[_Installment]):
+        """The round's ordered outcomes, closed on every exit path."""
+        return closing(
+            _run_round(
+                installments,
+                cell_parallelism,
+                lambda installment: _run_installment(
+                    campaign, installment, options, on_cell_error,
+                    cell_retries, campaign_span.span_id,
+                ),
+            )
         )
-        return record if error is None else _failure_record(campaign, cell, error)
+
+    def write(record: Dict) -> None:
+        sink.write(record)
+        new_records.append(record)
 
     try:
-        if global_budget is not None and pending:
+        if global_budget is None:
+            # A fixed budget is one round: each cell is granted its own
+            # trials and its own stop rule.
+            installments = [
+                _Installment(cell, cell.trials, cell.stop_halfwidth)
+                for cell in pending
+            ]
+            with run_round(installments) as outcomes:
+                for cell, (outcome, error) in zip(pending, outcomes):
+                    write(
+                        _fixed_record(campaign, cell, instance, *outcome)
+                        if error is None
+                        else _failure_record(campaign, cell, error)
+                    )
+        elif pending:
             _run_adaptive_campaign(
-                campaign, pending, options, global_budget, target_halfwidth,
-                min_installment, cell_parallelism, on_cell_error, cell_retries,
-                sink, new_records, campaign_span,
-            )
-        elif cell_parallelism == 1 or len(pending) <= 1:
-            for cell in pending:
-                record = run_fixed_cell(cell)
-                sink.write(record)
-                new_records.append(record)
-        else:
-            _run_cells_concurrently(
-                pending, run_fixed_cell, min(cell_parallelism, len(pending)),
-                sink, new_records,
+                campaign, pending, run_round, write, instance, global_budget,
+                target_halfwidth, min_installment, campaign_span,
             )
     except BaseException as exc:
         campaign_span.__exit__(type(exc), exc, None)
@@ -543,106 +629,37 @@ def run_campaign(
     return new_records
 
 
-def _run_cells_concurrently(
-    pending: List[Cell],
-    run_cell: Callable[[Cell], Dict],
-    threads: int,
-    sink,
-    new_records: List[Dict],
-) -> None:
-    """The cell scheduler: a small thread team pulls cells off an ordered
-    queue and runs them over the shared executor; finished records buffer
-    until every earlier cell's record is written, so the sink sees campaign
-    declaration order regardless of completion order.
-
-    ``run_cell`` applies the campaign's ``on_cell_error`` policy exactly
-    like the serial path: under ``skip``/``retry`` a failed cell
-    contributes a ``status="failed"`` record that flushes in declaration
-    order like any other, and siblings keep running.  Under ``raise`` (and
-    for ``KeyboardInterrupt`` always) the contiguous prefix of completed
-    records stays written (resume will skip it); records of cells *after*
-    the failure are discarded rather than written out of order, and the
-    first error re-raises.
-    """
-    state_lock = threading.Lock()
-    cursor = 0
-    flushed = 0
-    buffered: Dict[int, Dict] = {}
-    errors: List[BaseException] = []
-
-    def worker() -> None:
-        nonlocal cursor, flushed
-        while True:
-            with state_lock:
-                if errors or cursor >= len(pending):
-                    return
-                position = cursor
-                cursor += 1
-            try:
-                record = run_cell(pending[position])
-            except BaseException as exc:  # re-raised in the caller
-                with state_lock:
-                    errors.append(exc)
-                return
-            with state_lock:
-                buffered[position] = record
-                try:
-                    while flushed in buffered:
-                        # Pop only after a successful write, so a failing
-                        # sink loses no buffered record.
-                        sink.write(buffered[flushed])
-                        new_records.append(buffered.pop(flushed))
-                        flushed += 1
-                except BaseException as exc:  # sink failures re-raise too
-                    errors.append(exc)
-                    return
-
-    team = [
-        threading.Thread(target=worker, name=f"repro-cell-{index}")
-        for index in range(threads)
-    ]
-    for thread in team:
-        thread.start()
-    for thread in team:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _run_adaptive_campaign(
     campaign: Campaign,
     pending: List[Cell],
-    options: Dict,
+    run_round: Callable,
+    write: Callable[[Dict], None],
+    instance,
     global_budget: int,
     target_halfwidth: float,
     min_installment: int,
-    cell_parallelism: int,
-    on_cell_error: str,
-    cell_retries: int,
-    sink,
-    new_records: List[Dict],
     campaign_span,
 ) -> None:
-    """The global-budget campaign loop: allocator rounds over installments.
+    """The global-budget campaign loop: allocator rounds of installments.
 
     Each round the :class:`~repro.parallel.controller.CampaignAllocator`
-    produces a grant table; every granted cell runs one *installment* — a
-    sharded estimate over the next ``granted`` trials of its counter
-    sequence (``first_trial`` = the consumed prefix, ``prior`` = the
-    prefix's counts, so the Wilson stop applies to the cell's *cumulative*
-    interval and fires as soon as the target halfwidth is reached
-    mid-installment).  Only the installment's contiguous counter prefix
+    produces a grant table; every granted cell runs one installment over
+    the next ``granted`` trials of its counter sequence (``first_trial`` =
+    the consumed prefix, ``prior`` = the prefix's counts, so the Wilson
+    stop applies to the cell's *cumulative* interval and fires as soon as
+    the target halfwidth is reached mid-installment).  Only the
+    installment's contiguous counter prefix
     (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`) is booked:
     a stop can leave later shards further along than an earlier one, and
     those trials are dropped rather than booked as if they were the next
     counters.  A converged installment's unspent grant implicitly returns
     to the pool.
 
-    Ordering and resume match the fixed path: one record per cell, written
-    in declaration order after the budget is spent, each carrying the
-    cell's full ``allocation`` history.  ``on_cell_error="skip"``/``"retry"``
-    degrade a repeatedly-failing cell to a ``status="failed"`` record (its
-    remaining budget serves the other cells); ``"raise"`` aborts.
+    Records are written after the budget is spent, one per cell in
+    declaration order, each carrying the cell's full ``allocation``
+    history.  ``on_cell_error="skip"``/``"retry"`` degrade a
+    repeatedly-failing cell to a ``status="failed"`` record (its remaining
+    budget serves the other cells); ``"raise"`` aborts.
     """
     allocator = CampaignAllocator(
         [cell.name for cell in pending],
@@ -655,86 +672,59 @@ def _run_adaptive_campaign(
     shard_totals = {cell.name: 0 for cell in pending}
     errors: Dict[str, Exception] = {}
 
-    def run_installment(name: str, granted: int):
-        cell = cells[name]
-        prior = allocator.counts(name)
-
-        def attempt():
-            start = time.perf_counter()
-            sharded = estimate_acceptance_sharded(
-                cell.spec,
-                granted,
-                seed=cell.seed,
-                stop_halfwidth=target_halfwidth,
-                first_trial=prior[1],
-                prior=prior,
-                **options,
-            )
-            return sharded, time.perf_counter() - start
-
-        return _under_cell_policy(on_cell_error, cell_retries, attempt)
-
     while True:
         grants = allocator.grants()
         if not grants:
             break
-        ordered = list(grants.items())
-        if cell_parallelism > 1 and len(ordered) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(cell_parallelism, len(ordered)),
-                thread_name_prefix="repro-cell",
-            ) as team:
-                outcomes = list(
-                    team.map(lambda item: run_installment(*item), ordered)
-                )
-        else:
-            outcomes = [run_installment(name, granted) for name, granted in ordered]
+        installments = [
+            _Installment(cells[name], granted, target_halfwidth, allocator.counts(name))
+            for name, granted in grants.items()
+        ]
         progressed = False
-        for (name, granted), (outcome, error) in zip(ordered, outcomes):
-            if error is not None:
-                allocator.fail(name)
-                errors[name] = error
-                progressed = True
-                continue
-            sharded, spent = outcome
-            prefix = sharded.prefix
-            allocator.settle(
-                name,
-                first_trial=allocator.counts(name)[1],
-                granted=granted,
-                accepted=prefix.accepted,
-                trials=prefix.trials,
-            )
-            elapsed[name] += spent
-            shard_totals[name] += sharded.shards
-            if prefix.trials > 0:
-                progressed = True
+        with run_round(installments) as outcomes:
+            for installment, (outcome, error) in zip(installments, outcomes):
+                name = installment.cell.name
+                if error is not None:
+                    allocator.fail(name)
+                    errors[name] = error
+                    progressed = True
+                    continue
+                sharded, spent = outcome
+                prefix = sharded.prefix
+                allocator.settle(
+                    name,
+                    first_trial=installment.prior[1],
+                    granted=installment.trials,
+                    accepted=prefix.accepted,
+                    trials=prefix.trials,
+                )
+                elapsed[name] += spent
+                shard_totals[name] += sharded.shards
+                if prefix.trials > 0:
+                    progressed = True
         if not progressed:
             # A full round granted budget and nothing ran (wedged pool,
             # every shard quarantined, ...): stop granting instead of
             # spinning — the records below document the shortfall.
             break
 
-    instance = options["executor"]
     for cell in pending:
         history = allocator.history(cell.name)
         if cell.name in errors:
-            record = _failure_record(
-                campaign, cell, errors[cell.name], allocation=history
-            )
+            write(_failure_record(campaign, cell, errors[cell.name], allocation=history))
         else:
             accepted, consumed = allocator.counts(cell.name)
-            record = _ok_record(
-                campaign,
-                cell,
-                instance,
-                AcceptanceEstimate(accepted=accepted, trials=consumed),
-                history["converged"],
-                shard_totals[cell.name],
-                elapsed[cell.name],
-                allocation=history,
+            write(
+                _ok_record(
+                    campaign,
+                    cell,
+                    instance,
+                    AcceptanceEstimate(accepted=accepted, trials=consumed),
+                    history["converged"],
+                    shard_totals[cell.name],
+                    elapsed[cell.name],
+                    allocation=history,
+                )
             )
-        sink.write(record)
-        new_records.append(record)
     for key, value in allocator.summary().items():
         campaign_span.set(f"allocator.{key}", value)

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.engine.plan import RNG_MODES
 from repro.obs.runtime import tracing
 from repro.parallel.campaign import Campaign, JsonlSink, MemorySink, run_campaign
-from repro.parallel.controller import parse_chunk_policy
+from repro.parallel.controller import FixedChunkPolicy, parse_chunk_policy
 from repro.parallel.executors import (
     DEFAULT_CHUNK,
     EXECUTORS,
@@ -194,19 +194,13 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         help="fixed shard count (default: planner picks from workers/budget)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=DEFAULT_CHUNK,
-        help=f"trials per chunk between stop-rule checks (default: {DEFAULT_CHUNK})",
-    )
-    parser.add_argument(
         "--chunk-policy",
         type=_chunk_policy_flag,
-        default=None,
+        default=FixedChunkPolicy(),
         metavar="SPEC",
-        help="adaptive chunk schedule: 'fixed[:SIZE]' or "
+        help="trials per chunk between stop-rule checks: 'fixed[:SIZE]' or "
         "'geometric[:initial=I,factor=F,max=M]' — start small, grow as the "
-        "Wilson interval tightens (default: fixed --chunk-size)",
+        f"Wilson interval tightens (default: fixed:{DEFAULT_CHUNK})",
     )
     parser.add_argument(
         "--stop-halfwidth",
@@ -310,7 +304,6 @@ def _cmd_estimate(args) -> int:
                 executor=executor,
                 workers=args.workers,
                 planner=_planner(args),
-                chunk_size=args.chunk_size,
                 chunk_policy=args.chunk_policy,
                 stop_halfwidth=args.stop_halfwidth,
                 shard_timeout=args.shard_timeout,
@@ -396,7 +389,6 @@ def _cmd_campaign(args) -> int:
                 workers=args.workers,
                 sink=sink,
                 planner=_planner(args),
-                chunk_size=args.chunk_size,
                 chunk_policy=args.chunk_policy,
                 cell_parallelism=args.cell_parallelism,
                 on_cell_error=args.on_cell_error,

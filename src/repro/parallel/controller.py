@@ -1,20 +1,21 @@
-"""Adaptive budget control: chunk schedules and the campaign allocator.
+"""Adaptive budget control: chunk policies and the campaign allocator.
 
 Two decisions used to be hardcoded integers threaded through every layer of
-the stack: *how many trials to run between stop-rule checks* (the
-``chunk_size`` of :func:`~repro.engine.montecarlo.estimate_acceptance_fast`)
-and *how many trials each campaign cell gets* (the per-cell ``trials``
-budget).  This module turns both into policy objects:
+the stack: *how many trials to run between stop-rule checks* and *how many
+trials each campaign cell gets* (the per-cell ``trials`` budget).  This
+module turns both into policy objects:
 
-- **Chunk schedules** (:class:`FixedChunkPolicy`, :class:`GeometricChunkPolicy`)
-  plug into the engine's chunk-schedule seam: before each chunk the trial
-  loop asks the schedule for the next chunk size.  The geometric policy
-  starts small — a lopsided verdict tightens its Wilson interval within a
-  few trials, so a small first chunk lets the stop rule fire almost
-  immediately — and grows the chunk geometrically as the interval tightens,
-  amortizing per-chunk dispatch overhead once it is clear the run will be
-  long.  The fixed policy is the default-compatible case: a constant size,
-  exactly the historical behaviour.
+- **Chunk policies** (:class:`GeometricChunkPolicy`; the default
+  :class:`~repro.engine.montecarlo.FixedChunkPolicy` lives in the engine
+  and is re-exported here) plug into the ``chunk_policy`` seam of
+  :func:`~repro.engine.montecarlo.estimate_acceptance_fast`: before each
+  chunk the trial loop asks the policy for the next chunk size.  The
+  geometric policy starts small — a lopsided verdict tightens its Wilson
+  interval within a few trials, so a small first chunk lets the stop rule
+  fire almost immediately — and grows the chunk geometrically as the
+  interval tightens, amortizing per-chunk dispatch overhead once it is
+  clear the run will be long.  The fixed policy is the default: a constant
+  size.
 - **The campaign allocator** (:class:`CampaignAllocator`) manages one
   *global* trial budget across all cells of a campaign.  It grants budget in
   rounds: a cheap probe round first, then need-proportional rounds where
@@ -29,7 +30,7 @@ Decision-validity contract
 
 Every trial's verdict is a pure function of ``(master seed, trial
 counter)`` (see :mod:`repro.core.seeding`), and both kinds of policy only
-ever decide *future counter ranges*: a chunk schedule partitions a shard's
+ever decide *future counter ranges*: a chunk policy partitions a shard's
 fixed ``[start, stop)`` range into differently-sized prefixes, and the
 allocator extends a cell's consumed prefix ``[0, consumed)`` by the next
 installment ``[consumed, consumed + grant)``.  Policies therefore change
@@ -56,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.montecarlo import DEFAULT_CHUNK
+from repro.engine.montecarlo import DEFAULT_CHUNK, FixedChunkPolicy
 from repro.obs.runtime import get_metrics, record_event
 from repro.simulation.metrics import wilson_interval
 
@@ -82,36 +83,8 @@ def validate_halfwidth(value: float, name: str = "halfwidth") -> float:
 
 
 # ---------------------------------------------------------------------------
-# chunk schedules
+# chunk policies
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedChunkPolicy:
-    """The constant-size schedule — the historical behaviour as a policy.
-
-    Frozen (hence picklable: policies ride to process-pool workers inside
-    the shard options dict); per-call mutable state lives in the session
-    object :meth:`session` returns.
-    """
-
-    chunk_size: int = DEFAULT_CHUNK
-
-    def __post_init__(self):
-        if self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-
-    def describe(self) -> str:
-        return f"fixed:{self.chunk_size}"
-
-    def session(self):
-        """A fresh per-run decision function (stateless for fixed size)."""
-        size = self.chunk_size
-
-        def next_chunk(accepted: int, done: int, remaining: int) -> int:
-            return size
-
-        return next_chunk
 
 
 @dataclass(frozen=True)

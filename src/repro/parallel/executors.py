@@ -59,7 +59,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
-from repro.engine.montecarlo import DEFAULT_CHUNK, estimate_acceptance_fast
+from repro.engine.montecarlo import (
+    DEFAULT_CHUNK,
+    FixedChunkPolicy,
+    estimate_acceptance_fast,
+)
 from repro.engine.plan import VerificationPlan
 from repro.obs.runtime import (
     get_metrics,
@@ -154,12 +158,10 @@ def _run_shard(
             shard.trials,
             seed=options["seed"],
             rng_mode=options["rng_mode"],
-            chunk_size=options["chunk_size"],
-            # The chunk-schedule seam: a picklable policy rides in the
-            # options dict and is instantiated per shard engine-side (the
-            # session holds the mutable growth state).  `.get` keeps old
-            # payload dicts (tests, recorded fixtures) valid.
-            chunk_schedule=options.get("chunk_policy"),
+            # The picklable policy rides in the options dict; each shard
+            # opens its own session engine-side (the session holds any
+            # mutable growth state).
+            chunk_policy=options["chunk_policy"],
             vectorize=options["vectorize"],
             first_trial=shard.start,
             should_stop=should_stop,
@@ -735,8 +737,7 @@ def estimate_acceptance_sharded(
     planner: Optional[ShardPlanner] = None,
     shard_count: Optional[int] = None,
     rng_mode: Optional[str] = None,
-    chunk_size: int = DEFAULT_CHUNK,
-    chunk_policy=None,
+    chunk_policy=FixedChunkPolicy(),
     stop_halfwidth: Optional[float] = None,
     min_trials: int = 2 * DEFAULT_CHUNK,
     vectorize: Optional[bool] = None,
@@ -769,11 +770,11 @@ def estimate_acceptance_sharded(
 
     Adaptive-budget hooks (see :mod:`repro.parallel.controller`):
 
-    - ``chunk_policy`` is a picklable chunk schedule shipped to every shard
+    - ``chunk_policy`` is a picklable chunk policy shipped to every shard
       through the payload options — each shard instantiates its own session
       engine-side, so chunk growth is per-shard state.  Any policy is
-      per-trial verdict-identical to the fixed-chunk run (the chunk-schedule
-      seam only re-partitions the shard's fixed counter range).
+      per-trial verdict-identical to the fixed-chunk run (the chunk seam
+      only re-partitions the shard's fixed counter range).
     - ``first_trial`` shifts the whole sharded range: the call covers
       counters ``[first_trial, first_trial + trials)``, exactly as the
       engine-level hook does for a single shard.  An *installment* run
@@ -866,7 +867,6 @@ def estimate_acceptance_sharded(
         options = {
             "seed": seed,
             "rng_mode": rng_mode,
-            "chunk_size": chunk_size,
             "chunk_policy": chunk_policy,
             "vectorize": vectorize,
         }

@@ -71,7 +71,7 @@ def oracle_counts(plan, seed, start, stop):
 )
 def test_final_chunk_never_overshoots(noisy_plan, trials, chunk_size):
     estimate = estimate_acceptance_fast(
-        noisy_plan, trials, seed=3, chunk_size=chunk_size
+        noisy_plan, trials, seed=3, chunk_policy=FixedChunkPolicy(chunk_size)
     )
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(noisy_plan, 3, 0, trials)
@@ -80,7 +80,8 @@ def test_final_chunk_never_overshoots(noisy_plan, trials, chunk_size):
 @pytest.mark.parametrize("trials,chunk_size", [(10, 64), (65, 64), (100, 33)])
 def test_vectorized_tail_matches_oracle(vector_plan, trials, chunk_size):
     estimate = estimate_acceptance_fast(
-        vector_plan, trials, seed=3, chunk_size=chunk_size, vectorize=True
+        vector_plan, trials, seed=3,
+        chunk_policy=FixedChunkPolicy(chunk_size), vectorize=True
     )
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(vector_plan, 3, 0, trials)
@@ -88,10 +89,11 @@ def test_vectorized_tail_matches_oracle(vector_plan, trials, chunk_size):
 
 def test_early_exit_reports_the_exact_prefix(vector_plan):
     # All-accept workload + generous half-width: the stop rule fires at the
-    # first boundary past min_trials.  chunk_size=10, min_trials=25 -> the
+    # first boundary past min_trials.  Chunks of 10, min_trials=25 -> the
     # first eligible check happens at done=30.
     estimate = estimate_acceptance_fast(
-        vector_plan, 1000, seed=3, chunk_size=10, stop_halfwidth=0.2, min_trials=25
+        vector_plan, 1000, seed=3,
+        chunk_policy=FixedChunkPolicy(10), stop_halfwidth=0.2, min_trials=25
     )
     assert estimate.trials == 30
     assert estimate.accepted == oracle_counts(vector_plan, 3, 0, 30)
@@ -101,7 +103,8 @@ def test_early_exit_on_a_tail_chunk(noisy_plan):
     # trials=37, chunk=16 -> chunks of 16, 16, 5.  A stop rule that can
     # only fire after the tail (min_trials=37) must still report exactly 37.
     estimate = estimate_acceptance_fast(
-        noisy_plan, 37, seed=5, chunk_size=16, stop_halfwidth=0.49, min_trials=37
+        noisy_plan, 37, seed=5,
+        chunk_policy=FixedChunkPolicy(16), stop_halfwidth=0.49, min_trials=37
     )
     assert estimate.trials == 37
     assert estimate.accepted == oracle_counts(noisy_plan, 5, 0, 37)
@@ -111,7 +114,8 @@ def test_early_exit_never_fires_below_min_trials(vector_plan):
     # Budget smaller than min_trials: the stop rule must stay silent and
     # the full (tail-truncated) budget must run.
     estimate = estimate_acceptance_fast(
-        vector_plan, 50, seed=3, chunk_size=64, stop_halfwidth=0.01, min_trials=128
+        vector_plan, 50, seed=3,
+        chunk_policy=FixedChunkPolicy(64), stop_halfwidth=0.01, min_trials=128
     )
     assert estimate.trials == 50
 
@@ -119,10 +123,15 @@ def test_early_exit_never_fires_below_min_trials(vector_plan):
 @pytest.mark.parametrize("split", [1, 10, 33, 64, 99])
 def test_first_trial_partition_reproduces_whole(noisy_plan, split):
     trials = 100
-    whole = estimate_acceptance_fast(noisy_plan, trials, seed=7, chunk_size=32)
-    left = estimate_acceptance_fast(noisy_plan, split, seed=7, chunk_size=32)
+    whole = estimate_acceptance_fast(
+        noisy_plan, trials, seed=7, chunk_policy=FixedChunkPolicy(32)
+    )
+    left = estimate_acceptance_fast(
+        noisy_plan, split, seed=7, chunk_policy=FixedChunkPolicy(32)
+    )
     right = estimate_acceptance_fast(
-        noisy_plan, trials - split, seed=7, chunk_size=32, first_trial=split
+        noisy_plan, trials - split, seed=7,
+        chunk_policy=FixedChunkPolicy(32), first_trial=split
     )
     assert AcceptanceEstimate.merge([left, right]) == whole
     assert right.accepted == oracle_counts(noisy_plan, 7, split, trials)
@@ -130,7 +139,8 @@ def test_first_trial_partition_reproduces_whole(noisy_plan, split):
 
 def test_first_trial_offset_with_vector_kernel(vector_plan):
     offset = estimate_acceptance_fast(
-        vector_plan, 40, seed=7, first_trial=23, vectorize=True, chunk_size=16
+        vector_plan, 40, seed=7, first_trial=23, vectorize=True,
+        chunk_policy=FixedChunkPolicy(16)
     )
     assert offset.trials == 40
     assert offset.accepted == oracle_counts(vector_plan, 7, 23, 63)
@@ -155,7 +165,7 @@ def test_spec_scheme_tail_matches_oracle(name, trials, chunk_size):
     plan = matrix_plan(name, "proof-fault", "vector")
     assert plan is not None and plan.constant_verdict is None
     estimate = estimate_acceptance_fast(
-        plan, trials, seed=3, chunk_size=chunk_size, vectorize=True
+        plan, trials, seed=3, chunk_policy=FixedChunkPolicy(chunk_size), vectorize=True
     )
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(plan, 3, 0, trials)
@@ -167,10 +177,15 @@ def test_spec_scheme_partition_reproduces_whole(name):
 
     plan = matrix_plan(name, "proof-fault", "vector")
     trials, split = 100, 33
-    whole = estimate_acceptance_fast(plan, trials, seed=7, chunk_size=32)
-    left = estimate_acceptance_fast(plan, split, seed=7, chunk_size=32)
+    whole = estimate_acceptance_fast(
+        plan, trials, seed=7, chunk_policy=FixedChunkPolicy(32)
+    )
+    left = estimate_acceptance_fast(
+        plan, split, seed=7, chunk_policy=FixedChunkPolicy(32)
+    )
     right = estimate_acceptance_fast(
-        plan, trials - split, seed=7, chunk_size=32, first_trial=split
+        plan, trials - split, seed=7,
+        chunk_policy=FixedChunkPolicy(32), first_trial=split
     )
     assert AcceptanceEstimate.merge([left, right]) == whole
     assert right.accepted == oracle_counts(plan, 7, split, trials)
@@ -192,7 +207,7 @@ CHUNK_POLICY_ROWS = [
 @pytest.mark.parametrize("trials", [1, 10, 65, 100])
 def test_chunk_policy_tail_matches_oracle(noisy_plan, policy, trials):
     estimate = estimate_acceptance_fast(
-        noisy_plan, trials, seed=3, chunk_schedule=policy
+        noisy_plan, trials, seed=3, chunk_policy=policy
     )
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(noisy_plan, 3, 0, trials)
@@ -203,13 +218,15 @@ def test_chunk_policy_tail_matches_oracle(noisy_plan, policy, trials):
 )
 def test_chunk_policy_partition_reproduces_whole(noisy_plan, policy):
     trials, split = 100, 33
-    whole = estimate_acceptance_fast(noisy_plan, trials, seed=7, chunk_size=32)
+    whole = estimate_acceptance_fast(
+        noisy_plan, trials, seed=7, chunk_policy=FixedChunkPolicy(32)
+    )
     left = estimate_acceptance_fast(
-        noisy_plan, split, seed=7, chunk_schedule=policy
+        noisy_plan, split, seed=7, chunk_policy=policy
     )
     right = estimate_acceptance_fast(
         noisy_plan, trials - split, seed=7, first_trial=split,
-        chunk_schedule=policy,
+        chunk_policy=policy,
     )
     assert AcceptanceEstimate.merge([left, right]) == whole
 
@@ -217,7 +234,7 @@ def test_chunk_policy_partition_reproduces_whole(noisy_plan, policy):
 def test_chunk_policy_on_vector_kernel(vector_plan):
     policy = GeometricChunkPolicy(initial=2, factor=2.0, max_chunk=32)
     estimate = estimate_acceptance_fast(
-        vector_plan, 100, seed=3, chunk_schedule=policy, vectorize=True
+        vector_plan, 100, seed=3, chunk_policy=policy, vectorize=True
     )
     assert estimate.trials == 100
     assert estimate.accepted == oracle_counts(vector_plan, 3, 0, 100)
@@ -229,12 +246,12 @@ def test_stopped_adaptive_run_is_an_exact_prefix(noisy_plan):
     # identical counts — the stop decision never leaks into any verdict.
     policy = GeometricChunkPolicy(initial=4, factor=2.0, max_chunk=128)
     stopped = estimate_acceptance_fast(
-        noisy_plan, 5000, seed=9, chunk_schedule=policy,
+        noisy_plan, 5000, seed=9, chunk_policy=policy,
         stop_halfwidth=0.08, min_trials=16,
     )
     assert stopped.trials < 5000  # the stop rule actually fired
     replay = estimate_acceptance_fast(
-        noisy_plan, stopped.trials, seed=9, chunk_size=17
+        noisy_plan, stopped.trials, seed=9, chunk_policy=FixedChunkPolicy(17)
     )
     assert (replay.accepted, replay.trials) == (stopped.accepted, stopped.trials)
     assert stopped.accepted == oracle_counts(noisy_plan, 9, 0, stopped.trials)
@@ -257,5 +274,7 @@ def test_constant_verdict_short_circuit_still_reports_requested(vector_plan):
     labels[victim] = BitString(0, 1)  # unparseable: compile-time False
     plan = VerificationPlan.compile(scheme, configuration, labels=labels)
     assert plan.constant_verdict is False
-    estimate = estimate_acceptance_fast(plan, 77, seed=0, chunk_size=16)
+    estimate = estimate_acceptance_fast(
+        plan, 77, seed=0, chunk_policy=FixedChunkPolicy(16)
+    )
     assert (estimate.accepted, estimate.trials) == (0, 77)

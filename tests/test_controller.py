@@ -700,3 +700,31 @@ class TestCliAdaptive:
                     "--chunk-policy", "bogus",
                 ]
             )
+
+    def test_chunk_size_flag_refused(self):
+        with pytest.raises(SystemExit):
+            cli_main(
+                [
+                    "estimate", "--workload", "spanning-tree", "--trials", "64",
+                    "--chunk-size", "32",
+                ]
+            )
+
+    def test_fixed_chunk_policy_reaches_the_estimator(self, monkeypatch, capsys):
+        import repro.parallel.cli as cli
+
+        seen = []
+        real = cli.estimate_acceptance_sharded
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["chunk_policy"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_acceptance_sharded", spy)
+        base = [
+            "estimate", "--workload", "spanning-tree", "--trials", "64",
+            "--size", "node_count=12",
+        ]
+        assert cli_main(base) == 0
+        assert cli_main(base + ["--chunk-policy", "fixed:32"]) == 0
+        assert seen == [FixedChunkPolicy(), FixedChunkPolicy(chunk_size=32)]

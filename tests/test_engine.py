@@ -25,6 +25,7 @@ from repro.core.seeding import (
 from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.core.verifier import estimate_acceptance, verify_randomized
 from repro.engine import (
+    FixedChunkPolicy,
     PlanCache,
     VerificationPlan,
     estimate_acceptance_batched,
@@ -293,8 +294,12 @@ class TestEstimators:
         config = uniform_configuration(8, 6, equal=False, seed=20)
         scheme = DirectUnifRPLS()
         plan = VerificationPlan.compile(scheme, config)
-        coarse = estimate_acceptance_fast(plan, 50, seed=21, chunk_size=50)
-        fine = estimate_acceptance_fast(plan, 50, seed=21, chunk_size=7)
+        coarse = estimate_acceptance_fast(
+            plan, 50, seed=21, chunk_policy=FixedChunkPolicy(50)
+        )
+        fine = estimate_acceptance_fast(
+            plan, 50, seed=21, chunk_policy=FixedChunkPolicy(7)
+        )
         assert (coarse.accepted, coarse.trials) == (fine.accepted, fine.trials)
 
     def test_early_exit_stops_on_tight_interval(self):
@@ -308,7 +313,7 @@ class TestEstimators:
             plan,
             10_000,
             seed=23,
-            chunk_size=25,
+            chunk_policy=FixedChunkPolicy(25),
             min_trials=50,
             stop_halfwidth=0.1,
         )
@@ -319,13 +324,18 @@ class TestEstimators:
         config = uniform_configuration(10, 6, equal=False, seed=24)
         scheme = DirectUnifRPLS()
         plan = VerificationPlan.compile(scheme, config)
-        full = estimate_acceptance_fast(plan, 200, seed=25, chunk_size=50)
+        full = estimate_acceptance_fast(
+            plan, 200, seed=25, chunk_policy=FixedChunkPolicy(50)
+        )
         stopped = estimate_acceptance_fast(
-            plan, 200, seed=25, chunk_size=50, min_trials=50, stop_halfwidth=0.2
+            plan, 200, seed=25,
+            chunk_policy=FixedChunkPolicy(50), min_trials=50, stop_halfwidth=0.2
         )
         assert stopped.trials <= full.trials
         # Re-running exactly stopped.trials trials reproduces the count.
-        again = estimate_acceptance_fast(plan, stopped.trials, seed=25, chunk_size=50)
+        again = estimate_acceptance_fast(
+            plan, stopped.trials, seed=25, chunk_policy=FixedChunkPolicy(50)
+        )
         assert again.accepted == stopped.accepted
 
     def test_validation(self):
@@ -334,7 +344,7 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_acceptance_fast(plan, 0)
         with pytest.raises(ValueError):
-            estimate_acceptance_fast(plan, 10, chunk_size=0)
+            estimate_acceptance_fast(plan, 10, chunk_policy=FixedChunkPolicy(0))
         with pytest.raises(ValueError):
             plan.run_trial(0, rng_mode="nope")
 

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.engine import FixedChunkPolicy
 from repro.obs.metrics import (
     MetricsFlush,
     MetricsRegistry,
@@ -386,7 +387,7 @@ class TestRunReportTiming:
         options = {
             "seed": 0,
             "rng_mode": "vector",
-            "chunk_size": 16,
+            "chunk_policy": FixedChunkPolicy(16),
             "vectorize": None,
         }
         payloads = [(plan, shard, options) for shard in shards]

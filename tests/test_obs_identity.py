@@ -14,8 +14,8 @@ import copy
 
 import pytest
 
-from repro.engine import estimate_acceptance_fast
-from repro.obs.reader import load_trace
+from repro.engine import FixedChunkPolicy, estimate_acceptance_fast
+from repro.obs.reader import load_trace, summarize_runs
 from repro.obs.runtime import get_metrics, set_recorder, tracing
 from repro.parallel import (
     Campaign,
@@ -127,7 +127,7 @@ class TestShardedEstimateIdentity:
 
 
 class TestPerTrialVerdictIdentity:
-    """chunk_size=1 turns the progress stream into a per-trial verdict
+    """Chunks of one trial turn the progress stream into a per-trial verdict
     stream: cumulative counts advance by exactly one trial per callback, so
     the accepted-delta sequence *is* the verdict bit sequence."""
 
@@ -139,7 +139,7 @@ class TestPerTrialVerdictIdentity:
             verdicts.append(accepted - last[0])
             last = (accepted, trials)
         estimate = estimate_acceptance_fast(
-            plan, TRIALS, seed=SEED, chunk_size=1, progress=capture
+            plan, TRIALS, seed=SEED, chunk_policy=FixedChunkPolicy(1), progress=capture
         )
         assert len(verdicts) == TRIALS
         assert sum(verdicts) == estimate.accepted
@@ -174,7 +174,7 @@ class TestPerTrialVerdictIdentity:
         with tracing(tmp_path / "trace"):
             traced = estimate_acceptance_sharded(
                 spec, TRIALS, seed=SEED, executor="serial", shard_count=2,
-                chunk_size=1,
+                chunk_policy=FixedChunkPolicy(1),
             )
         got = self._traced_verdicts(load_trace(tmp_path / "trace"))
         assert got == expected
@@ -206,3 +206,25 @@ class TestCampaignRecordIdentity:
         assert len(trace.named("campaign")) == 1
         assert len(trace.named("cell")) == 4
         assert len(trace.named("run")) == 4
+
+    def test_adaptive_campaign_runs_nest_under_cells(self, tmp_path):
+        # Every installment of an adaptive campaign opens a cell span parented
+        # on the campaign span, even on the scheduler's threads.
+        campaign = self._campaign()
+        with tracing(tmp_path / "trace"):
+            run_campaign(
+                campaign,
+                executor="serial",
+                cell_parallelism=2,
+                global_budget=4000,
+                target_halfwidth=0.01,
+            )
+        trace = load_trace(tmp_path / "trace")
+        runs = trace.named("run")
+        assert len(runs) > len(campaign.cells)  # more than one round
+        for run in runs:
+            assert trace.ancestor(run, "cell") is not None
+            assert trace.ancestor(run, "campaign") is not None
+        labels = [rollup["label"] for rollup in summarize_runs(trace)]
+        assert len(labels) == len(runs)
+        assert set(labels) == {cell.name for cell in campaign.cells}

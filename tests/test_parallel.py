@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.engine import PlanCache, estimate_acceptance_fast
+from repro.engine import FixedChunkPolicy, PlanCache, estimate_acceptance_fast
 from repro.parallel import (
     Campaign,
     Cell,
@@ -429,7 +429,8 @@ class TestEarlyExit:
             return len(calls) > 2
 
         estimate = estimate_acceptance_fast(
-            plan, 1000, seed=SEED, chunk_size=50, should_stop=stop_after_two_chunks
+            plan, 1000, seed=SEED,
+            chunk_policy=FixedChunkPolicy(50), should_stop=stop_after_two_chunks
         )
         assert estimate.trials == 100  # two chunks ran, third was refused
 
@@ -551,6 +552,11 @@ class TestCampaign:
         cell = Cell(name="x", spec=small_spec(), trials=10)
         with pytest.raises(ValueError):
             Campaign(name="dup", cells=(cell, cell))
+
+    @pytest.mark.parametrize("halfwidth", [-1.0, 0.0, 0.9])
+    def test_cell_stop_halfwidth_validated(self, halfwidth):
+        with pytest.raises(ValueError, match="stop_halfwidth"):
+            Cell(name="x", spec=small_spec(), trials=64, stop_halfwidth=halfwidth)
 
     def test_cell_key_covers_results_not_speed(self):
         a = Cell(name="a", spec=small_spec(), trials=64, seed=0)

@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from repro.engine import estimate_acceptance_fast
+from repro.engine import FixedChunkPolicy, estimate_acceptance_fast
 from repro.parallel import (
     Campaign,
     Cell,
@@ -110,7 +110,7 @@ class TestProgressHook:
         plan = small_spec().resolve()
         updates = []
         estimate = estimate_acceptance_fast(
-            plan, 100, seed=SEED, chunk_size=32,
+            plan, 100, seed=SEED, chunk_policy=FixedChunkPolicy(32),
             progress=lambda accepted, done: updates.append((accepted, done)),
         )
         assert [done for _, done in updates] == [32, 64, 96, 100]
@@ -257,7 +257,7 @@ class TestProcessStreaming:
         with ProcessExecutor(workers=2) as executor:
             streamed = estimate_acceptance_sharded(
                 spec, 20000, seed=SEED, executor=executor, shard_count=16,
-                chunk_size=32, stop_halfwidth=0.05, min_trials=100,
+                chunk_policy=FixedChunkPolicy(32), stop_halfwidth=0.05, min_trials=100,
             )
         assert streamed.stopped_early
         assert streamed.estimate.trials < 20000
@@ -289,7 +289,7 @@ class TestChunkGranularStop:
         spec = small_spec()
         kwargs = dict(
             seed=SEED, executor="serial", shard_count=4,
-            chunk_size=32, stop_halfwidth=0.05, min_trials=64,
+            chunk_policy=FixedChunkPolicy(32), stop_halfwidth=0.05, min_trials=64,
         )
         streamed = estimate_acceptance_sharded(spec, 4000, **kwargs)
         assert streamed.stopped_early
@@ -308,7 +308,7 @@ class TestChunkGranularStop:
         plan = SlowPlan(small_spec().resolve(), delay=0.002)
         streamed = estimate_acceptance_sharded(
             plan, 4000, seed=SEED, executor="thread", workers=2, shard_count=8,
-            chunk_size=25, stop_halfwidth=0.05, min_trials=50,
+            chunk_policy=FixedChunkPolicy(25), stop_halfwidth=0.05, min_trials=50,
         )
         assert streamed.stopped_early
         assert streamed.estimate.trials < 4000
@@ -327,8 +327,8 @@ class TestChunkGranularStop:
             for seed in range(2):
                 sharded = estimate_acceptance_sharded(
                     spec, 2000, seed=seed, executor="thread", workers=8,
-                    shard_count=16, chunk_size=8, stop_halfwidth=0.05,
-                    min_trials=64,
+                    shard_count=16, chunk_policy=FixedChunkPolicy(8),
+                    stop_halfwidth=0.05, min_trials=64,
                 )
                 assert sharded.stopped_early and sharded.report.ok
                 low, high = sharded.estimate.interval
@@ -462,6 +462,69 @@ class TestConcurrentCells:
             run_campaign(self._campaign(), sink=ExplodingSink(),
                          cell_parallelism=2)
 
+    def test_adaptive_concurrent_cells_match_serial_cells(self):
+        # The adaptive rounds share the fixed path's round scheduler: at any
+        # cell parallelism, the serial executor books the same installments.
+        campaign = Campaign(
+            name="adaptive-cells",
+            cells=self._campaign().cells
+            + (Cell(name="noisy", spec=noisy_spec(), trials=64),),
+        )
+        kwargs = dict(executor="serial", global_budget=4000, target_halfwidth=0.03)
+        serial = run_campaign(campaign, cell_parallelism=1, **kwargs)
+        concurrent = run_campaign(campaign, cell_parallelism=4, **kwargs)
+
+        def stripped(records):
+            return [
+                {k: v for k, v in record.items() if k != "elapsed_sec"}
+                for record in records
+            ]
+
+        assert stripped(concurrent) == stripped(serial)
+        assert [r["cell"] for r in serial] == [c.name for c in campaign.cells]
+        assert serial[-1]["allocation"]["rounds"] > 1
+
+    @pytest.mark.parametrize(
+        "cause,budget",
+        [
+            ("cell", {}),
+            ("cell", {"global_budget": 2000, "target_halfwidth": 0.05}),
+            ("sink", {}),
+        ],
+        ids=["fixed-cell", "adaptive-cell", "fixed-sink"],
+    )
+    def test_failed_campaign_leaves_no_cell_threads(self, cause, budget):
+        class ExplodingSink:
+            def completed(self, cell):
+                return False
+
+            def write(self, record):
+                raise IOError("disk full")
+
+        good = tuple(
+            Cell(name=f"good-{seed}", spec=small_spec(), trials=96, seed=seed)
+            for seed in range(4)
+        )
+        bad = Cell(
+            name="bad",
+            spec=PlanSpec.of(compiled_spanning_tree, bogus_size=3),
+            trials=64,
+        )
+        cells = good[:1] + (bad,) + good[1:] if cause == "cell" else good
+        sink = ExplodingSink() if cause == "sink" else None
+        # Holding the traceback keeps run_campaign's frame alive: the round
+        # must be closed and its team joined before the call returns.
+        with pytest.raises((TypeError, IOError)) as raised:
+            run_campaign(
+                Campaign(name="fails", cells=cells),
+                sink=sink,
+                cell_parallelism=2,
+                on_cell_error="raise",
+                **budget,
+            )
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("repro-cell")]
+        assert alive == [], raised.traceback
+
 
 class TestStopEpoch:
     """A pool-global request_stop cancels in-flight runs, not future ones."""
@@ -498,7 +561,8 @@ class TestStopEpoch:
         plan = spec.resolve().prepare(None)
         executor = SerialExecutor()
         options = {
-            "seed": SEED, "rng_mode": None, "chunk_size": 64, "vectorize": None,
+            "seed": SEED, "rng_mode": None,
+            "chunk_policy": FixedChunkPolicy(64), "vectorize": None,
         }
         shards = ShardPlanner(shard_count=4).plan(256)
         handle = executor.start_run(
@@ -638,7 +702,7 @@ class TestProcessHandleRelease:
         options = {
             "seed": SEED,
             "rng_mode": spec.rng_mode,
-            "chunk_size": 64,
+            "chunk_policy": FixedChunkPolicy(64),
             "vectorize": None,
         }
         shards = ShardPlanner(shard_count=shard_count).plan(trials)

@@ -31,7 +31,7 @@ import time
 
 import pytest
 
-from repro.engine import estimate_acceptance_fast
+from repro.engine import FixedChunkPolicy, estimate_acceptance_fast
 from repro.parallel import (
     Campaign,
     Cell,
@@ -297,7 +297,7 @@ class TestCrashIdentity:
         policy = FaultPolicy(seed=3, crash_rate=0.3)
         sharded, chaos = _chaos_run(
             small_spec(), policy, shard_count=8, trials=4000,
-            chunk_size=32, stop_halfwidth=0.05, min_trials=64,
+            chunk_policy=FixedChunkPolicy(32), stop_halfwidth=0.05, min_trials=64,
         )
         assert sharded.stopped_early
         assert sharded.estimate.trials < 4000
