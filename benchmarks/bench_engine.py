@@ -3,10 +3,12 @@
 Every soundness experiment in this repository is a Monte-Carlo loop over
 repeated verification rounds, so trials-per-second is the throughput metric
 that bounds how much statistical evidence any benchmark can gather.  This
-experiment measures it on seven workloads — the paper's headline Theorem
-3.1 compiled spanning-tree scheme (200 nodes), the same with footnote-1
-certificate boosting (t=3), the compiled Borůvka-trace MST scheme (96
-nodes, the largest-label workload in the library), the Section 6
+experiment measures it on seven proof-faulted workloads (one label bit
+flipped, chosen by the ranked search of ``tests/spec_matrix.py``: an
+honest plan has no dirty pair, so its kernel is a constant) — the paper's
+headline Theorem 3.1 compiled spanning-tree scheme (200 nodes), the same
+with footnote-1 certificate boosting (t=3), the compiled Borůvka-trace MST
+scheme (96 nodes, the largest-label workload in the library), the Section 6
 shared-coins compiler on the 200-node spanning tree (the packed-parity
 kernel workload), and one verdict-spec zoo representative per kernel
 family (:mod:`repro.engine.specs`): compiled biconnectivity (fingerprint),
@@ -21,7 +23,7 @@ execution paths:
   derivation (statistically equivalent streams), scalar kernels;
 - **engine fast+numpy** — the same probability-space point as engine fast,
   with the trial chunks executed by the vectorized kernels of
-  :mod:`repro.engine.kernels` (batched Horner passes for fingerprint
+  :mod:`repro.engine.kernels` (agree-row lookups for fingerprint
   schemes, packed-``uint64`` GF(2) popcounts for the shared-coins scheme;
   decision-identical to engine fast per trial, asserted below) — the draws
   still replay ``random.Random`` scalar call by scalar call;
@@ -77,6 +79,7 @@ from repro.simulation.runner import format_table
 
 TRAJECTORY_PATH = pathlib.Path(__file__).parent.parent / "BENCH_engine.json"
 HISTORY_DIR = pathlib.Path(__file__).parent / "history"
+TESTS_DIR = pathlib.Path(__file__).parent.parent / "tests"
 
 
 def write_trajectory(payload, history_dir=HISTORY_DIR):
@@ -388,6 +391,26 @@ def _measure(scheme, configuration, labels, randomness, legacy_trials, engine_tr
     return plan, rates, samples
 
 
+def _proof_fault(scheme, configuration, randomness, name):
+    """The ranked single-bit flip of the honest labels; must reach a kernel.
+
+    The row names carry a ``fault:`` prefix so the history gate sees new
+    columns rather than the honest rows jumping.
+    """
+    if str(TESTS_DIR) not in sys.path:
+        sys.path.insert(0, str(TESTS_DIR))
+    from spec_matrix import kernel_draws_coins, ranked_flip
+
+    labels = ranked_flip(
+        scheme, configuration, scheme.prover(configuration), randomness,
+        kernel_draws=True,
+    )
+    assert labels is not None and kernel_draws_coins(
+        VerificationPlan.compile(scheme, configuration, labels=labels, randomness=randomness)
+    ), f"{name}: no single-bit flip keeps the kernel drawing coins"
+    return labels
+
+
 def _assert_bit_identical(
     scheme, configuration, labels, plan, randomness, trials=25, seed=0
 ):
@@ -466,7 +489,8 @@ def test_engine_throughput(benchmark, report):
             (name, scheme, configuration, randomness, legacy_trials, engine_trials)
         )
     for name, scheme, configuration, randomness, legacy_trials, engine_trials in workloads:
-        labels = scheme.prover(configuration)
+        name = f"fault:{name}"
+        labels = _proof_fault(scheme, configuration, randomness, name)
         plan, rates, samples = _measure(
             scheme, configuration, labels, randomness, legacy_trials, engine_trials
         )
@@ -606,10 +630,10 @@ def test_engine_throughput(benchmark, report):
             >= REQUIRED_SHARDED_SPEEDUP
         )
 
-    # pytest-benchmark row: one vectorized engine chunk on the plain
+    # pytest-benchmark row: one vectorized engine chunk on the faulted
     # compiled scheme, counter-based draws.
     scheme = FingerprintCompiledRPLS(SpanningTreePLS())
-    labels = scheme.prover(spanning)
+    labels = _proof_fault(scheme, spanning, "edge", "benchmark row")
     plan = VerificationPlan.compile(scheme, spanning, labels=labels)
     benchmark(
         lambda: estimate_acceptance_fast(

@@ -16,6 +16,11 @@ tier-1 via ``tests/test_bench_smoke.py``, and standalone via
   whose scalar CounterRng path must agree with the batched draw kernel;
 - a short :func:`~repro.engine.estimate_acceptance_fast` run completes and
   one-sided completeness holds (every trial accepts on the legal state);
+- honest labels never reach a kernel's lookup (an honest plan has no dirty
+  pair), so one pinned single-bit proof fault per kernel family
+  (fingerprint, threshold, parity) must leave the kernel state
+  non-constant, and its vectorized decisions must match the scalar ones
+  per trial in every rng mode;
 - the parallel subsystem wiring holds end to end: a tiny campaign runs
   through the **process executor**, the sharded merge equals the
   single-process estimate verdict-count for verdict-count, and the pool
@@ -34,12 +39,14 @@ import multiprocessing
 import pathlib
 import sys
 
+from repro.core.bitstrings import BitString
 from repro.core.boosting import BoostedRPLS
 from repro.core.compiler import FingerprintCompiledRPLS
 from repro.core.seeding import derive_trial_seed
 from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.core.verifier import verify_randomized
 from repro.engine import VerificationPlan, estimate_acceptance_fast
+from repro.engine.kernels import vector_state
 from repro.graphs.generators import (
     flow_configuration,
     mst_configuration,
@@ -126,6 +133,55 @@ def smoke_workload(name, scheme, configuration, randomness):
             f"{name}: vector-rng completeness violated ({vector_estimate})"
         )
     return [name, plan.half_edge_count, "numpy" if plan.vector_ready else "scalar", "ok"]
+
+
+#: One pinned single-bit proof fault per kernel family, on the smoke's
+#: spanning tree: (name, scheme, randomness, (victim, flipped bit)).  Each
+#: flip leaves the stored replica at one pair different from its sender.
+FAULT_WORKLOADS = (
+    ("fault:fingerprint", lambda: FingerprintCompiledRPLS(SpanningTreePLS()), "edge", (0, 0)),
+    (
+        "fault:threshold",
+        lambda: BoostedRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), 3),
+        "edge",
+        (0, 0),
+    ),
+    ("fault:parity", lambda: SharedCoinsCompiledRPLS(SpanningTreePLS()), "shared", (0, 0)),
+)
+FAULT_TRIALS = 16
+
+
+def smoke_fault(name, make_scheme, randomness, flip):
+    """One pinned proof fault through the kernel lookup; returns its row."""
+    configuration = spanning_tree_configuration(16, 5, seed=1)
+    scheme = make_scheme()
+    labels = dict(scheme.prover(configuration))
+    victim, bit = flip
+    label = labels[victim]
+    labels[victim] = BitString(label.value ^ (1 << bit), label.length)
+    plan = VerificationPlan.compile(
+        scheme, configuration, labels=labels, randomness=randomness
+    )
+    assert plan.constant_verdict is None and plan.vector_ready, (
+        f"{name}: the pinned flip no longer reaches the kernel"
+    )
+    state = vector_state(plan)
+    dirty = state.dirty_pairs
+    assert not state.constant_false and dirty, (
+        f"{name}: the pinned flip folds to a constant kernel state"
+    )
+    seeds = [derive_trial_seed(0, trial) for trial in range(FAULT_TRIALS)]
+    for rng_mode in ("compat", "fast", "vector"):
+        scalar = [plan.run_trial(seed, rng_mode) for seed in seeds]
+        chunk = plan.run_trials(seeds, rng_mode=rng_mode, vectorize=True)
+        singles = [
+            bool(plan.run_trials([seed], rng_mode=rng_mode, vectorize=True))
+            for seed in seeds
+        ]
+        assert singles == scalar and chunk == sum(scalar), (
+            f"{name}: vectorized {rng_mode} decisions diverged from the scalar path"
+        )
+    return [name, plan.half_edge_count, f"numpy, {dirty} dirty", "ok"]
 
 
 def smoke_spec_registry():
@@ -538,6 +594,7 @@ def smoke_observability():
 
 def main() -> int:
     rows = [smoke_workload(*workload) for workload in workloads()]
+    rows.extend(smoke_fault(*workload) for workload in FAULT_WORKLOADS)
     rows.extend(smoke_spec_registry())
     rows.extend(smoke_parallel())
     rows.extend(smoke_bench_history())

@@ -13,7 +13,7 @@ Two checks, miniatures of the perun ``check`` family:
   speedup-over-legacy values across the workloads both profiles share (the
   discrete integral of the speedup curve).  Single-kernel jitter averages
   out in the integral, so a smaller relative drop is meaningful here; a
-  real regression in a shared kernel (the Horner pass, the popcount
+  real regression in a shared kernel (the agree-row lookup, the popcount
   kernel) drags the whole column down and is caught even when each
   individual workload's drop hides inside its own noise.
 

@@ -241,11 +241,11 @@ class FingerprintCompiledRPLS(RandomizedScheme):
         Compiled certificates are pure polynomial fingerprints, so a node's
         entire per-trial behaviour is captured by its coefficient arrays plus
         the trial-invariant base verdict; :mod:`repro.engine.kernels` then
-        replays whole Monte-Carlo chunks through batched numpy Horner passes
-        with decisions identical to :meth:`engine_certificate` /
-        :meth:`engine_verify`.  Returns ``None`` (scalar fallback) when numpy
-        is unavailable or a subclass swapped the certificate format (the
-        shared-coins compiler).
+        replays whole Monte-Carlo chunks as lookups in agree rows it
+        tabulates once per plan, with decisions identical to
+        :meth:`engine_certificate` / :meth:`engine_verify`.  Returns
+        ``None`` (scalar fallback) when numpy is unavailable or a subclass
+        swapped the certificate format (the shared-coins compiler).
         """
         if not isinstance(context, _CompiledNodeContext):
             return None

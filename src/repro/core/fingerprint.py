@@ -247,11 +247,11 @@ class Fingerprinter:
 
     # -- vectorized (numpy) backend ---------------------------------------------
     #
-    # The batched engine's Monte-Carlo chunks evaluate the *same* label
-    # polynomial at hundreds of query points (one per trial and repetition).
-    # The chunk kernel below runs that as a single vectorized Horner pass:
-    # bit-identical values to the scalar loops above (int64 stays exact for
-    # every fingerprint prime), at a fraction of the interpreted cost.
+    # Evaluating one label polynomial at many query points at once (the
+    # batched engine tabulates whole fields this way) is a single vectorized
+    # Horner pass: bit-identical values to the scalar loops above (int64
+    # stays exact for every fingerprint prime), at a fraction of the
+    # interpreted cost.
 
     def vectorizable(self) -> bool:
         """True when this fingerprinter's field supports the numpy kernels."""

@@ -173,9 +173,10 @@ def stream_words(stream_seeds: "object", counters: "object") -> "object":
 def derive_stream_seed_array(trial_seeds: "object", node_index: int, port: int) -> "object":
     """Vectorized :func:`derive_stream_seed` over a chunk of trial seeds.
 
-    ``trial_seeds`` must already be reduced into ``[0, 2**64)`` (mask
-    negative legacy-mode seeds with ``& ((1 << 64) - 1)`` first); the result
-    is bit-identical to the scalar derivation per entry.
+    ``trial_seeds`` must already be reduced into ``[0, 2**64)``: a caller's
+    seed may be any int, negative included, so mask it with
+    ``& ((1 << 64) - 1)`` first.  The result is bit-identical to the scalar
+    derivation per entry.
     """
     base = splitmix64_array(trial_seeds)
     tag = ((node_index + 1) << 20) ^ (port + 1)

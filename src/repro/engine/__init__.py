@@ -50,8 +50,8 @@ Knobs
   sets how many trials run between stop-rule checks.
 - ``vectorize=...`` selects the numpy trial-chunk kernel
   (:mod:`repro.engine.kernels`): fingerprint-certificate schemes run whole
-  Monte-Carlo chunks as batched Horner passes, decision-identical to the
-  scalar path.  Auto-enabled under ``rng_mode="fast"`` when supported.
+  Monte-Carlo chunks as lookups in per-plan agree rows (one draw, one
+  gather, one ``all``), decision-identical to the scalar path.  Auto-enabled under ``rng_mode="fast"`` when supported.
 - :class:`PlanCache` memoizes compiled plans by input *value* for drivers
   that revisit the same ``(scheme, configuration, labels)`` states — e.g.
   the self-stabilization loop's fault/recovery cycle.

@@ -5,63 +5,71 @@ almost all of its per-trial time in two interpreted Horner loops (sender-side
 fingerprint sampling, receiver-side checking): one multiply-add-mod step per
 label bit, per query point, per half-edge, per trial.  For a scheme whose
 certificates are *pure polynomial fingerprints* — the Theorem 3.1 compiler
-and its boosted wrapper — those loops share their coefficient vectors across
-every trial of a Monte-Carlo chunk, so the whole chunk collapses to a few
-batched :func:`repro.substrates.gf.poly_eval_rows` passes:
+and its boosted wrapper — none of that arithmetic depends on the trial.  The
+fingerprint field is tiny (``p < 6 * lam``), so the check on a (receiver,
+port) pair is a fixed boolean function of the drawn point ``x``:
+
+- a pair is **clean** when the receiver's field and stored replica equal the
+  sender's field and label polynomial; it passes every check for every
+  ``x`` and drops out of the kernel;
+- a pair is **dirty** otherwise, and its check is tabulated once, over
+  ``x in range(p_s)`` (the sender's field, where its points are drawn), as
+  the *agree row* ``x < p_r and A_s(x) < p_r and Q_r(x) == A_s(x)``.
+
+Horner runs only while the agree rows are built (:meth:`_VectorState.prepare`,
+batched :func:`repro.substrates.gf.poly_eval_rows` passes over ``arange(p)``).
+A chunk is then three stages, touching only the dirty pairs:
 
 1. **draw** — in ``rng_mode="compat"`` and ``"fast"`` the chunk's query
    points are drawn with the *same* ``random.Random`` calls, in the *same*
-   order, as the scalar hook path (Horner evaluation consumes no randomness,
-   so deferring it cannot change any draw).  This is what keeps the kernel
+   order, as the scalar hook path (the checks consume no randomness), and
+   the dirty pairs' columns are kept.  This is what keeps the kernel
    decision-identical per trial: in compat mode to the legacy one-shot
    oracle, in fast mode to the scalar fast path.  In ``rng_mode="vector"``
    the draws come from the counter-based SplitMix64 stream of
    :mod:`repro.core.seeding`, whose word ``k`` is a closed-form function of
-   ``(stream seed, k)`` — the entire chunk's points evaluate as **one**
-   ``uint64`` array op (:func:`repro.core.seeding.stream_words`), with zero
-   per-point Python-level loop iterations; the scalar
-   :class:`~repro.core.seeding.CounterRng` path replays the identical words,
-   so vector mode too is decision-identical between its kernels.
-2. **evaluate** — every sender's label polynomial is evaluated at all of its
-   ``trials x draws`` points in one grouped Horner pass (rows grouped by
-   ``(prime, degree)``; the honest case is a single group).
-3. **check** — every receiver evaluates its stored replica at the points it
-   received, again as one grouped pass, and the per-trial accept bit is the
-   conjunction of the elementwise comparisons plus each node's
-   trial-invariant residual verdict.
+   ``(stream seed, k)`` — only the dirty pairs' counters are evaluated, as
+   **one** ``uint64`` array op (:func:`repro.core.seeding.stream_words`);
+   the scalar :class:`~repro.core.seeding.CounterRng` path replays the
+   identical words, so vector mode too is decision-identical between its
+   kernels.
+2. **gather** — every drawn point is looked up in its pair's agree row.
+3. **all** — a trial accepts iff every looked-up entry is True.
+
+A plan with no dirty pair (every honest plan) accepts every trial: its chunk
+is all-True and draws nothing.
 
 A second kernel family covers the shared-coins compiler
 (:class:`~repro.core.shared.SharedCoinsCompiledRPLS`), whose certificates
 are GF(2) inner products rather than polynomial evaluations: sender and
 receiver agree on an edge exactly when ``parity((own ^ stored) & mask) ==
 0`` for every public mask, so the plan compiles each (receiver, port) pair
-into a packed-``uint64`` XOR-diff row and a whole chunk's checks batch as
-one AND + XOR-reduce + popcount-parity pass
-(:func:`repro.substrates.gf.gf2_inner_parities`).
+into a packed-``uint64`` XOR-diff row, keeps the nonzero rows (a zero row
+never fails), and a whole chunk's checks batch as one AND + XOR-reduce +
+popcount-parity pass (:func:`repro.substrates.gf.gf2_inner_parities`).
 
 Eligibility is decided once per plan (:func:`vector_state`): the scheme must
 expose the optional ``engine_vector_spec`` hook and every node context must
 produce a spec of one kind — :class:`~repro.core.fingerprint.FingerprintVectorSpec`
-for the Horner kernel, :class:`~repro.core.shared.ParityVectorSpec` for the
-parity kernel — otherwise the plan runs the scalar hook path unchanged.
-Trial-invariant rejections (a node whose residual verdict is False, a
-sender/receiver fingerprint-format mismatch, a shared-coins plan run without
-public coins) make every trial of the plan reject; the kernels fold them
-into a constant-False chunk without touching the arithmetic, mirroring the
-plan-level constant-False short-circuit for unparseable labels.
+for the agreement-table kernel, :class:`~repro.core.shared.ParityVectorSpec`
+for the parity kernel — otherwise the plan runs the scalar hook path
+unchanged.  Trial-invariant rejections (a node whose residual verdict is
+False, a sender/receiver fingerprint-format mismatch, a shared-coins plan run
+without public coins) make every trial of the plan reject; the kernels fold
+them into a constant-False chunk without touching the arithmetic, mirroring
+the plan-level constant-False short-circuit for unparseable labels.
 
 Arithmetic is exact: coefficients and query points live below the
-fingerprint prime ``p < 6 * lam``, so every Horner step stays below
-``p**2 + p``, far inside int64 (enforced via
-:func:`repro.substrates.gf.vectorizable_prime`); the GF(2) kernel is plain
-bitwise algebra on ``uint64`` lanes.
+fingerprint prime, so every Horner step stays below ``p**2 + p``, far inside
+int64 (enforced via :func:`repro.substrates.gf.vectorizable_prime`); the
+GF(2) kernel is plain bitwise algebra on ``uint64`` lanes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.fingerprint import FingerprintVectorSpec
 from repro.core.scheme import SHARED_RNG_SUFFIX
@@ -88,26 +96,43 @@ _UNSET = object()
 _MASK64 = (1 << 64) - 1
 
 
+class _DirtyPair(NamedTuple):
+    """A (receiver, port) pair whose check depends on the drawn point."""
+
+    source: int                      # flat half-edge delivering the message
+    sender_prime: int                # field the points are drawn in
+    sent: "object"                   # sender's label polynomial A_s
+    receiver_prime: int
+    stored: "object"                 # receiver's stored replica Q_r
+
+
 @dataclass
 class _VectorState:
-    """Per-plan immutable description consumed by the fingerprint kernel."""
+    """Per-plan description consumed by the fingerprint agreement kernel."""
 
     draws: int                       # query points drawn per half-edge call
     primes: Tuple[int, ...]          # per node: its fingerprint field
     constant_false: bool             # some node rejects every trial
-    # Sender groups: rows share (prime, degree); one row per half-edge.
-    # (prime, flat half-edge indices, coefficient matrix)
-    sender_groups: Tuple[Tuple[int, "object", "object"], ...]
-    # Receiver groups: one row per (receiver, port) pair; ``sources`` are the
-    # flat indices of the half-edges whose messages the rows check.
-    # (receiver prime, source flat indices, stored-coefficient matrix)
-    receiver_groups: Tuple[Tuple[int, "object", "object"], ...]
-    # Vector-mode draw layout (None on constant-False states): the flat
-    # counter of each (half-edge, draw) position in its trial stream, and
-    # the field each position reduces into — together they turn the whole
-    # chunk's draws into stream_words(bases, counters) % flat_primes.
-    counters: Optional["object"] = None       # (half_edges * draws,) uint64
-    flat_primes: Optional["object"] = None    # (half_edges * draws,) uint64
+    pairs: Tuple[_DirtyPair, ...] = ()
+    # Per (dirty pair, draw) position, in pair-major order: the stream
+    # counter of the position (vector mode), the field it reduces into, and
+    # the start of its pair's row in ``agree``.
+    counters: Optional["object"] = None       # (pairs * draws,) uint64
+    draw_primes: Optional["object"] = None    # (pairs * draws,) uint64
+    row_starts: Optional["object"] = None     # (pairs * draws,) int64
+    # The dirty pairs' agree rows, concatenated (row i has sender_prime
+    # entries); built by prepare(), memoized.
+    agree: Optional["object"] = None
+
+    @property
+    def dirty_pairs(self) -> int:
+        return len(self.pairs)
+
+    def prepare(self) -> "_VectorState":
+        """Build the agree rows once; later calls evaluate nothing."""
+        if self.agree is None and self.pairs:
+            self.agree = _agree_rows(self.pairs)
+        return self
 
 
 @dataclass
@@ -118,21 +143,30 @@ class _ParityState:
     width: int                       # replica width the masks are drawn at
     mask_words: int                  # ceil(width / 64)
     constant_false: bool             # some node rejects every trial
-    # One packed XOR-diff row per (receiver, port) pair: the parity checks
-    # of a trial pass exactly when every mask's inner product with every
-    # row is 0.
-    diff_words: Optional["object"] = None     # (pairs, mask_words) uint64
+    # One packed XOR-diff row per (receiver, port) pair whose diff is
+    # nonzero: the parity checks of a trial pass exactly when every mask's
+    # inner product with every row is 0.
+    diff_words: Optional["object"] = None     # (dirty pairs, mask_words) uint64
+
+    @property
+    def dirty_pairs(self) -> int:
+        return 0 if self.diff_words is None else len(self.diff_words)
+
+    def prepare(self) -> "_ParityState":
+        return self
 
 
 def vector_state(plan):
     """Build (and cache on the plan) the vectorized description, if eligible.
 
-    Returns a :class:`_VectorState` (fingerprint Horner kernel), a
+    Returns a :class:`_VectorState` (fingerprint agreement kernel), a
     :class:`_ParityState` (shared-coins GF(2) kernel), or ``None`` when the
     plan cannot run vectorized: numpy missing, no scheme hooks, a hook
     context without a vector spec, mixed spec kinds, or an
     unparseable-label context — the latter is already a plan-level constant
-    False and never reaches the kernel.
+    False and never reaches the kernel.  Building the state compares
+    coefficients only; the fingerprint agree rows are built by the state's
+    ``prepare()`` (called by ``plan.prepare()`` and by the first chunk).
     """
     cached = getattr(plan, "_vector_state", _UNSET)
     if cached is not _UNSET:
@@ -142,18 +176,12 @@ def vector_state(plan):
     return state
 
 
-def _half_edge_owners(plan) -> Tuple[List[int], List[int]]:
-    """Flat-layout helpers: per-node offsets and per-half-edge owner index."""
-    offsets: List[int] = []
-    total = 0
-    for degree in plan.degrees:
-        offsets.append(total)
-        total += degree
-    owner = [0] * total
-    for i, offset in enumerate(offsets):
-        for port in range(plan.degrees[i]):
-            owner[offset + port] = i
-    return offsets, owner
+def _half_edge_owners(plan) -> List[int]:
+    """The owning node index of every flat half-edge."""
+    owner: List[int] = []
+    for i, degree in enumerate(plan.degrees):
+        owner.extend([i] * degree)
+    return owner
 
 
 def _build_vector_state(plan):
@@ -184,86 +212,87 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
     if len(draws) != 1:  # pragma: no cover - one scheme, one draw count
         return None
     draw_count = draws.pop()
+    primes = tuple(spec.prime for spec in specs)
 
     constant_false = any(not spec.accepts_when_checks_pass for spec in specs)
 
     # Sender/receiver fingerprint-format mismatches (a forged label claiming
     # a different kappa) are trial-invariant: the scalar check_raw rejects on
     # packed width / point count before any arithmetic, every trial.
-    offsets, owner = _half_edge_owners(plan)
+    # Otherwise a pair is dirty unless its receiver checks the sender's own
+    # polynomial over the sender's own field.
+    owner = _half_edge_owners(plan)
+    pairs: List[_DirtyPair] = []
     for i, incoming_ports in enumerate(plan.incoming):
-        for j in incoming_ports:
-            sender = specs[owner[j]]
-            receiver = specs[i]
+        receiver = specs[i]
+        for port, source in enumerate(incoming_ports):
+            sender = specs[owner[source]]
             if (
                 sender.certificate_bits != receiver.certificate_bits
                 or sender.sub_points != receiver.sub_points
             ):
                 constant_false = True
+            stored = receiver.stored[port]
+            if receiver.prime != sender.prime or not _np.array_equal(stored, sender.own):
+                pairs.append(
+                    _DirtyPair(source, sender.prime, sender.own, receiver.prime, stored)
+                )
 
-    if constant_false:
-        return _VectorState(
-            draws=draw_count,
-            primes=tuple(spec.prime for spec in specs),
-            constant_false=True,
-            sender_groups=(),
-            receiver_groups=(),
-        )
+    if constant_false or not pairs:
+        return _VectorState(draws=draw_count, primes=primes, constant_false=constant_false)
 
-    # Group sender rows (one per half-edge) by (prime, polynomial degree) so
-    # each group is a single poly_eval_rows pass.
-    sender_rows: Dict[Tuple[int, int], Tuple[List[int], List["object"]]] = {}
-    for i, spec in enumerate(specs):
-        key = (spec.prime, len(spec.own))
-        for port in range(plan.degrees[i]):
-            indices, rows = sender_rows.setdefault(key, ([], []))
-            indices.append(offsets[i] + port)
-            rows.append(spec.own)
-    sender_groups = tuple(
-        (prime, _np.asarray(indices, dtype=_np.intp), _np.vstack(rows))
-        for (prime, _), (indices, rows) in sender_rows.items()
-    )
-
-    # Group receiver rows (one per (receiver, port) pair) the same way; the
-    # row's points come from the half-edge delivering that port's message.
-    receiver_rows: Dict[Tuple[int, int], Tuple[List[int], List["object"]]] = {}
-    for i, spec in enumerate(specs):
-        for port, source in enumerate(plan.incoming[i]):
-            stored = spec.stored[port]
-            key = (spec.prime, len(stored))
-            sources, rows = receiver_rows.setdefault(key, ([], []))
-            sources.append(source)
-            rows.append(stored)
-    receiver_groups = tuple(
-        (prime, _np.asarray(sources, dtype=_np.intp), _np.vstack(rows))
-        for (prime, _), (sources, rows) in receiver_rows.items()
-    )
-
-    # Vector-mode layout.  Half-edge h's draw d sits at flat position
-    # h * draws + d; under edge/node randomness one stream feeds every
-    # position in sequence, under shared randomness every half-edge replays
-    # the public stream from word 0 (each sender re-seeds per call).
-    primes = tuple(spec.prime for spec in specs)
-    flat_primes = _np.repeat(
-        _np.asarray(primes, dtype=_np.uint64),
-        _np.asarray(plan.degrees, dtype=_np.intp) * draw_count,
-    )
+    # Dirty pair k's draw d sits at position k * draws + d.  Under edge/node
+    # randomness one stream feeds every half-edge in sequence (half-edge h's
+    # draw d is word h * draws + d); under shared randomness every half-edge
+    # replays the public stream from word 0 (each sender re-seeds per call).
+    draw_range = _np.arange(draw_count, dtype=_np.uint64)
+    sources = _np.asarray([pair.source for pair in pairs], dtype=_np.uint64)
     if plan.randomness == "shared":
-        counters = _np.tile(
-            _np.arange(draw_count, dtype=_np.uint64), plan.half_edge_count
-        )
+        counters = _np.tile(draw_range, len(pairs))
     else:
-        counters = _np.arange(plan.half_edge_count * draw_count, dtype=_np.uint64)
+        counters = (sources[:, None] * _np.uint64(draw_count) + draw_range).reshape(-1)
+    sender_primes = _np.asarray([pair.sender_prime for pair in pairs], dtype=_np.int64)
+    starts = _np.concatenate(([0], _np.cumsum(sender_primes)[:-1]))
 
     return _VectorState(
         draws=draw_count,
         primes=primes,
         constant_false=False,
-        sender_groups=sender_groups,
-        receiver_groups=receiver_groups,
+        pairs=tuple(pairs),
         counters=counters,
-        flat_primes=flat_primes,
+        draw_primes=_np.repeat(sender_primes.astype(_np.uint64), draw_count),
+        row_starts=_np.repeat(starts, draw_count),
     )
+
+
+def _agree_rows(pairs):
+    """Every dirty pair's check tabulated over its sender's field, concatenated.
+
+    The only Horner evaluation of the kernel: each distinct (field,
+    polynomial) is evaluated once over ``arange(p_s)``, the sender's field
+    (a sender-side fault dirties every pair its polynomial reaches).
+    """
+    evaluated: Dict[Tuple[int, int, bytes], "object"] = {}
+
+    def values(coefficients, prime, points):
+        key = (prime, len(points), coefficients.tobytes())
+        if key not in evaluated:
+            evaluated[key] = poly_eval_rows(
+                coefficients.reshape(1, -1), points.reshape(1, -1), prime
+            )[0]
+        return evaluated[key]
+
+    rows = []
+    for pair in pairs:
+        points = _np.arange(pair.sender_prime, dtype=_np.int64)
+        sent = values(pair.sent, pair.sender_prime, points)
+        checked = values(pair.stored, pair.receiver_prime, points)
+        rows.append(
+            (points < pair.receiver_prime)
+            & (sent < pair.receiver_prime)
+            & (checked == sent)
+        )
+    return _np.concatenate(rows)
 
 
 def _build_parity_state(plan, specs) -> Optional[_ParityState]:
@@ -297,16 +326,17 @@ def _build_parity_state(plan, specs) -> Optional[_ParityState]:
             constant_false=True,
         )
 
-    _offsets, owner = _half_edge_owners(plan)
+    owner = _half_edge_owners(plan)
     diffs: List[List[int]] = []
     for i, spec in enumerate(specs):
         for port, source in enumerate(plan.incoming[i]):
             diff = spec.stored_values[port] ^ specs[owner[source]].own_value
-            diffs.append(pack_value_words(diff, width))
+            if diff:
+                diffs.append(pack_value_words(diff, width))
     diff_words = (
         _np.asarray(diffs, dtype=_np.uint64)
         if diffs and mask_words
-        else None  # edgeless graph or width 0: every parity check passes
+        else None  # no nonzero diff (or width 0): every parity check passes
     )
     return _ParityState(
         repetitions=t,
@@ -336,43 +366,23 @@ def run_chunk(plan, trial_seeds, rng_mode: Optional[str] = None):
         return _np.zeros(trials, dtype=bool)
     if isinstance(state, _ParityState):
         return _run_parity_chunk(plan, state, trial_seeds, rng_mode)
-
-    xs = _draw_points(plan, state, trial_seeds, rng_mode)
-    draws = state.draws
-
-    # Sender evaluation: values[t, j, d] = A_j(xs[t, j, d]) over the sender's
-    # field, where A_j is the label polynomial of half-edge j's owner.
-    values = _np.empty_like(xs)
-    for prime, indices, coefficients in state.sender_groups:
-        points = xs[:, indices, :].transpose(1, 0, 2).reshape(len(indices), -1)
-        evaluated = poly_eval_rows(coefficients, points, prime)
-        values[:, indices, :] = evaluated.reshape(
-            len(indices), trials, draws
-        ).transpose(1, 0, 2)
-
-    # Receiver checks: the stored replica's evaluation must equal the claimed
-    # value, and both coordinates must lie inside the receiver's field.
-    accept = _np.ones(trials, dtype=bool)
-    for prime, sources, coefficients in state.receiver_groups:
-        rows = len(sources)
-        points = xs[:, sources, :].transpose(1, 0, 2).reshape(rows, -1)
-        claimed = values[:, sources, :].transpose(1, 0, 2).reshape(rows, -1)
-        expected = poly_eval_rows(coefficients, points, prime)
-        ok = (points < prime) & (claimed < prime) & (expected == claimed)
-        per_trial = ok.reshape(rows, trials, draws).all(axis=2).all(axis=0)
-        accept &= per_trial
-    return accept
+    if not state.pairs:
+        return _np.ones(trials, dtype=bool)  # every check passes every x
+    agree = state.prepare().agree
+    points = _draw_dirty_points(plan, state, trial_seeds, rng_mode)
+    return agree[points + state.row_starts].all(axis=1)
 
 
 # -- query-point derivation -----------------------------------------------------
 #
 # Each helper replays the exact rng consumption of the scalar hook path for
 # its (rng_mode, randomness) pair: same seeds, same reseed boundaries, same
-# randrange arguments, same order.  The only difference is that the Horner
-# evaluation between draws is deferred — it consumes no randomness.  Compat
-# and fast modes necessarily replay random.Random call by call; vector mode
-# has no sequential generator at all, so its draw stage is a single
-# stream_words broadcast with zero per-point Python iterations.
+# randrange arguments, same order.  The only difference is that the checks
+# between draws are looked up afterwards — they consume no randomness.
+# Compat and fast modes necessarily replay random.Random call by call, for
+# every half-edge, and keep the dirty pairs' columns; vector mode has no
+# sequential generator at all, so its draw stage is a single stream_words
+# broadcast over the dirty pairs' counters alone.
 
 
 def _vector_bases(plan, trial_seeds):
@@ -380,8 +390,9 @@ def _vector_bases(plan, trial_seeds):
 
     Edge/node randomness feeds one sequential stream per trial (the same
     ``derive_stream_seed(trial_seed, 0, 0)`` addressing as fast mode);
-    shared randomness uses the public stream address.  Legacy-mode trial
-    seeds may be negative, hence the mask before the uint64 conversion.
+    shared randomness uses the public stream address.  A caller's trial
+    seed may be any int, negative included, hence the mask before the
+    uint64 conversion.
     """
     masked = [seed & _MASK64 for seed in trial_seeds]
     if plan.randomness == "shared":
@@ -389,18 +400,22 @@ def _vector_bases(plan, trial_seeds):
     return derive_stream_seed_array(masked, 0, 0)
 
 
+def _draw_dirty_points(plan, state: _VectorState, trial_seeds, rng_mode: str):
+    """The chunk's points at the dirty pairs: a (trials, pairs * draws) array."""
+    if rng_mode == "vector":
+        words = stream_words(_vector_bases(plan, trial_seeds), state.counters)
+        return (words % state.draw_primes).astype(_np.int64)
+    sources = [pair.source for pair in state.pairs]
+    return _draw_points(plan, state, trial_seeds, rng_mode)[:, sources, :].reshape(
+        len(trial_seeds), len(sources) * state.draws
+    )
+
+
 def _draw_points(plan, state: _VectorState, trial_seeds, rng_mode: str):
+    """Every half-edge's points, replayed: a (trials, half-edges, draws) array."""
     draws = state.draws
     primes = state.primes
     degrees = plan.degrees
-
-    if rng_mode == "vector":
-        words = stream_words(_vector_bases(plan, trial_seeds), state.counters)
-        return (
-            (words % state.flat_primes[None, :])
-            .astype(_np.int64)
-            .reshape(len(trial_seeds), plan.half_edge_count, draws)
-        )
 
     randomness = plan.randomness
     flat: List[int] = []
@@ -501,7 +516,7 @@ def _run_parity_chunk(plan, state: _ParityState, trial_seeds, rng_mode: str):
     """The GF(2) chunk: every trial's parity checks as one popcount pass."""
     trials = len(trial_seeds)
     if state.diff_words is None:
-        # No edges, or zero-width replicas: nothing randomized can fail.
+        # No nonzero diff row: nothing randomized can fail, nothing is drawn.
         return _np.ones(trials, dtype=bool)
     masks = _draw_masks(plan, state, trial_seeds, rng_mode)
     # parities[t, m, pair] = <diff_pair, mask_{t,m}> over GF(2); a trial

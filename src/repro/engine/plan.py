@@ -70,8 +70,8 @@ its whole-chunk numpy equivalent) for ``random.Random``.
 Fourth, optional, for vectorization: ``engine_vector_spec(ctx)`` returns a
 :class:`~repro.core.fingerprint.FingerprintVectorSpec` (or ``None``) for
 schemes whose certificates are pure polynomial fingerprints; when every
-context yields one, whole trial chunks execute through the batched numpy
-Horner kernels of :mod:`repro.engine.kernels` with per-trial decisions
+context yields one, whole trial chunks execute through the numpy
+agreement-table kernel of :mod:`repro.engine.kernels` with per-trial decisions
 identical to the scalar hook path (``plan.vector_ready`` /
 ``run_trials(..., vectorize=True)``).
 
@@ -286,22 +286,27 @@ class VerificationPlan:
         """Force every lazily-built execution structure now; returns self.
 
         The vectorized kernel description (:func:`repro.engine.kernels.vector_state`)
-        is built on first use and memoized on the plan.  A plan shared by
-        concurrent shard workers (:class:`repro.parallel.ThreadExecutor`)
-        would otherwise build it racily — harmlessly, since every builder
-        computes the same immutable value, but redundantly, once per worker.
+        and the fingerprint kernel's agree rows are built on first use and
+        memoized on the plan.  A plan shared by concurrent shard workers
+        (:class:`repro.parallel.ThreadExecutor`) would otherwise build them
+        racily — harmlessly, since every builder computes the same value,
+        but redundantly, once per worker.
         Executors call ``prepare()`` once before fanning a plan out so the
         workers only ever read.  ``vectorize=True`` additionally asserts the
         plan really has a kernel (same contract as
         ``estimate_acceptance_fast(vectorize=True)``).
         """
         if self.constant_verdict is None:
-            ready = self.vector_ready  # builds and memoizes the state
-            if vectorize and not ready:
+            from repro.engine.kernels import vector_state
+
+            state = vector_state(self)  # builds and memoizes the state
+            if vectorize and state is None:
                 raise ValueError(
                     "vectorize=True but the plan has no vectorized kernel "
                     "(numpy missing, or the scheme has no engine_vector_spec hook)"
                 )
+            if state is not None:
+                state.prepare()
         return self
 
     # -- per-trial RNG derivation ---------------------------------------------

@@ -6,7 +6,7 @@ kernels the engine already vectorizes (:mod:`repro.engine.kernels`,
 
 - **fingerprint** — polynomial-identity fingerprints over ``GF(p)``
   (Lemma A.1): the Theorem 3.1 compiler and everything built on it,
-  executed by the batched Horner kernel;
+  executed by the agreement-table kernel;
 - **parity** — packed-``uint64`` GF(2) inner products: the Section 6
   shared-coins compiler, executed by the popcount-parity kernel (public
   coins, so ``randomness="shared"``);

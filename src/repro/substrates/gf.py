@@ -207,12 +207,10 @@ def poly_eval_rows(highest_first_rows, xs_rows, p: int):
     an int64 matrix whose row ``i`` holds the query points for polynomial
     ``i``.  Returns the matching matrix of evaluations over ``GF(p)``.
 
-    This is the batched-engine shape: one row per half-edge (or per
-    verifier-side stored replica), one column per (trial, repetition) query
-    point — the whole Monte-Carlo chunk's fingerprint arithmetic collapses
-    to ``deg`` numpy passes regardless of how many rows share the field.
-    Callers group rows by ``(p, degree)`` first; see
-    :mod:`repro.engine.kernels`.
+    Rows must share one degree (the coefficient matrix's width); every row
+    costs ``deg`` numpy passes over its points.  The batched engine
+    evaluates each dirty pair's polynomials over their whole field with it,
+    once per plan; see :mod:`repro.engine.kernels`.
     """
     if _np is None:  # pragma: no cover - callers gate on numpy_available
         raise RuntimeError("numpy backend requested but numpy is unavailable")

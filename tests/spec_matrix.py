@@ -68,16 +68,32 @@ def proof_fault_labels(name, trial_count=30, seed=1):
     compiles at most a handful of candidate plans per scheme.
     """
     spec, scheme, clean, honest = scheme_case(name)
+    return ranked_flip(scheme, clean, honest, spec.randomness, trial_count, seed)
+
+
+def ranked_flip(
+    scheme, configuration, honest, randomness, trial_count=30, seed=1,
+    kernel_draws=False,
+):
+    """The search behind :func:`proof_fault_labels`, for any workload.
+
+    Returns the flipped label assignment (or ``None`` for zero-bit labels).
+    ``kernel_draws=True`` skips every flip whose numpy kernel state is a
+    constant (no kernel, constant False, or no dirty pair) — what
+    ``benchmarks/bench_engine.py`` asks for on its bench-size workloads.
+    """
     seeds = [derive_trial_seed(seed, t) for t in range(trial_count)]
     best, best_rank = None, -1
-    for victim in clean.graph.nodes:
+    for victim in configuration.graph.nodes:
         label = honest[victim]
         for bit in range(min(label.length, 16)):
             labels = dict(honest)
             labels[victim] = BitString(label.value ^ (1 << bit), label.length)
             plan = VerificationPlan.compile(
-                scheme, clean, labels=labels, randomness=spec.randomness
+                scheme, configuration, labels=labels, randomness=randomness
             )
+            if kernel_draws and not kernel_draws_coins(plan):
+                continue
             if plan.constant_verdict is not None:
                 rank = 0
             else:
@@ -90,6 +106,16 @@ def proof_fault_labels(name, trial_count=30, seed=1):
         if best_rank >= 1:
             break
     return best
+
+
+def kernel_draws_coins(plan):
+    """True when the plan's numpy kernel draws coins on every chunk."""
+    from repro.engine.kernels import vector_state
+
+    if plan.constant_verdict is not None:
+        return False
+    state = vector_state(plan)
+    return state is not None and not state.constant_false and state.dirty_pairs > 0
 
 
 def matrix_workload(name, kind):

@@ -987,6 +987,295 @@ class TestParityKernel:
                 assert plan.run_trial(trial_seed) == reference
 
 
+@needs_numpy
+class TestAgreementTable:
+    """Kernels built around dirty pairs: clean pairs drop out, dirty pairs
+    are looked up in agree rows tabulated once per plan."""
+
+    RNG_MODES = ("compat", "fast", "vector")
+
+    @staticmethod
+    def _forbid_draws(monkeypatch):
+        """Make every randomness source the kernels could touch raise."""
+        import repro.engine.kernels as kernels
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an honest chunk drew randomness")
+
+        monkeypatch.setattr(kernels, "stream_words", forbidden)
+        monkeypatch.setattr(random.Random, "randrange", forbidden)
+        monkeypatch.setattr(random.Random, "getrandbits", forbidden)
+
+    @staticmethod
+    def _dirty_receivers(plan):
+        from repro.engine.kernels import vector_state
+
+        sources = {pair.source for pair in vector_state(plan).pairs}
+        return {
+            i for i, ports in enumerate(plan.incoming) for source in ports
+            if source in sources
+        }
+
+    @pytest.mark.parametrize(
+        "scheme, randomness",
+        [
+            (FingerprintCompiledRPLS(SpanningTreePLS()), "edge"),
+            (SharedCoinsCompiledRPLS(SpanningTreePLS()), "shared"),
+        ],
+        ids=("fingerprint", "parity"),
+    )
+    def test_honest_plan_has_no_dirty_pair_and_draws_nothing(
+        self, monkeypatch, scheme, randomness
+    ):
+        from repro.engine.kernels import run_chunk, vector_state
+
+        config = spanning_tree_configuration(14, 5, seed=90)
+        seeds = [derive_trial_seed(3, t) for t in range(64)]
+        self._forbid_draws(monkeypatch)
+        for rng_mode in self.RNG_MODES:
+            plan = VerificationPlan.compile(
+                scheme, config, randomness=randomness, rng_mode=rng_mode
+            )
+            state = vector_state(plan)
+            assert not state.constant_false
+            assert plan.constant_verdict is None  # not folded at plan level
+            assert state.dirty_pairs == 0
+            assert run_chunk(plan, seeds).all()
+            # Still a kernel-level constant: the Wilson stop lands where it
+            # did when every pair was checked, not at the full budget.
+            estimate = estimate_acceptance_fast(
+                plan, 5000, seed=3, stop_halfwidth=0.01, vectorize=True
+            )
+            assert (estimate.accepted, estimate.trials) == (192, 192)
+
+    def _three_receiver_forgery(self):
+        """Two-bit replica flips at three nodes: three dirty pairs, each
+        agreeing on 3 of the 37 points of its field."""
+        config = spanning_tree_configuration(14, 5, seed=91)
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        labels = dict(scheme.prover(config))
+        for victim in (0, 1, 2):
+            label = labels[victim]
+            labels[victim] = BitString(label.value ^ 0b101, label.length)
+        return scheme, config, labels
+
+    @pytest.mark.parametrize("randomness", ALL_MODES)
+    def test_multi_receiver_forgery_matches_scalar(self, randomness):
+        from repro.engine.kernels import run_chunk, vector_state
+
+        scheme, config, labels = self._three_receiver_forgery()
+        seeds = [derive_trial_seed(4, t) for t in range(120)]
+        accepted = 0
+        for rng_mode in self.RNG_MODES:
+            plan = VerificationPlan.compile(
+                scheme, config, labels=labels, randomness=randomness,
+                rng_mode=rng_mode,
+            )
+            state = vector_state(plan)
+            assert not state.constant_false
+            assert len(state.pairs) >= 3
+            assert len(self._dirty_receivers(plan)) >= 3
+            verdicts = [bool(v) for v in run_chunk(plan, seeds)]
+            assert verdicts == [plan.run_trial(seed) for seed in seeds], rng_mode
+            accepted += sum(verdicts)
+        if randomness == "shared":
+            # Every pair sees the same public point, so the three checks
+            # pass together often enough for both verdicts to occur.
+            assert 0 < accepted < 3 * len(seeds)
+
+    @staticmethod
+    def _replace_context(plan, index, **changes):
+        import dataclasses
+
+        contexts = list(plan.contexts)
+        contexts[index] = dataclasses.replace(contexts[index], **changes)
+        plan.contexts = tuple(contexts)
+
+    def test_rootless_difference_rejects_every_trial(self):
+        """A stored replica off by a nonzero constant never agrees."""
+        from repro.engine.kernels import run_chunk, vector_state
+
+        config = spanning_tree_configuration(14, 5, seed=91)
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        seeds = [derive_trial_seed(5, t) for t in range(40)]
+        for rng_mode in self.RNG_MODES:
+            plan = VerificationPlan.compile(scheme, config, rng_mode=rng_mode)
+            context = plan.contexts[0]
+            prime = context.fingerprinter.params.prime
+            stored = list(context.stored_coefficients[0])
+            stored[-1] = (stored[-1] + 1) % prime  # Q_r - A_s = 1
+            self._replace_context(
+                plan, 0,
+                stored_coefficients=(tuple(stored),) + context.stored_coefficients[1:],
+            )
+            state = vector_state(plan).prepare()
+            assert len(state.pairs) == 1 and not state.agree.any()
+            assert not run_chunk(plan, seeds).any()
+            assert not any(plan.run_trial(seed) for seed in seeds)
+
+    def test_equal_coefficients_different_primes_is_dirty(self):
+        """A receiver checking the right polynomial over the wrong field."""
+        from repro.core.fingerprint import Fingerprinter
+        from repro.engine.kernels import vector_state
+
+        config = spanning_tree_configuration(14, 5, seed=91)
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        plan = VerificationPlan.compile(scheme, config)
+        honest = plan.contexts[0].fingerprinter
+        lam = honest.params.lam
+        while True:  # the next field with the same certificate width
+            lam += 1
+            other = Fingerprinter(lam, repetitions=honest.repetitions)
+            if other.params.prime != honest.params.prime:
+                break
+        assert other.certificate_bits == honest.certificate_bits
+        seeds = [derive_trial_seed(6, t) for t in range(60)]
+        for rng_mode in self.RNG_MODES:
+            plan = VerificationPlan.compile(scheme, config, rng_mode=rng_mode)
+            self._replace_context(plan, 0, fingerprinter=other)
+            state = vector_state(plan)
+            assert not state.constant_false
+            incoming = set(plan.incoming[0])
+            dirty = [pair for pair in state.pairs if pair.source in incoming]
+            assert len(dirty) == len(incoming)
+            for pair in dirty:
+                assert pair.receiver_prime != pair.sender_prime
+                assert list(pair.stored) == list(pair.sent)
+            self._assert_rows_match_check_raw(plan, state.prepare())
+            _assert_vector_identical(plan, seeds, rng_modes=(rng_mode,))
+
+    @staticmethod
+    def _assert_rows_match_check_raw(plan, state):
+        """Every agree row entry is the scalar check_raw verdict on its point
+        (this plan's node 0 also sends over a larger field than its
+        neighbours check, so the range conditions are exercised)."""
+        receiver_of = {
+            source: (i, port)
+            for i, ports in enumerate(plan.incoming)
+            for port, source in enumerate(ports)
+        }
+        owner = [i for i, degree in enumerate(plan.degrees) for _ in range(degree)]
+        start = 0
+        for pair in state.pairs:
+            sender = plan.contexts[owner[pair.source]]
+            i, port = receiver_of[pair.source]
+            receiver = plan.contexts[i].fingerprinter
+            row = state.agree[start:start + pair.sender_prime]
+            start += pair.sender_prime
+            for x in range(pair.sender_prime):
+                claimed = 0
+                for coefficient in sender.own_coefficients:
+                    claimed = (claimed * x + coefficient) % pair.sender_prime
+                expected = receiver.check_raw(
+                    plan.contexts[i].stored_coefficients[port],
+                    (receiver.certificate_bits, ((x, claimed),)),
+                )
+                assert bool(row[x]) == expected, (pair.source, x)
+        assert start == len(state.agree)
+        assert any(pair.sender_prime > pair.receiver_prime for pair in state.pairs)
+
+
+@needs_numpy
+class TestAgreementTableSetUp:
+    """Where the field arithmetic runs: only in prepare(), and only once."""
+
+    @staticmethod
+    def _symmetry_fault_plan():
+        import pathlib
+        import sys
+
+        root = str(pathlib.Path(__file__).resolve().parent.parent)
+        if root not in sys.path:
+            sys.path.insert(0, root)
+        from perfbench.workloads import zoo_proof_fault
+
+        from repro.engine import get_spec
+
+        scheme, config, labels = zoo_proof_fault("symmetry")
+        return VerificationPlan.compile(
+            scheme, config, labels=labels,
+            randomness=get_spec("symmetry").randomness, rng_mode="vector",
+        )
+
+    def test_vector_state_does_no_field_arithmetic(self, monkeypatch):
+        import repro.engine.kernels as kernels
+
+        plan = self._symmetry_fault_plan()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("vector_state evaluated a polynomial")
+
+        monkeypatch.setattr(kernels, "poly_eval_rows", forbidden)
+        state = kernels.vector_state(plan)
+        assert not state.constant_false and state.pairs
+        assert max(pair.sender_prime for pair in state.pairs) == 4919
+        assert state.agree is None
+
+    def test_prepare_builds_the_rows_exactly_once(self, monkeypatch):
+        import repro.engine.kernels as kernels
+        from repro.substrates.gf import poly_eval_rows
+
+        plan = self._symmetry_fault_plan()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return poly_eval_rows(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "poly_eval_rows", counting)
+        plan.prepare()
+        built = len(calls)
+        assert built > 0
+        agree = kernels.vector_state(plan).agree
+        plan.prepare()
+        accepted = kernels.run_chunk(plan, [derive_trial_seed(7, t) for t in range(64)])
+        assert len(calls) == built
+        assert kernels.vector_state(plan).agree is agree
+        assert len(accepted) == 64
+
+    def test_concurrent_first_chunks_on_an_unprepared_plan(self):
+        """Threads racing to build the rows may build them twice, but every
+        chunk still sees complete rows and the scalar path's verdicts."""
+        import sys
+        import threading
+
+        from repro.engine.kernels import run_chunk
+
+        config = spanning_tree_configuration(14, 5, seed=91)
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        labels = dict(scheme.prover(config))
+        label = labels[0]
+        labels[0] = BitString(label.value ^ 0b101, label.length)
+        seeds = [derive_trial_seed(8, t) for t in range(64)]
+        reference = VerificationPlan.compile(
+            scheme, config, labels=labels, randomness="shared", rng_mode="vector"
+        )
+        expected = [reference.run_trial(seed) for seed in seeds]
+        assert 0 < sum(expected) < len(seeds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                plan = VerificationPlan.compile(
+                    scheme, config, labels=labels, randomness="shared",
+                    rng_mode="vector",
+                )
+                results = [None] * 6
+
+                def worker(index, plan=plan, results=results):
+                    results[index] = [bool(v) for v in run_chunk(plan, seeds)]
+
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert results == [expected] * 6
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestPlanCacheRngMode:
     """rng_mode is plan state, so it must be cache-key state."""
 
