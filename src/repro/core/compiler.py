@@ -239,7 +239,7 @@ class FingerprintCompiledRPLS(RandomizedScheme):
         """Describe this context to the vectorized trial-chunk kernel.
 
         Compiled certificates are pure polynomial fingerprints, so a node's
-        entire per-trial behaviour is captured by its coefficient arrays plus
+        entire per-trial behaviour is captured by its coefficient tuples plus
         the trial-invariant base verdict; :mod:`repro.engine.kernels` then
         replays whole Monte-Carlo chunks as lookups in agree rows it
         tabulates once per plan, with decisions identical to
@@ -252,18 +252,13 @@ class FingerprintCompiledRPLS(RandomizedScheme):
         fingerprinter = context.fingerprinter
         if not fingerprinter.vectorizable():
             return None
-        import numpy
-
         return FingerprintVectorSpec(
             prime=fingerprinter.params.prime,
             sub_points=fingerprinter.repetitions,
             certificate_bits=fingerprinter.certificate_bits,
             draws=fingerprinter.repetitions,
-            own=numpy.asarray(context.own_coefficients, dtype=numpy.int64),
-            stored=tuple(
-                numpy.asarray(coefficients, dtype=numpy.int64)
-                for coefficients in context.stored_coefficients
-            ),
+            own=context.own_coefficients,
+            stored=context.stored_coefficients,
             accepts_when_checks_pass=context.base_accepts,
         )
 

@@ -39,6 +39,18 @@ from repro.core.encoding import encode_value
 from repro.graphs.port_graph import Node, PortGraph
 
 
+_MUTABLE_CONTAINERS = (list, set, dict, bytearray)
+
+
+def _frozen_value(value: Any) -> bool:
+    """True when ``value`` holds no mutable container at any depth."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(_frozen_value(item) for item in value)
+    if isinstance(value, MappingProxyType):
+        return all(_frozen_value(item) for item in value.values())
+    return not isinstance(value, _MUTABLE_CONTAINERS)
+
+
 @dataclass(frozen=True)
 class NodeState:
     """The full local input of one node.
@@ -65,8 +77,34 @@ class NodeState:
 
     def encoded_bits(self) -> int:
         """Exact size of this state under the canonical codec — the ``k`` of
-        Lemma 3.3 / Corollary 3.4."""
-        return encode_value(self.canonical_value()).length
+        Lemma 3.3 / Corollary 3.4.
+
+        Memoized on frozen states (see :meth:`frozen`), so
+        :class:`~repro.core.scheme.SchemeParams` of a configuration whose
+        states outlive many plan compiles encodes each state once.  The
+        cache lives outside the dataclass fields, so equality and hashing
+        are untouched.
+        """
+        cached = getattr(self, "_encoded_bits", None)
+        if cached is None:
+            cached = encode_value(self.canonical_value()).length
+            if self.frozen():
+                object.__setattr__(self, "_encoded_bits", cached)
+        return cached
+
+    def frozen(self) -> bool:
+        """True when no field holds a mutable container — memoized.
+
+        ``NodeState`` copies its field mapping, but a field *value* may
+        still be a list (or set, dict, bytearray) that someone mutates in
+        place.  Caches keyed on a state's value (the encoded size above,
+        the plan compiler's node-context memo) only trust frozen states.
+        """
+        cached = getattr(self, "_frozen", None)
+        if cached is None:
+            cached = all(_frozen_value(value) for value in self.fields.values())
+            object.__setattr__(self, "_frozen", cached)
+        return cached
 
     def canonical_value(self) -> Tuple[int, Dict[str, Any]]:
         """The codec-ready value: ``(id, fields)`` with plain containers."""

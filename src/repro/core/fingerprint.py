@@ -47,14 +47,16 @@ class FingerprintVectorSpec:
 
     Produced by the optional ``engine_vector_spec`` scheme hook (see
     :mod:`repro.engine.kernels`) for schemes whose certificates are pure
-    polynomial fingerprints.  ``own`` / ``stored`` are int64 numpy arrays of
-    highest-degree-first coefficients — ``own`` for the polynomial this node
-    evaluates when *sending*, ``stored[q]`` for the replica it checks the
-    port-``q`` message against.  ``draws`` is the number of ``randrange``
-    query points drawn per half-edge certificate call (``sub_points`` per
-    sub-certificate, times the boosting factor for wrapped schemes), and
-    ``certificate_bits`` the packed width of one sub-certificate — the two
-    quantities the scalar ``check_raw`` validates before any arithmetic.
+    polynomial fingerprints.  ``own`` / ``stored`` are the node context's
+    tuples of highest-degree-first coefficients — ``own`` for the polynomial
+    this node evaluates when *sending*, ``stored[q]`` for the replica it
+    checks the port-``q`` message against; the kernel compares them as
+    tuples and converts only the dirty pairs' polynomials to int64 arrays.
+    ``draws`` is the number of ``randrange`` query points drawn per
+    half-edge certificate call (``sub_points`` per sub-certificate, times
+    the boosting factor for wrapped schemes), and ``certificate_bits`` the
+    packed width of one sub-certificate — the two quantities the scalar
+    ``check_raw`` validates before any arithmetic.
     ``accepts_when_checks_pass`` is the node's trial-invariant residual
     verdict (for the Theorem 3.1 compiler: the base verifier's decision on
     the stored replicas).
@@ -64,8 +66,8 @@ class FingerprintVectorSpec:
     sub_points: int
     certificate_bits: int
     draws: int
-    own: "object"
-    stored: Tuple["object", ...]
+    own: Tuple[int, ...]
+    stored: Tuple[Tuple[int, ...], ...]
     accepts_when_checks_pass: bool
 
 
@@ -192,8 +194,14 @@ class Fingerprinter:
 
         The shape the Horner evaluations of :meth:`sample_raw` /
         :meth:`check_raw` consume; engine contexts compute this once per
-        label replica at plan-compile time.
+        label replica at plan-compile time.  Bypasses the value-keyed
+        coefficient cache: the plan compiler's node-context memo already
+        dedupes replicas across compiles, and routing every forged replica
+        a compile sees through the cache would only retain them.
         """
+        return tuple(reversed(self._extract_coefficients(data)))
+
+    def _cached_reversed_coefficients(self, data: BitString) -> Tuple[int, ...]:
         return tuple(reversed(self._coefficients(data)))
 
     def make_raw(self, data: BitString, rng: random.Random) -> RawFingerprint:
@@ -202,7 +210,7 @@ class Fingerprinter:
         The drawn points are identical to what :meth:`make` would pack for
         the same ``rng`` state.
         """
-        return self.sample_raw(self.reversed_coefficients(data), rng)
+        return self.sample_raw(self._cached_reversed_coefficients(data), rng)
 
     def sample_raw(
         self, reversed_coefficients: Tuple[int, ...], rng: random.Random
@@ -288,7 +296,7 @@ class Fingerprinter:
 
     def _check_points(self, data: BitString, points) -> bool:
         return self.check_raw(
-            self.reversed_coefficients(data), (self.certificate_bits, points)
+            self._cached_reversed_coefficients(data), (self.certificate_bits, points)
         )
 
 

@@ -56,7 +56,9 @@ class Uncacheable(Exception):
     mutable container* inside a state field (a list a fault injector could
     later mutate in place) would let a key hit return a plan whose captured
     state no longer matches the key's value.  Immutable leaves cannot drift
-    that way; mutable ones make the configuration uncacheable, and
+    that way; mutable ones (:meth:`NodeState.frozen` is False — the same
+    test the plan compiler's node-context memo applies) make the
+    configuration uncacheable, and
     :meth:`PlanCache.get` then compiles fresh every time instead of risking
     a stale replay.  (Every generator in this repository uses tuples for
     per-port fields, so real workloads always cache.)
@@ -64,21 +66,21 @@ class Uncacheable(Exception):
 
 
 def _freeze(value):
-    """Recursively convert a state-field value into a hashable equivalent.
-
-    The field *mapping* itself is safe to walk — :class:`NodeState` copies
-    it at construction — but mutable leaf containers are rejected, see
-    :class:`Uncacheable`.
-    """
+    """Recursively convert a frozen state-field value into a hashable
+    equivalent (callers check :meth:`NodeState.frozen` first)."""
     if isinstance(value, MappingProxyType):
         return tuple(sorted((key, _freeze(value[key])) for key in value))
     if isinstance(value, tuple):
         return tuple(_freeze(item) for item in value)
     if isinstance(value, frozenset):
         return frozenset(_freeze(item) for item in value)
-    if isinstance(value, (list, set, dict, bytearray)):
-        raise Uncacheable(f"mutable state-field container {type(value).__name__}")
     return value
+
+
+def _frozen_fields(state):
+    if not state.frozen():
+        raise Uncacheable(f"state of node id {state.node_id} holds a mutable container")
+    return _freeze(state.fields)
 
 
 def configuration_key(configuration: Configuration) -> Tuple:
@@ -97,7 +99,7 @@ def configuration_key(configuration: Configuration) -> Tuple:
                 node,
                 tuple(graph.ports(node)),
                 configuration.state(node).node_id,
-                _freeze(configuration.state(node).fields),
+                _frozen_fields(configuration.state(node)),
             )
             for node in graph.nodes
         ),

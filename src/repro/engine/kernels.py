@@ -101,9 +101,9 @@ class _DirtyPair(NamedTuple):
 
     source: int                      # flat half-edge delivering the message
     sender_prime: int                # field the points are drawn in
-    sent: "object"                   # sender's label polynomial A_s
+    sent: Tuple[int, ...]            # sender's label polynomial A_s
     receiver_prime: int
-    stored: "object"                 # receiver's stored replica Q_r
+    stored: Tuple[int, ...]          # receiver's stored replica Q_r
 
 
 @dataclass
@@ -233,7 +233,7 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
             ):
                 constant_false = True
             stored = receiver.stored[port]
-            if receiver.prime != sender.prime or not _np.array_equal(stored, sender.own):
+            if receiver.prime != sender.prime or stored != sender.own:
                 pairs.append(
                     _DirtyPair(source, sender.prime, sender.own, receiver.prime, stored)
                 )
@@ -269,16 +269,19 @@ def _agree_rows(pairs):
     """Every dirty pair's check tabulated over its sender's field, concatenated.
 
     The only Horner evaluation of the kernel: each distinct (field,
-    polynomial) is evaluated once over ``arange(p_s)``, the sender's field
-    (a sender-side fault dirties every pair its polynomial reaches).
+    polynomial) is converted to an int64 row and evaluated once over
+    ``arange(p_s)``, the sender's field (a sender-side fault dirties every
+    pair its polynomial reaches).
     """
-    evaluated: Dict[Tuple[int, int, bytes], "object"] = {}
+    evaluated: Dict[Tuple[int, int, Tuple[int, ...]], "object"] = {}
 
     def values(coefficients, prime, points):
-        key = (prime, len(points), coefficients.tobytes())
+        key = (prime, len(points), coefficients)
         if key not in evaluated:
             evaluated[key] = poly_eval_rows(
-                coefficients.reshape(1, -1), points.reshape(1, -1), prime
+                _np.asarray(coefficients, dtype=_np.int64).reshape(1, -1),
+                points.reshape(1, -1),
+                prime,
             )[0]
         return evaluated[key]
 

@@ -26,13 +26,15 @@ plan parses every label **once at compile time** and ships unpacked
 certificate objects between verifier contexts instead of bit strings:
 
 ``engine_node_context(view: LabelView) -> ctx``
-    Called once per node at compile time.  Returns an opaque per-node
-    context holding whatever the scheme's ``certificate`` / ``verify_at``
-    would otherwise re-derive from the label on every call (parsed
-    replicas, fingerprinters, precomputed sub-verdicts).  Must raise
-    :class:`ValueError` for labels the node cannot parse — the plan then
-    treats the node exactly as the one-shot engine does: its certificates
-    are malformed and the node itself rejects.
+    Called at compile time for each node whose view is not memoized (see
+    below).  Returns an opaque per-node context holding whatever the
+    scheme's ``certificate`` / ``verify_at`` would otherwise re-derive from
+    the label on every call (parsed replicas, fingerprinters, precomputed
+    sub-verdicts).  Must be a pure function of ``view``, and the context
+    must not be mutated afterwards: plans compiled from equal views share
+    it.  Must raise :class:`ValueError` for labels the node cannot parse —
+    the plan then treats the node exactly as the one-shot engine does: its
+    certificates are malformed and the node itself rejects.
 
 ``engine_certificate(ctx, port, rng) -> message``
     Per trial, per port.  Must consume ``rng`` in the same order as
@@ -91,11 +93,33 @@ same ``(scheme, configuration, labels, randomness)`` states (the
 self-stabilization loop's fault/recovery cycle) should resolve them
 through the value-keyed :class:`~repro.engine.cache.PlanCache` instead of
 recompiling.
+
+Incremental compile (the node-context memo)
+-------------------------------------------
+
+Drivers that recompile one configuration under labels that differ in a
+node or two (a forgery search, a bit-flip ranking) pay only for the nodes
+whose view changed.  For each live ``(configuration, scheme)`` pair the
+compiler keeps one slot per node holding the ``(LabelView, context)`` of
+that node's last compile; a node reuses the slot's context iff its new
+view ``==`` the slot's view (frozen-dataclass value equality over node,
+state, degree, params and own label), and otherwise calls
+``engine_node_context`` and overwrites the slot — the unparseable outcome
+included.  Configurations are keyed weakly (the memo dies with its
+configuration) and schemes by identity, as in ``PlanCache``; an entry holds
+its scheme strongly, so the ``id`` cannot be recycled while it lives.
+Views whose state holds a mutable container (:meth:`NodeState.frozen
+<repro.core.configuration.NodeState.frozen>` is False) are never stored.
+Memory is at most one context per node per live (configuration, scheme),
+and nothing is added to plans.  Generic-path schemes build no entry.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+import weakref
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bitstrings import BitString
@@ -124,6 +148,52 @@ RngMode = str
 RNG_MODES = ("compat", "fast", "vector")
 
 _EMPTY = BitString.empty()
+
+# The node-context memo: configuration -> {id(scheme): (scheme, slots)},
+# where slots[i] is node i's last (LabelView, context).  The lock covers
+# entry creation only; a slot is read and written as one tuple, so a reader
+# always sees a matching (view, context) pair, and two racing compiles of
+# equal views store one of two equal contexts.
+_CONTEXT_MEMO: "weakref.WeakKeyDictionary[Configuration, Dict[int, tuple]]" = (
+    weakref.WeakKeyDictionary()
+)
+_CONTEXT_MEMO_LOCK = threading.Lock()
+
+
+def _context_slots(scheme: RandomizedScheme, configuration: Configuration, size: int) -> list:
+    with _CONTEXT_MEMO_LOCK:
+        by_scheme = _CONTEXT_MEMO.get(configuration)
+        if by_scheme is None:
+            by_scheme = _CONTEXT_MEMO[configuration] = {}
+        entry = by_scheme.get(id(scheme))
+        if entry is None or len(entry[1]) != size:
+            entry = by_scheme[id(scheme)] = (scheme, [None] * size)
+        return entry[1]
+
+
+def _node_contexts(
+    scheme: RandomizedScheme,
+    configuration: Configuration,
+    views: Sequence[LabelView],
+) -> Tuple[object, ...]:
+    """Every node's hook context, rebuilt only where the view changed."""
+    slots = _context_slots(scheme, configuration, len(views))
+    contexts: List[object] = []
+    for i, view in enumerate(views):
+        slot = slots[i]
+        if slot is not None and slot[0] == view:
+            contexts.append(slot[1])
+            continue
+        try:
+            context = scheme.engine_node_context(view)
+        except ValueError:
+            # Unparseable (forged) label: certificates are malformed and
+            # the node itself rejects — see run_trial.
+            context = None
+        if view.state.frozen():
+            slots[i] = (view, context)
+        contexts.append(context)
+    return tuple(contexts)
 
 
 def _certificate(engine_certificate, context, port, rng):
@@ -205,32 +275,12 @@ class VerificationPlan:
             tuple(ports) for ports in incoming
         )
 
-        # Compat-mode RNG seed strings: derive_rng seeds with the trial seed
-        # followed by a per-stream suffix and re-hashes the whole string
-        # through SHA-512 per construction; at least the invariant suffixes
-        # (format owned by repro.core.scheme) are built once.
-        self.port_suffixes: Tuple[Tuple[str, ...], ...] = tuple(
-            tuple(
-                rng_stream_suffix(node, port) for port in range(self.degrees[i])
-            )
-            for i, node in enumerate(self.nodes)
-        )
-        self.node_suffixes: Tuple[str, ...] = tuple(
-            rng_stream_suffix(node, None) for node in self.nodes
-        )
-
-        # Scheme fast path: parse every label exactly once.
+        # Scheme fast path: parse every label once (and, through the
+        # node-context memo, only the labels whose view changed since this
+        # configuration's last compile).
         self.contexts: Optional[Tuple[object, ...]] = None
         if engine_hooks_available(scheme):
-            contexts: List[object] = []
-            for view in self.label_views:
-                try:
-                    contexts.append(scheme.engine_node_context(view))
-                except ValueError:
-                    # Unparseable (forged) label: certificates are malformed
-                    # and the node itself rejects — see run_trial.
-                    contexts.append(None)
-            self.contexts = tuple(contexts)
+            self.contexts = _node_contexts(scheme, configuration, self.label_views)
 
         # Compile-time constant folding: a node that cannot parse its own
         # label rejects every trial, so the whole plan's verdict is already
@@ -241,6 +291,22 @@ class VerificationPlan:
             context is None for context in self.contexts
         ):
             self.constant_verdict = False
+
+    # Compat-mode RNG seed strings: derive_rng seeds with the trial seed
+    # followed by a per-stream suffix and re-hashes the whole string through
+    # SHA-512 per construction; at least the invariant suffixes (format owned
+    # by repro.core.scheme) are built once, on the first compat trial.
+
+    @cached_property
+    def port_suffixes(self) -> Tuple[Tuple[str, ...], ...]:
+        return tuple(
+            tuple(rng_stream_suffix(node, port) for port in range(degree))
+            for node, degree in zip(self.nodes, self.degrees)
+        )
+
+    @cached_property
+    def node_suffixes(self) -> Tuple[str, ...]:
+        return tuple(rng_stream_suffix(node, None) for node in self.nodes)
 
     # -- construction ---------------------------------------------------------
 

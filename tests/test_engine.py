@@ -1389,3 +1389,254 @@ class TestSeeding:
             for port in range(6):
                 seeds.add(derive_stream_seed(trial, node_index, port))
         assert len(seeds) == 1 + 10 + 60
+
+
+class TestIncrementalCompile:
+    """The node-context memo: a recompile on one (scheme, configuration)
+    rebuilds only the nodes whose view changed, with per-trial decisions
+    identical to a from-scratch compile and to the reference oracle."""
+
+    TRIALS = 48
+    RNG_MODES = ("compat", "fast", "vector")
+
+    @staticmethod
+    def _flip(labels, victim, bit=0):
+        """Flip two label bits: on these plans a randomized, mixed verdict."""
+        flipped = dict(labels)
+        label = labels[victim]
+        flipped[victim] = BitString(label.value ^ (0b101 << bit), label.length)
+        return flipped
+
+    @staticmethod
+    def _truncate(labels, victim):
+        """Drop the victim's last bit: a compiled label no longer parses."""
+        truncated = dict(labels)
+        label = labels[victim]
+        truncated[victim] = BitString(label.value >> 1, label.length - 1)
+        return truncated
+
+    @staticmethod
+    def _relabel(labels, victim):
+        """A one-bit label where the honest label is empty (uniformity)."""
+        relabeled = dict(labels)
+        relabeled[victim] = BitString(1, 1)
+        return relabeled
+
+    def _sequence(self, scheme, config, parses_labels):
+        """Honest, flip A, flip B, flip A again, unparseable, honest."""
+        honest = scheme.prover(config)
+        a, b = config.graph.nodes[0], config.graph.nodes[1]
+        change = self._flip if parses_labels else self._relabel
+        steps = [honest, change(honest, a), change(honest, b), change(honest, a)]
+        if parses_labels:
+            steps.append(self._truncate(honest, a))
+        steps.append(honest)
+        return steps
+
+    CASES = {
+        "fingerprint": (
+            lambda: FingerprintCompiledRPLS(SpanningTreePLS()),
+            lambda: spanning_tree_configuration(12, 4, seed=120), "edge", True,
+        ),
+        "parity": (
+            lambda: SharedCoinsCompiledRPLS(SpanningTreePLS()),
+            lambda: spanning_tree_configuration(12, 4, seed=121), "shared", True,
+        ),
+        "boosted": (
+            lambda: BoostedRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), 2),
+            lambda: spanning_tree_configuration(12, 4, seed=122), "node", True,
+        ),
+        "uniformity": (
+            DirectUnifRPLS,
+            lambda: uniform_configuration(10, 6, equal=True, seed=123), "edge", False,
+        ),
+        "generic": (
+            lambda: NoisyChannelRPLS(DirectUnifRPLS(), flip_probability=0.005),
+            lambda: uniform_configuration(10, 6, equal=True, seed=124), "edge", False,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sequence_is_trialwise_identical(self, case):
+        from repro.engine.kernels import run_chunk
+        from repro.engine.plan import _CONTEXT_MEMO
+
+        make_scheme, make_config, randomness, parses_labels = self.CASES[case]
+        scheme, config = make_scheme(), make_config()
+        steps = self._sequence(scheme, config, parses_labels)
+        seeds = [derive_trial_seed(5, t) for t in range(self.TRIALS)]
+        rng_modes = self.RNG_MODES[:2] if case == "generic" else self.RNG_MODES
+        mixed = False
+        for rng_mode in rng_modes:
+            for index, labels in enumerate(steps):
+                plan = VerificationPlan.compile(
+                    scheme, config, labels=labels, randomness=randomness,
+                    rng_mode=rng_mode,
+                )
+                assert plan.uses_fast_path == (case != "generic")
+                if parses_labels and index == len(steps) - 2:
+                    assert plan.constant_verdict is False
+                scalar = [plan.run_trial(seed) for seed in seeds]
+                mixed = mixed or 0 < sum(scalar) < len(seeds)
+                if rng_mode == "compat":
+                    expected = [
+                        verify_randomized(
+                            scheme, config, seed=seed, labels=labels,
+                            randomness=randomness,
+                        ).accepted
+                        for seed in seeds
+                    ]
+                else:  # a from-scratch compile: a fresh configuration object
+                    fresh = VerificationPlan.compile(
+                        scheme, config.copy(), labels=labels,
+                        randomness=randomness, rng_mode=rng_mode,
+                    )
+                    expected = [fresh.run_trial(seed) for seed in seeds]
+                assert scalar == expected, (case, rng_mode, index)
+                if plan.vector_ready:
+                    assert run_chunk(plan, seeds).tolist() == scalar, (
+                        case, rng_mode, index,
+                    )
+        # Not vacuous: some plan of the sequence has mixed verdicts (the
+        # uniformity scheme's context ignores labels: every trial accepts).
+        assert mixed == (case != "uniformity")
+        entry = _CONTEXT_MEMO.get(config, {})
+        assert (id(scheme) in entry) == (case != "generic")
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count engine_node_context calls of the fingerprint compiler."""
+        calls = []
+        original = FingerprintCompiledRPLS.engine_node_context
+
+        def counting(scheme, view):
+            calls.append(view.node)
+            return original(scheme, view)
+
+        monkeypatch.setattr(FingerprintCompiledRPLS, "engine_node_context", counting)
+        return calls
+
+    def test_only_changed_views_rebuild(self, counted):
+        config = spanning_tree_configuration(12, 4, seed=125)
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        honest = scheme.prover(config)
+        a, b = config.graph.nodes[2], config.graph.nodes[5]
+
+        def rebuilt(labels):
+            counted.clear()
+            VerificationPlan.compile(scheme, config, labels=labels)
+            return sorted(counted)
+
+        assert len(rebuilt(honest)) == config.node_count
+        assert rebuilt(dict(honest)) == []
+        assert rebuilt(self._flip(honest, a)) == [a]
+        # One slot per node: A reverts to honest (rebuilt), B changes.
+        assert rebuilt(self._flip(honest, b)) == sorted([a, b])
+        # The unparseable outcome is memoized too.
+        truncated = self._truncate(honest, b)
+        assert rebuilt(truncated) == [b]
+        assert rebuilt(truncated) == []
+        assert VerificationPlan.compile(scheme, config, labels=truncated).constant_verdict is False
+
+    def test_scheme_instances_do_not_share_slots(self, counted):
+        config = spanning_tree_configuration(10, 3, seed=126)
+        first = FingerprintCompiledRPLS(SpanningTreePLS())
+        second = FingerprintCompiledRPLS(SpanningTreePLS())
+        VerificationPlan.compile(first, config)
+        counted.clear()
+        VerificationPlan.compile(second, config)
+        assert len(counted) == config.node_count
+        counted.clear()
+        VerificationPlan.compile(first, config)
+        assert counted == []
+
+    def test_mutable_state_is_never_memoized(self, counted):
+        """A state holding a mutable container could change under an equal
+        view: its node rebuilds on every compile, and the state's encoded
+        size is never cached."""
+        base = spanning_tree_configuration(10, 3, seed=127)
+        victim = base.graph.nodes[0]
+        log = [1]
+        config = base.with_state(
+            victim, base.state(victim).with_fields(audit_log=log)
+        )
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        labels = scheme.prover(config)
+        VerificationPlan.compile(scheme, config, labels=labels)
+        counted.clear()
+        before = VerificationPlan.compile(scheme, config, labels=labels)
+        assert counted == [victim]
+        log.extend(range(2, 60))  # grows the state's encoded size in place
+        after = VerificationPlan.compile(scheme, config, labels=labels)
+        assert after.params.state_bits > before.params.state_bits
+        assert after.params == VerificationPlan.compile(
+            scheme, config.copy(), labels=labels
+        ).params
+
+    def test_memo_does_not_pin_the_configuration(self):
+        import gc
+        import weakref
+
+        from repro.engine.plan import _CONTEXT_MEMO
+
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        config = spanning_tree_configuration(10, 3, seed=128)
+        labels = self._flip(scheme.prover(config), config.graph.nodes[0])
+        plan = VerificationPlan.compile(scheme, config, labels=labels).prepare()
+        assert id(scheme) in _CONTEXT_MEMO[config]
+        ref = weakref.ref(config)
+        del config, plan
+        gc.collect()
+        assert ref() is None
+
+    def test_compile_leaves_the_coefficient_cache_alone(self):
+        from repro.core.fingerprint import Fingerprinter
+
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        config = spanning_tree_configuration(12, 4, seed=129)
+        honest = scheme.prover(config)
+        fingerprinter = VerificationPlan.compile(scheme, config).contexts[0].fingerprinter
+        assert fingerprinter is Fingerprinter.shared(fingerprinter.lam, repetitions=1)
+        before = fingerprinter._coefficients.cache_info().currsize
+        for victim in config.graph.nodes[:4]:
+            forged = self._flip(honest, victim, 3)
+            VerificationPlan.compile(scheme, config.copy(), labels=forged).prepare()
+        assert fingerprinter._coefficients.cache_info().currsize == before
+
+    def test_concurrent_compiles_see_their_own_views(self):
+        """Threads recompiling one configuration under different forgeries
+        race on the same slots; every plan still gets exactly the contexts
+        of a from-scratch compile of its own labels."""
+        import sys
+        import threading
+
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        config = spanning_tree_configuration(12, 4, seed=130)
+        honest = scheme.prover(config)
+        victims = config.graph.nodes[:4]
+        forgeries = [honest] + [self._flip(honest, victim) for victim in victims]
+        expected = [
+            VerificationPlan.compile(scheme, config.copy(), labels=labels).contexts
+            for labels in forgeries
+        ]
+        mismatches = []
+
+        def worker(offset):
+            for step in range(30):
+                index = (offset + step) % len(forgeries)
+                plan = VerificationPlan.compile(scheme, config, labels=forgeries[index])
+                if plan.contexts != expected[index]:
+                    mismatches.append((offset, step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
