@@ -14,8 +14,9 @@ tier-1 via ``tests/test_bench_smoke.py``, and standalone via
   shared-coins parity), the vectorized decisions match the scalar ones per
   trial in every rng mode — including the counter-based ``vector`` mode,
   whose scalar CounterRng path must agree with the batched draw kernel;
-- a short :func:`~repro.engine.estimate_acceptance_fast` run completes and
-  one-sided completeness holds (every trial accepts on the legal state);
+- a short :func:`~repro.engine.estimate_acceptance_fast` run completes and,
+  for one-sided schemes, completeness holds (every trial accepts on the
+  legal state); the two-sided noisy channel skips that check;
 - honest labels never reach a kernel's lookup (an honest plan has no dirty
   pair), so one pinned single-bit proof fault per kernel family
   (fingerprint, threshold, parity) must leave the kernel state
@@ -42,6 +43,7 @@ import sys
 from repro.core.bitstrings import BitString
 from repro.core.boosting import BoostedRPLS
 from repro.core.compiler import FingerprintCompiledRPLS
+from repro.core.noise import NoisyChannelRPLS
 from repro.core.seeding import derive_trial_seed
 from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.core.verifier import verify_randomized
@@ -92,6 +94,12 @@ def workloads():
         spanning,
         "shared",
     )
+    yield (
+        "noisy(compiled, p=0.002)",
+        NoisyChannelRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), 0.002),
+        spanning,
+        "edge",
+    )
 
 
 def smoke_workload(name, scheme, configuration, randomness):
@@ -122,7 +130,7 @@ def smoke_workload(name, scheme, configuration, randomness):
                 )
 
     estimate = estimate_acceptance_fast(plan, SMOKE_TRIALS)
-    assert estimate.probability == 1.0, (
+    assert estimate.probability == 1.0 or not scheme.one_sided, (
         f"{name}: one-sided completeness violated ({estimate})"
     )
     if plan.vector_ready:
@@ -132,7 +140,7 @@ def smoke_workload(name, scheme, configuration, randomness):
         assert vector_estimate.probability == 1.0, (
             f"{name}: vector-rng completeness violated ({vector_estimate})"
         )
-    return [name, plan.half_edge_count, "numpy" if plan.vector_ready else "scalar", "ok"]
+    return [name, plan.half_edge_count, plan.kernel_path, "ok"]
 
 
 #: One pinned single-bit proof fault per kernel family, on the smoke's

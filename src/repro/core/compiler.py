@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.bitstrings import BitReader, BitString, BitWriter, bits_for_max
 from repro.core.configuration import Configuration
-from repro.core.fingerprint import Fingerprinter, FingerprintVectorSpec
+from repro.core.fingerprint import Fingerprinter, FingerprintVectorSpec, RawFingerprint
 from repro.core.scheme import (
     LabelView,
     ProofLabelingScheme,
@@ -232,6 +232,37 @@ class FingerprintCompiledRPLS(RandomizedScheme):
             if not check_raw(stored_copy, message):
                 return False
         return context.base_accepts
+
+    # The message codec: a RawFingerprint and its packed certificate, both
+    # ways.  Wrappers that act on the packed bits (the noisy channel) use it
+    # to stay on the hook path.  The packing is Fingerprinter.make's: per
+    # point, x then value, coordinate_bits each, big-endian.  Subclasses that
+    # swap the certificate format (the shared-coins compiler) set both hooks
+    # to None.
+
+    def engine_encode_message(
+        self, context: "_CompiledNodeContext", message: RawFingerprint
+    ) -> BitString:
+        packed_bits, points = message
+        width = context.fingerprinter.params.coordinate_bits
+        value = 0
+        for x, claimed in points:
+            value = (((value << width) | x) << width) | claimed
+        return BitString(value, packed_bits)
+
+    def engine_decode_message(
+        self, context: "_CompiledNodeContext", packed: BitString
+    ) -> RawFingerprint:
+        fingerprinter = context.fingerprinter
+        width = fingerprinter.params.coordinate_bits
+        mask = (1 << width) - 1
+        value = packed.value
+        shift = packed.length
+        points = []
+        for _ in range(fingerprinter.repetitions):
+            shift -= 2 * width
+            points.append(((value >> (shift + width)) & mask, (value >> shift) & mask))
+        return (packed.length, tuple(points))
 
     def engine_vector_spec(
         self, context: "_CompiledNodeContext"

@@ -23,6 +23,17 @@ Choosing ``p`` small enough keeps the scheme inside the paper's
 ``p_accept >= 2/3`` regime, and footnote 1's majority vote
 (:func:`repro.core.boosting.majority_decision`) then drives the error down —
 the standard BPP-style amplification the tests verify end-to-end.
+
+The wrapper has engine hooks (see :mod:`repro.engine.plan`) whenever its
+base offers hooks plus a message codec, as the Theorem 3.1 compiler does.
+The certificate is the base hook's message, then one ``rng.random()`` per
+packed bit, the same draws :meth:`NoisyChannelRPLS.certificate` makes; a
+non-zero flip mask is applied by packing the message, XOR-ing, and
+unpacking.  Compat decisions therefore stay identical to the one-shot
+oracle, and the counter-based ``vector`` rng mode runs too.  There is no
+numpy kernel, so noisy plans run the scalar hook path.  A base without a
+codec (``DirectUnifRPLS``, the shared-coins compiler) keeps the generic
+plan path.
 """
 
 from __future__ import annotations
@@ -32,7 +43,14 @@ from typing import Dict
 
 from repro.core.bitstrings import BitString
 from repro.core.configuration import Configuration
-from repro.core.scheme import LabelView, RandomizedScheme, SchemeParams, VerifierView
+from repro.core.scheme import (
+    LabelView,
+    RandomizedScheme,
+    SchemeParams,
+    VerifierView,
+    derive_rng,
+    engine_hooks_available,
+)
 from repro.graphs.port_graph import Node
 
 
@@ -70,6 +88,45 @@ class NoisyChannelRPLS(RandomizedScheme):
     def verify_at(self, view: VerifierView) -> bool:
         return self.base.verify_at(view)
 
+    # -- batched-engine fast path ------------------------------------------------
+    #
+    # The channel acts on packed bits, so the hook path needs the base's
+    # message codec on top of its hooks: the certificate is the base hook's
+    # message, one rng.random() per packed bit exactly as certificate()
+    # draws them, and a non-zero flip mask applied through encode / decode.
+    # Verification is the base hook's.
+
+    def engine_ready(self) -> bool:
+        base = self.base
+        return (
+            engine_hooks_available(base)
+            and getattr(base, "engine_encode_message", None) is not None
+            and getattr(base, "engine_decode_message", None) is not None
+        )
+
+    def engine_node_context(self, view: LabelView):
+        return self.base.engine_node_context(view)
+
+    def engine_certificate(self, context, port: int, rng: random.Random):
+        message = self.base.engine_certificate(context, port, rng)
+        flip_probability = self.flip_probability
+        if flip_probability == 0:
+            return message
+        packed = self.base.engine_encode_message(context, message)
+        draw = rng.random
+        mask = 0
+        for position in range(packed.length):
+            if draw() < flip_probability:
+                mask |= 1 << position
+        if not mask:
+            return message
+        return self.base.engine_decode_message(
+            context, BitString(packed.value ^ mask, packed.length)
+        )
+
+    def engine_verify(self, context, messages, shared_rng) -> bool:
+        return self.base.engine_verify(context, messages, shared_rng)
+
     def round_bits(self, configuration: Configuration, seed: int = 0) -> int:
         """Total certificate bits shipped in one verification round (both
         directions of every edge)."""
@@ -85,7 +142,7 @@ class NoisyChannelRPLS(RandomizedScheme):
                 own_label=labels[node],
             )
             for port in range(configuration.graph.degree(node)):
-                rng = random.Random(f"{seed}|{node!r}|{port}")
+                rng = derive_rng(seed, node, port)
                 total += self.base.certificate(view, port, rng).length
         return total
 

@@ -46,6 +46,7 @@ except ImportError:  # pragma: no cover - the image ships numpy
     _np = None
 
 _MASK64 = (1 << 64) - 1
+_TWO_POW_MINUS_53 = 2.0**-53
 
 # SplitMix64 constants (Steele et al. 2014).
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -190,11 +191,11 @@ class CounterRng:
     :func:`stream_words`; this class replays the identical word sequence one
     call at a time so the *scalar* hook path can run the same probability
     point (and so the bit-identity property tests have a per-trial oracle).
-    It deliberately implements only the two methods the engine hook
-    contract allows certificate generators to call — :meth:`randrange` and
-    :meth:`getrandbits` — because every other ``random.Random`` method has
-    data-dependent word consumption that a counter-addressed kernel cannot
-    replay.
+    It deliberately implements only the three methods the engine hook
+    contract allows certificate generators to call — :meth:`randrange`,
+    :meth:`getrandbits` and :meth:`random` — because every other
+    ``random.Random`` method has data-dependent word consumption that a
+    counter-addressed kernel cannot replay.
 
     :meth:`randrange` reduces a stream word modulo ``n``; the modulo bias is
     below ``n / 2**64`` (< ``2**-33`` for every fingerprint field), orders
@@ -237,6 +238,13 @@ class CounterRng:
             value |= stream_word(self.stream_seed, base + j) << (64 * j)
         self.counter = base + words
         return value & ((1 << k) - 1)
+
+    def random(self) -> float:
+        """A float in ``[0, 1)`` from one stream word: its top 53 bits,
+        scaled by ``2**-53`` (every value is exact in a double)."""
+        word = stream_word(self.stream_seed, self.counter)
+        self.counter += 1
+        return (word >> 11) * _TWO_POW_MINUS_53
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CounterRng seed={self.stream_seed:#x} counter={self.counter}>"

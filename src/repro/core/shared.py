@@ -143,6 +143,11 @@ class SharedCoinsCompiledRPLS(FingerprintCompiledRPLS):
     # parses the label and precomputes the base verdict, so only the replica
     # values are retained.
 
+    # Parity tuples are not RawFingerprints: no message codec, so a noisy
+    # channel over this scheme runs the generic path.
+    engine_encode_message = None
+    engine_decode_message = None
+
     def engine_node_context(self, view: LabelView) -> _SharedCoinsNodeContext:
         kappa, replicas, base_accepts = self._engine_parse(view)
         return _SharedCoinsNodeContext(

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.fingerprint import FingerprintVectorSpec
 from repro.core.scheme import SHARED_RNG_SUFFIX
@@ -110,6 +110,7 @@ class _DirtyPair(NamedTuple):
 class _VectorState:
     """Per-plan description consumed by the fingerprint agreement kernel."""
 
+    kernel_path: ClassVar[str] = "table"
     draws: int                       # query points drawn per half-edge call
     primes: Tuple[int, ...]          # per node: its fingerprint field
     constant_false: bool             # some node rejects every trial
@@ -139,6 +140,7 @@ class _VectorState:
 class _ParityState:
     """Per-plan immutable description consumed by the parity kernel."""
 
+    kernel_path: ClassVar[str] = "parity"
     repetitions: int                 # public masks (= certificate bits) per trial
     width: int                       # replica width the masks are drawn at
     mask_words: int                  # ceil(width / 64)

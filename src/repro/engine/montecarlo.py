@@ -73,6 +73,9 @@ from repro.graphs.port_graph import Node
 
 DEFAULT_CHUNK = 64
 
+# The rng modes whose estimates take a plan's numpy kernel unless told not to.
+_AUTO_VECTOR_MODES = ("fast", "vector")
+
 
 @dataclass(frozen=True)
 class FixedChunkPolicy:
@@ -182,7 +185,7 @@ def estimate_acceptance_fast(
     if rng_mode is None:
         rng_mode = plan.rng_mode
     if vectorize is None:
-        use_vector = rng_mode in ("fast", "vector") and plan.vector_ready
+        use_vector = rng_mode in _AUTO_VECTOR_MODES and plan.vector_ready
     elif vectorize:
         if not plan.vector_ready and plan.constant_verdict is None:
             raise ValueError(
@@ -225,6 +228,26 @@ def estimate_acceptance_fast(
             if high - low <= 2 * stop_halfwidth:
                 break
     return AcceptanceEstimate(accepted=accepted, trials=done)
+
+
+def executed_path(
+    plan: VerificationPlan,
+    rng_mode: Optional[RngMode] = None,
+    vectorize: Optional[bool] = None,
+) -> str:
+    """The path :func:`estimate_acceptance_fast` runs ``plan``'s trials on.
+
+    ``plan.kernel_path``, except that a kernel-capable plan runs
+    ``"scalar"`` when the call does not vectorize: ``vectorize=False``, or
+    the default ``None`` in compat mode.
+    """
+    path = plan.kernel_path
+    if path in ("table", "parity"):
+        if vectorize is None:
+            vectorize = (rng_mode or plan.rng_mode) in _AUTO_VECTOR_MODES
+        if not vectorize:
+            return "scalar"
+    return path
 
 
 def estimate_acceptance_batched(

@@ -64,10 +64,19 @@ accept/reject output must equal the legacy output for the same coins.**
 The test suite enforces this property against the reference oracle for all
 hook-bearing schemes and all three randomness modes.  Certificate
 generators must additionally draw *only* through ``rng.randrange`` /
-``rng.getrandbits`` — the two calls whose word consumption is a pure
-function of the call sequence, which is what lets ``rng_mode="vector"``
-substitute the counter-based :class:`~repro.core.seeding.CounterRng` (and
-its whole-chunk numpy equivalent) for ``random.Random``.
+``rng.getrandbits`` / ``rng.random`` — the three calls whose word
+consumption is a pure function of the call sequence, which is what lets
+``rng_mode="vector"`` substitute the counter-based
+:class:`~repro.core.seeding.CounterRng` (and its whole-chunk numpy
+equivalent) for ``random.Random``.
+
+Wrappers that act on the packed bits of a certificate (the noisy channel
+of :mod:`repro.core.noise`) need the base scheme's optional *message
+codec*: ``engine_encode_message(ctx, message) -> BitString`` packs a hook
+message exactly as ``certificate`` would, and
+``engine_decode_message(ctx, bits) -> message`` unpacks any bit string of
+that width into an object ``engine_verify`` decides on as ``verify_at``
+decides on the bits.
 
 Fourth, optional, for vectorization: ``engine_vector_spec(ctx)`` returns a
 :class:`~repro.core.fingerprint.FingerprintVectorSpec` (or ``None``) for
@@ -335,6 +344,28 @@ class VerificationPlan:
         return self.contexts is not None
 
     @property
+    def kernel_path(self) -> str:
+        """Which execution path this plan's trials can take at best.
+
+        ``"constant"`` (a compile-time verdict, no trial runs),
+        ``"generic"`` (no scheme hooks: labels re-parsed per trial),
+        ``"table"`` / ``"parity"`` (the fingerprint agreement-table or
+        packed-parity numpy kernel of :mod:`repro.engine.kernels`), or
+        ``"scalar"`` (the hook path, one trial at a time).  Whether an
+        estimate actually vectorizes also depends on its ``rng_mode`` and
+        ``vectorize`` arguments; see
+        :func:`repro.engine.montecarlo.executed_path`.
+        """
+        if self.constant_verdict is not None:
+            return "constant"
+        if self.contexts is None:
+            return "generic"
+        from repro.engine.kernels import vector_state
+
+        state = vector_state(self)
+        return "scalar" if state is None else state.kernel_path
+
+    @property
     def vector_ready(self) -> bool:
         """True when this plan can run trials through the numpy chunk kernel.
 
@@ -447,7 +478,7 @@ class VerificationPlan:
         one numpy array op per chunk in the vectorized kernels) — again the
         same probability space at yet another point; it requires the hook
         fast path, whose certificate generators draw only via
-        ``randrange``/``getrandbits``.
+        ``randrange``/``getrandbits``/``random``.
         """
         if rng_mode is None:
             rng_mode = self.rng_mode
@@ -573,8 +604,8 @@ class VerificationPlan:
         if rng_mode == "vector":
             # Generic-path schemes may draw through any random.Random
             # method; the counter-based stream only guarantees replayable
-            # word consumption for randrange/getrandbits, which is what the
-            # hook contract restricts certificate generators to.
+            # word consumption for randrange/getrandbits/random, which is
+            # what the hook contract restricts certificate generators to.
             raise ValueError(
                 "rng_mode='vector' requires the engine hook fast path "
                 f"({self.scheme.name} has no engine hooks)"
@@ -649,10 +680,10 @@ class VerificationPlan:
         return sum(1 for seed in trial_seeds if run_trial(seed, rng_mode))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        path = "fast-path" if self.uses_fast_path else "generic"
         return (
             f"<VerificationPlan {self.scheme.name!r} n={len(self.nodes)} "
-            f"half_edges={self.half_edge_count} randomness={self.randomness!r} {path}>"
+            f"half_edges={self.half_edge_count} randomness={self.randomness!r} "
+            f"{self.kernel_path}>"
         )
 
 

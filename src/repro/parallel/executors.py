@@ -63,6 +63,7 @@ from repro.engine.montecarlo import (
     DEFAULT_CHUNK,
     FixedChunkPolicy,
     estimate_acceptance_fast,
+    executed_path,
 )
 from repro.engine.plan import VerificationPlan
 from repro.obs.runtime import (
@@ -127,7 +128,10 @@ def _run_shard(
     the shard in a *shard* span and the ``progress`` callback in a
     :class:`~repro.obs.trace.ChunkProgress` — per-chunk spans over the
     same observational seam, the publish channel forwarded unchanged.
-    The engine call itself is identical traced or not.
+    The shard span's ``kernel_path`` attribute names the execution path
+    its trials took (:func:`~repro.engine.montecarlo.executed_path`), and
+    the ``engine.path.<path>`` counter counts shards per path.  The engine
+    call itself is identical traced or not.
     """
     target, shard, options = payload
     plan = target.resolve() if isinstance(target, PlanSpec) else target
@@ -146,6 +150,9 @@ def _run_shard(
             "first_trial": shard.start,
             "planned_trials": shard.trials,
             "rng_mode": options["rng_mode"],
+            "kernel_path": executed_path(
+                plan, options["rng_mode"], options["vectorize"]
+            ),
         }
         start_mono = time.monotonic()
     with recorder.span(
@@ -173,6 +180,7 @@ def _run_shard(
         metrics = get_metrics()
         metrics.counter("worker.shards").inc()
         metrics.counter("worker.trials").inc(estimate.trials)
+        metrics.counter(f"engine.path.{attrs['kernel_path']}").inc()
         metrics.histogram("worker.shard_seconds").observe(
             time.monotonic() - start_mono
         )

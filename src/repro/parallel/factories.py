@@ -232,8 +232,9 @@ def noisy_spanning_tree(
     strictly between 0 and 1, which is what the sharded-merge tests need to
     observe nontrivial per-shard counts.  ``flip_milli`` is the per-bit flip
     probability in thousandths (spec arguments stay hashable integers).  The
-    noisy wrapper has no engine hooks, so this workload exercises the
-    generic plan path under ``compat``/``fast`` modes (no ``vector``).
+    noisy wrapper delegates to the compiler's engine hooks and applies its
+    flips through the compiler's message codec, so this workload runs the
+    scalar hook path in every rng mode; it has no numpy kernel.
     """
     scheme = NoisyChannelRPLS(
         FingerprintCompiledRPLS(SpanningTreePLS()), flip_milli / 1000.0

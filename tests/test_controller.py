@@ -532,6 +532,18 @@ class TestAdaptiveCampaign:
         # merged over both are not a counter prefix.  Only the prefix may
         # be booked, so the record replays exactly from counter 0.
         cell = Cell(name="hard", spec=noisy_spec(), trials=64, seed=NON_PREFIX_SEED)
+        # The seed's precondition: over every run length shard 1 can reach,
+        # counters 64.. and 256.. (shard 1's start) disagree in acceptance.
+        plan = cell.spec.resolve()
+        for chunks in range(1, 5):
+            trials = chunks * DEFAULT_CHUNK
+            at_prefix, at_shard_1 = (
+                estimate_acceptance_fast(
+                    plan, trials, seed=NON_PREFIX_SEED, first_trial=first
+                ).accepted
+                for first in (DEFAULT_CHUNK, 256)
+            )
+            assert at_prefix != at_shard_1, (chunks, at_prefix)
         with _StaggeredExecutor() as executor:
             (record,) = run_campaign(
                 Campaign(name="non-prefix", cells=(cell,)),

@@ -29,6 +29,7 @@ import pytest
 from repro.core.bitstrings import BitString
 from repro.core.boosting import BoostedRPLS
 from repro.core.compiler import FingerprintCompiledRPLS
+from repro.core.noise import NoisyChannelRPLS
 from repro.core.seeding import derive_trial_seed
 from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.engine import VerificationPlan, estimate_acceptance_fast
@@ -225,3 +226,16 @@ class TestDeepConsistency:
             scheme, config, labels, "shared", trials=3000, seed=master_seed
         )
         assert_wilson_consistent(estimates, ("shared-coins-deep", master_seed))
+
+    @pytest.mark.parametrize("master_seed", (10, 11))
+    def test_noisy_channel_deep(self, master_seed):
+        # Two-sided on honest labels: every mode runs the scalar hook path,
+        # compat on string-seeded streams, fast and vector on one stream.
+        config = spanning_tree_configuration(24, 6, seed=1)
+        scheme = NoisyChannelRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), 0.002)
+        estimates = estimates_by_mode(
+            scheme, config, scheme.prover(config), "edge", trials=3000, seed=master_seed
+        )
+        for estimate in estimates.values():
+            assert 0 < estimate.accepted < estimate.trials
+        assert_wilson_consistent(estimates, ("noisy-deep", master_seed))

@@ -136,7 +136,7 @@ class TestDecisionEquivalence:
     @pytest.mark.parametrize("randomness", ALL_MODES)
     def test_generic_path_scheme(self, randomness):
         """A scheme without hooks exercises the generic (certificate-exact)
-        path: the noisy-channel wrapper has no fast path by design."""
+        path: a noisy channel over a base with hooks but no message codec."""
         config = uniform_configuration(10, 16, equal=True, seed=9)
         scheme = NoisyChannelRPLS(DirectUnifRPLS(), flip_probability=0.02)
         labels = scheme.prover(config)
@@ -150,7 +150,7 @@ class TestDecisionEquivalence:
         config = uniform_configuration(6, 8, equal=True, seed=10)
         compiled = DirectUnifRPLS()
         assert VerificationPlan.compile(compiled, config).uses_fast_path
-        noisy = NoisyChannelRPLS(compiled, 0.0)  # noiseless: one-sided, hook-less
+        noisy = NoisyChannelRPLS(compiled, 0.0)  # the base has no message codec
         assert not VerificationPlan.compile(noisy, config).uses_fast_path
         # A wrapper is only as fast as what it wraps.
         boosted_noisy = BoostedRPLS(noisy, 2)

@@ -29,12 +29,14 @@ from repro.parallel.spec import clear_process_caches
 TRIALS = 192
 SEED = 11
 
-# One representative workload per verdict-kernel family.  The noisy
-# (generic-path) workload is vectorless, so it pins compat/fast only.
+# One representative workload per verdict-kernel family, plus the noisy
+# channel: two-sided, on the scalar hook path in every rng mode (its
+# certificates carry flips no kernel tabulates).
 FAMILIES = [
     ("spanning-tree", {"node_count": 14, "extra_edges": 4, "seed": 1}),  # fingerprint
     ("shared-coins", {"node_count": 14, "extra_edges": 4, "seed": 1}),  # parity
     ("boosted-spanning-tree", {"node_count": 12, "extra_edges": 4, "seed": 1}),  # threshold
+    ("noisy-spanning-tree", {"node_count": 12, "extra_edges": 4, "seed": 1}),  # scalar
 ]
 RNG_MODES = ["compat", "fast", "vector"]
 
@@ -91,6 +93,27 @@ class TestShardedEstimateIdentity:
         trace = load_trace(tmp_path / "trace")
         assert len(trace.named("run")) == 1
         assert len(trace.named("shard")) == 4
+
+    @pytest.mark.parametrize(
+        "workload,rng_mode,path",
+        [
+            ("spanning-tree", "vector", "table"),
+            ("spanning-tree", "compat", "scalar"),
+            ("shared-coins", "fast", "parity"),
+            ("noisy-spanning-tree", "compat", "scalar"),
+        ],
+    )
+    def test_shard_spans_name_the_kernel_path(self, tmp_path, workload, rng_mode, path):
+        # Honest plans fold to no dirty pair but still run their kernel:
+        # the path is a property of the plan's hooks, not of its labels.
+        spec = workload_spec(workload, rng_mode=rng_mode, node_count=12)
+        with tracing(tmp_path / "trace"):
+            estimate_acceptance_sharded(
+                spec, TRIALS, seed=SEED, executor="serial", shard_count=2
+            )
+        trace = load_trace(tmp_path / "trace")
+        assert [s["attrs"]["kernel_path"] for s in trace.named("shard")] == [path] * 2
+        assert trace.merged_metrics()["counters"][f"engine.path.{path}"] == 2
 
     def test_thread_backend_identity(self, tmp_path):
         spec = workload_spec("shared-coins", node_count=14, extra_edges=4, seed=1)
