@@ -94,4 +94,4 @@ def test_distance_verification_complexity(benchmark, report):
     configuration = _workload(128, seed=0)
     plan = distance_engine_plan(configuration, weighted=True)
     assert plan.uses_fast_path
-    benchmark(lambda: estimate_acceptance_fast(plan, 10, seed=5, rng_mode="fast"))
+    benchmark(lambda: estimate_acceptance_fast(plan, 10, seed=5, rng_mode="vector"))

@@ -12,27 +12,22 @@ scheme (96 nodes, the largest-label workload in the library), the Section 6
 shared-coins compiler on the 200-node spanning tree (the packed-parity
 kernel workload), and one verdict-spec zoo representative per kernel
 family (:mod:`repro.engine.specs`): compiled biconnectivity (fingerprint),
-shared-coins MIS (parity), boosted Hamiltonicity (threshold) — for five
+shared-coins MIS (parity), boosted Hamiltonicity (threshold) — for three
 execution paths:
 
 - **legacy** — the reference per-trial loop ``estimate_acceptance``;
 - **engine compat** — ``VerificationPlan`` + ``estimate_acceptance_fast``
   with the legacy-identical RNG streams (bit-for-bit the same accept/reject
   decisions, asserted below);
-- **engine fast** — the same plan with SplitMix64 integer-mix RNG
-  derivation (statistically equivalent streams), scalar kernels;
-- **engine fast+numpy** — the same probability-space point as engine fast,
-  with the trial chunks executed by the vectorized kernels of
-  :mod:`repro.engine.kernels` (agree-row lookups for fingerprint
-  schemes, packed-``uint64`` GF(2) popcounts for the shared-coins scheme;
-  decision-identical to engine fast per trial, asserted below) — the draws
-  still replay ``random.Random`` scalar call by scalar call;
 - **engine vector** — ``rng_mode="vector"``: the counter-based SplitMix64
-  stream, where the *draws too* evaluate as one uint64 array op per chunk
+  stream, with the trial chunks executed by the vectorized kernels of
+  :mod:`repro.engine.kernels` (agree-row lookups for fingerprint schemes,
+  packed-``uint64`` GF(2) popcounts for the shared-coins scheme), where
+  the draws too evaluate as one uint64 array op per chunk
   (decision-identical to the scalar CounterRng path per trial, asserted
-  below) — the last per-trial Python loop gone.
+  below).
 
-A sixth measurement shards the vector-mode run across worker processes
+A fourth measurement shards the vector-mode run across worker processes
 (:mod:`repro.parallel`) on the spanning-tree and shared-coins workloads —
 the PR 4 axis: once the per-trial arithmetic is array ops, the remaining
 ceiling is one Python process.  Worker count comes from ``--workers`` /
@@ -107,13 +102,10 @@ NODE_COUNT = 200
 EXTRA_EDGES = 60
 MST_NODE_COUNT = 96
 REQUIRED_SPEEDUP = 5.0
-# The numpy chunk kernel must beat PR 1's scalar fast mode on at least one
-# workload by this factor (measured ~5-10x; the bar is low to absorb noise).
+# The vector-mode numpy kernels must beat the scalar compat path on every
+# kernel workload's best case, and on the shared-coins workload, by at least
+# this factor (measured in the hundreds; the bar is low to absorb noise).
 REQUIRED_VECTOR_SPEEDUP = 1.5
-# The counter-based vector rng must beat the fast+numpy path (same kernels,
-# scalar draws) on at least one workload: the draw loop is the cost it
-# eliminates.  Measured ~2-4x on the fingerprint workloads; low bar again.
-REQUIRED_VECTOR_RNG_SPEEDUP = 1.2
 # Process sharding must buy >= 2x wall-clock with 4 workers on the 200-node
 # spanning-tree workload — asserted only where 4 cores actually exist.
 REQUIRED_SHARDED_SPEEDUP = 2.0
@@ -249,7 +241,7 @@ ADAPTIVE_CELLS = [
     ),
     (
         "noisy(spanning-tree)",
-        workload_spec("noisy-spanning-tree", rng_mode="fast", node_count=24),
+        workload_spec("noisy-spanning-tree", rng_mode="vector", node_count=24),
     ),
 ]
 
@@ -375,12 +367,6 @@ def _measure(scheme, configuration, labels, randomness, legacy_trials, engine_tr
         ("engine-compat", engine_trials, lambda n: estimate_acceptance_fast(
             plan, n, seed=0
         )),
-        ("engine-fast", engine_trials, lambda n: estimate_acceptance_fast(
-            plan, n, seed=0, rng_mode="fast", vectorize=False
-        )),
-        ("engine-fast+numpy", engine_trials, lambda n: estimate_acceptance_fast(
-            plan, n, seed=0, rng_mode="fast", vectorize=True
-        )),
         ("engine-vector", engine_trials, lambda n: estimate_acceptance_fast(
             plan, n, seed=0, rng_mode="vector", vectorize=True
         )),
@@ -416,10 +402,9 @@ def _assert_bit_identical(
 ):
     """Per-trial accept/reject equality across every execution path.
 
-    Compat mode (scalar and vectorized) must match the one-shot reference
-    oracle; within fast and vector modes, the vectorized kernel must match
-    that mode's scalar kernel (each mode is its own probability-space
-    point, shared by its two kernels).
+    Compat mode (scalar) must match the one-shot reference oracle; in
+    vector mode the numpy kernel must match the scalar CounterRng path
+    (each mode is its own probability-space point).
     """
     for trial in range(trials):
         trial_seed = derive_trial_seed(seed, trial)
@@ -428,13 +413,11 @@ def _assert_bit_identical(
             randomness=randomness,
         ).accepted
         assert plan.run_trial(trial_seed) == reference, trial
-        assert bool(plan.run_trials([trial_seed], vectorize=True)) == reference, trial
-        for rng_mode in ("fast", "vector"):
-            scalar = plan.run_trial(trial_seed, rng_mode=rng_mode)
-            vectorized = bool(
-                plan.run_trials([trial_seed], rng_mode=rng_mode, vectorize=True)
-            )
-            assert vectorized == scalar, (rng_mode, trial)
+        scalar = plan.run_trial(trial_seed, rng_mode="vector")
+        vectorized = bool(
+            plan.run_trials([trial_seed], rng_mode="vector", vectorize=True)
+        )
+        assert vectorized == scalar, trial
     return True
 
 
@@ -494,9 +477,8 @@ def test_engine_throughput(benchmark, report):
         plan, rates, samples = _measure(
             scheme, configuration, labels, randomness, legacy_trials, engine_trials
         )
-        legacy, compat, fast, vector, vector_rng = (
-            rates["legacy"], rates["engine-compat"], rates["engine-fast"],
-            rates["engine-fast+numpy"], rates["engine-vector"],
+        legacy, compat, vector = (
+            rates["legacy"], rates["engine-compat"], rates["engine-vector"],
         )
         assert plan.uses_fast_path and plan.vector_ready
         identical = _assert_bit_identical(
@@ -508,12 +490,9 @@ def test_engine_throughput(benchmark, report):
                 plan.half_edge_count,
                 f"{legacy:.1f}",
                 f"{compat:.1f}",
-                f"{fast:.1f}",
                 f"{vector:.1f}",
-                f"{vector_rng:.1f}",
-                f"{fast / legacy:.1f}x",
-                f"{vector / fast:.1f}x",
-                f"{vector_rng / vector:.1f}x",
+                f"{compat / legacy:.1f}x",
+                f"{vector / compat:.1f}x",
             ]
         )
         results.append(
@@ -523,16 +502,10 @@ def test_engine_throughput(benchmark, report):
                 "half_edges": plan.half_edge_count,
                 "legacy_trials_per_sec": round(legacy, 1),
                 "engine_compat_trials_per_sec": round(compat, 1),
-                "engine_fast_trials_per_sec": round(fast, 1),
-                "engine_vector_trials_per_sec": round(vector, 1),
-                "engine_vector_rng_trials_per_sec": round(vector_rng, 1),
+                "engine_vector_rng_trials_per_sec": round(vector, 1),
                 "speedup_compat": round(compat / legacy, 2),
-                "speedup_fast": round(fast / legacy, 2),
-                "speedup_vector": round(vector / legacy, 2),
-                "speedup_vector_rng": round(vector_rng / legacy, 2),
-                "vector_vs_fast": round(vector / fast, 2),
-                "vector_rng_vs_fast": round(vector_rng / fast, 2),
-                "vector_rng_vs_fast_numpy": round(vector_rng / vector, 2),
+                "speedup_vector_rng": round(vector / legacy, 2),
+                "vector_vs_compat": round(vector / compat, 2),
                 "samples": samples,
                 "bit_identical": identical,
             }
@@ -554,11 +527,8 @@ def test_engine_throughput(benchmark, report):
                 "half-edges",
                 "legacy/s",
                 "compat/s",
-                "fast/s",
-                "fast+numpy/s",
                 "vector/s",
-                "fast",
-                "numpy gain",
+                "compat",
                 "vector gain",
             ],
             rows,
@@ -582,7 +552,6 @@ def test_engine_throughput(benchmark, report):
             "python": sys.version.split()[0],
             "required_speedup": REQUIRED_SPEEDUP,
             "required_vector_speedup": REQUIRED_VECTOR_SPEEDUP,
-            "required_vector_rng_speedup": REQUIRED_VECTOR_RNG_SPEEDUP,
             "required_sharded_speedup": REQUIRED_SHARDED_SPEEDUP,
             "cpu_count": available_cpus(),
             "workers": sharded_results[0]["workers"] if sharded_results else 0,
@@ -593,23 +562,18 @@ def test_engine_throughput(benchmark, report):
     )
 
     # The acceptance bar: the bit-identical batched path clears 5x on at
-    # least one workload, the numpy kernel path clears its margin over the
-    # scalar fast mode, the counter-based vector rng clears its margin over
-    # fast+numpy (the draw loop it eliminates), and every workload agrees
-    # with the reference oracle decision-for-decision on every path.
+    # least one workload, the vector-mode numpy kernels clear their margin
+    # over the scalar compat path, and every workload agrees with the
+    # reference oracle decision-for-decision on every path.
     assert all(result["bit_identical"] for result in results)
     assert max(result["speedup_compat"] for result in results) >= REQUIRED_SPEEDUP
     assert (
-        max(result["vector_vs_fast"] for result in results)
+        max(result["vector_vs_compat"] for result in results)
         >= REQUIRED_VECTOR_SPEEDUP
     )
-    assert (
-        max(result["vector_rng_vs_fast_numpy"] for result in results)
-        >= REQUIRED_VECTOR_RNG_SPEEDUP
-    )
-    # The shared-coins popcount kernel must beat its scalar fast mode.
+    # The shared-coins popcount kernel must beat the scalar compat path.
     shared_result = next(r for r in results if r["randomness"] == "shared")
-    assert shared_result["vector_vs_fast"] >= REQUIRED_VECTOR_SPEEDUP
+    assert shared_result["vector_vs_compat"] >= REQUIRED_VECTOR_SPEEDUP
 
     # Sharding: every sharded run was verdict-identical to single-process
     # (asserted inside measure_sharded); the wall-clock bar only applies

@@ -62,4 +62,4 @@ def test_k_flow_bounds(benchmark, report):
     configuration = flow_configuration(4, path_length=4, decoy_edges=4, seed=9)
     plan = k_flow_engine_plan(configuration)
     assert plan.uses_fast_path
-    benchmark(lambda: estimate_acceptance_fast(plan, 10, seed=2, rng_mode="fast"))
+    benchmark(lambda: estimate_acceptance_fast(plan, 10, seed=2, rng_mode="vector"))

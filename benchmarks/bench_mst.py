@@ -69,4 +69,4 @@ def test_mst_verification_complexity(benchmark, report):
     configuration = mst_configuration(128, seed=0)
     plan = mst_engine_plan(configuration)
     assert plan.uses_fast_path
-    benchmark(lambda: estimate_acceptance_fast(plan, 10, seed=5, rng_mode="fast"))
+    benchmark(lambda: estimate_acceptance_fast(plan, 10, seed=5, rng_mode="vector"))

@@ -120,14 +120,11 @@ def smoke_workload(name, scheme, configuration, randomness):
             f"{name}: trial {trial} diverged from the reference oracle"
         )
         if plan.vector_ready:
-            for rng_mode in ("compat", "fast", "vector"):
-                scalar = plan.run_trial(trial_seed, rng_mode)
-                vector = bool(
-                    plan.run_trials([trial_seed], rng_mode=rng_mode, vectorize=True)
-                )
-                assert vector == scalar, (
-                    f"{name}: vectorized {rng_mode} decision diverged on trial {trial}"
-                )
+            scalar = plan.run_trial(trial_seed, "vector")
+            vector = bool(plan.run_trials([trial_seed], rng_mode="vector", vectorize=True))
+            assert vector == scalar, (
+                f"{name}: vectorized decision diverged on trial {trial}"
+            )
 
     estimate = estimate_acceptance_fast(plan, SMOKE_TRIALS)
     assert estimate.probability == 1.0 or not scheme.one_sided, (
@@ -179,16 +176,15 @@ def smoke_fault(name, make_scheme, randomness, flip):
         f"{name}: the pinned flip folds to a constant kernel state"
     )
     seeds = [derive_trial_seed(0, trial) for trial in range(FAULT_TRIALS)]
-    for rng_mode in ("compat", "fast", "vector"):
-        scalar = [plan.run_trial(seed, rng_mode) for seed in seeds]
-        chunk = plan.run_trials(seeds, rng_mode=rng_mode, vectorize=True)
-        singles = [
-            bool(plan.run_trials([seed], rng_mode=rng_mode, vectorize=True))
-            for seed in seeds
-        ]
-        assert singles == scalar and chunk == sum(scalar), (
-            f"{name}: vectorized {rng_mode} decisions diverged from the scalar path"
-        )
+    scalar = [plan.run_trial(seed, "vector") for seed in seeds]
+    chunk = plan.run_trials(seeds, rng_mode="vector", vectorize=True)
+    singles = [
+        bool(plan.run_trials([seed], rng_mode="vector", vectorize=True))
+        for seed in seeds
+    ]
+    assert singles == scalar and chunk == sum(scalar), (
+        f"{name}: vectorized decisions diverged from the scalar path"
+    )
     return [name, plan.half_edge_count, f"numpy, {dirty} dirty", "ok"]
 
 
@@ -240,7 +236,7 @@ def smoke_parallel():
     campaign = Campaign.sweep(
         "smoke",
         [("spanning-tree", {"node_count": 12, "extra_edges": 3})],
-        rng_modes=("fast", "vector"),
+        rng_modes=("compat", "vector"),
         trial_budgets=(32,),
     )
     backend = "process"
@@ -262,7 +258,7 @@ def smoke_parallel():
 
     # Verdict-count identity through the chosen backend on a nontrivial
     # (two-sided) workload — the sharded determinism contract end to end.
-    spec = workload_spec("noisy-spanning-tree", rng_mode="fast", node_count=12)
+    spec = workload_spec("noisy-spanning-tree", rng_mode="vector", node_count=12)
     single = estimate_acceptance_fast(spec.resolve(), 64, seed=1)
     sharded = estimate_acceptance_sharded(
         spec, 64, seed=1, executor=backend, workers=_workers(backend), shard_count=4
@@ -303,7 +299,7 @@ def _smoke_streamed_campaign(backend):
     campaign = Campaign.sweep(
         "smoke-streamed",
         [("spanning-tree", {"node_count": 12, "extra_edges": 3})],
-        rng_modes=("fast", "vector"),
+        rng_modes=("compat", "vector"),
         trial_budgets=(48,),
     )
     records = run_campaign(
@@ -357,14 +353,14 @@ def _smoke_adaptive_campaign(backend):
         cells=(
             Cell(
                 name="easy",
-                spec=workload_spec("spanning-tree", rng_mode="fast", node_count=12),
+                spec=workload_spec("spanning-tree", rng_mode="vector", node_count=12),
                 trials=32,
                 seed=0,
             ),
             Cell(
                 name="hard",
                 spec=workload_spec(
-                    "noisy-spanning-tree", rng_mode="fast", node_count=12,
+                    "noisy-spanning-tree", rng_mode="vector", node_count=12,
                     flip_milli=5,
                 ),
                 trials=32,
@@ -445,7 +441,7 @@ def _smoke_chaos_recovery(backend):
         )
 
     policy = FaultPolicy(seed=next(s for s in range(1000) if fits(s)), kill_rate=0.3)
-    spec = workload_spec("noisy-spanning-tree", rng_mode="fast", node_count=12)
+    spec = workload_spec("noisy-spanning-tree", rng_mode="vector", node_count=12)
     single = estimate_acceptance_fast(spec.resolve(), 64, seed=1)
     inner, _owned = resolve_executor(backend, _workers(backend))
     try:

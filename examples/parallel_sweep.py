@@ -55,7 +55,7 @@ def main() -> None:
             ("spanning-tree", {"node_count": 32, "extra_edges": 8}),
             ("shared-coins", {"node_count": 32, "extra_edges": 8}),
         ],
-        rng_modes=("fast", "vector"),
+        rng_modes=("compat", "vector"),
         trial_budgets=(256,),
     )
     records = run_campaign(campaign, executor="serial", sink=MemorySink())

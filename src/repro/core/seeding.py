@@ -20,12 +20,13 @@ Three derivation layers live here:
 
 - :func:`derive_trial_seed` — the per-trial seed of a Monte-Carlo loop
   (trial ``i`` of a run with master seed ``s``);
-- :func:`derive_stream_seed` — the engine's *fast* per-(node, port) RNG
-  seed (``rng_mode="fast"`` in :mod:`repro.engine`), replacing the
-  string-seeded ``random.Random(f"{seed}|{node!r}|{port}")`` construction
-  whose SHA-512 seeding dominates tight trial loops.  The compatibility
-  mode of the engine keeps the string construction so historical seeds
-  reproduce bit-for-bit.
+- :func:`derive_stream_seed` — the integer base of a trial's
+  ``rng_mode="vector"`` stream in :mod:`repro.engine` (``(0, 0)`` for the
+  one sequential edge/node stream, ``(-1, -1)`` for the public coins),
+  replacing the string-seeded ``random.Random(f"{seed}|{node!r}|{port}")``
+  construction whose SHA-512 seeding dominates tight trial loops.  The
+  compatibility mode of the engine keeps the string construction so
+  historical seeds reproduce bit-for-bit.
 - the **counter-based stream** (``rng_mode="vector"`` in
   :mod:`repro.engine`): :func:`stream_word` maps a ``(stream_seed,
   counter)`` pair straight to a 64-bit word through the SplitMix64 stream
@@ -251,7 +252,8 @@ class CounterRng:
 
 
 def derive_stream_seed(trial_seed: int, node_index: int, port: int) -> int:
-    """Fast integer seed for the (node, port) certificate stream of a trial.
+    """Integer base seed of a (node, port) stream of a trial — the base of
+    the engine's ``rng_mode="vector"`` counter-based stream.
 
     ``port=-1`` addresses the node-shared stream (``randomness="node"``)
     and ``node_index=-1`` the global public-coin stream

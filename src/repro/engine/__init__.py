@@ -37,21 +37,21 @@ Knobs
 -----
 
 - ``rng_mode="compat"`` (default) reproduces the legacy string-seeded RNG
-  streams bit-for-bit; ``rng_mode="fast"`` derives streams through the
-  SplitMix64 integer mix of :mod:`repro.core.seeding` — statistically
-  equivalent, measurably faster, but a different point of the probability
-  space for the same seed; ``rng_mode="vector"`` draws through the
-  counter-based SplitMix64 stream, whose query points batch as one numpy
-  array op per Monte-Carlo chunk (scalar and vectorized executions
-  bit-identical per trial; hook-path schemes only).  A plan compiled with
-  ``rng_mode=...`` makes that mode its default for every run.
+  streams bit-for-bit, on the scalar path; ``rng_mode="vector"`` draws
+  through the counter-based SplitMix64 stream of :mod:`repro.core.seeding`
+  — statistically equivalent, but a different point of the probability
+  space for the same seed — whose query points batch as one numpy array op
+  per Monte-Carlo chunk (scalar and vectorized executions bit-identical per
+  trial; hook-path schemes only).  A plan compiled with ``rng_mode=...``
+  makes that mode its default for every run.
 - ``stop_halfwidth=...`` enables the confidence-interval early exit of
   :func:`estimate_acceptance_fast`; ``chunk_policy=FixedChunkPolicy(n)``
   sets how many trials run between stop-rule checks.
 - ``vectorize=...`` selects the numpy trial-chunk kernel
   (:mod:`repro.engine.kernels`): fingerprint-certificate schemes run whole
   Monte-Carlo chunks as lookups in per-plan agree rows (one draw, one
-  gather, one ``all``), decision-identical to the scalar path.  Auto-enabled under ``rng_mode="fast"`` when supported.
+  gather, one ``all``), decision-identical to the scalar path.  Auto-enabled
+  under ``rng_mode="vector"`` when supported; compat never vectorizes.
 - :class:`PlanCache` memoizes compiled plans by input *value* for drivers
   that revisit the same ``(scheme, configuration, labels)`` states — e.g.
   the self-stabilization loop's fault/recovery cycle.

@@ -20,19 +20,16 @@ Horner runs only while the agree rows are built (:meth:`_VectorState.prepare`,
 batched :func:`repro.substrates.gf.poly_eval_rows` passes over ``arange(p)``).
 A chunk is then three stages, touching only the dirty pairs:
 
-1. **draw** — in ``rng_mode="compat"`` and ``"fast"`` the chunk's query
-   points are drawn with the *same* ``random.Random`` calls, in the *same*
-   order, as the scalar hook path (the checks consume no randomness), and
-   the dirty pairs' columns are kept.  This is what keeps the kernel
-   decision-identical per trial: in compat mode to the legacy one-shot
-   oracle, in fast mode to the scalar fast path.  In ``rng_mode="vector"``
-   the draws come from the counter-based SplitMix64 stream of
-   :mod:`repro.core.seeding`, whose word ``k`` is a closed-form function of
-   ``(stream seed, k)`` — only the dirty pairs' counters are evaluated, as
-   **one** ``uint64`` array op (:func:`repro.core.seeding.stream_words`);
-   the scalar :class:`~repro.core.seeding.CounterRng` path replays the
-   identical words, so vector mode too is decision-identical between its
-   kernels.
+1. **draw** — the kernels run only ``rng_mode="vector"``, whose draws
+   come from the counter-based SplitMix64 stream of
+   :mod:`repro.core.seeding`: word ``k`` is a closed-form function of
+   ``(stream seed, k)``, so only the dirty pairs' counters are evaluated,
+   as **one** ``uint64`` array op (:func:`repro.core.seeding.stream_words`).
+   The scalar :class:`~repro.core.seeding.CounterRng` path replays the
+   identical words in the identical order (the checks consume no
+   randomness), which is what keeps the kernel decision-identical to it
+   per trial.  Compat mode's string-seeded ``random.Random`` streams have
+   no batched form; compat plans run the scalar hook path.
 2. **gather** — every drawn point is looked up in its pair's agree row.
 3. **all** — a trial accepts iff every looked-up entry is True.
 
@@ -67,18 +64,13 @@ GF(2) kernel is plain bitwise algebra on ``uint64`` lanes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.fingerprint import FingerprintVectorSpec
-from repro.core.scheme import SHARED_RNG_SUFFIX
-from repro.core.seeding import (
-    derive_stream_seed,
-    derive_stream_seed_array,
-    stream_words,
-)
+from repro.core.seeding import derive_stream_seed_array, stream_words
 from repro.core.shared import ParityVectorSpec
+from repro.engine.plan import check_kernel_mode
 from repro.substrates.gf import (
     WORD_BITS,
     gf2_inner_parities,
@@ -112,11 +104,10 @@ class _VectorState:
 
     kernel_path: ClassVar[str] = "table"
     draws: int                       # query points drawn per half-edge call
-    primes: Tuple[int, ...]          # per node: its fingerprint field
     constant_false: bool             # some node rejects every trial
     pairs: Tuple[_DirtyPair, ...] = ()
     # Per (dirty pair, draw) position, in pair-major order: the stream
-    # counter of the position (vector mode), the field it reduces into, and
+    # counter of the position, the field it reduces into, and
     # the start of its pair's row in ``agree``.
     counters: Optional["object"] = None       # (pairs * draws,) uint64
     draw_primes: Optional["object"] = None    # (pairs * draws,) uint64
@@ -214,7 +205,6 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
     if len(draws) != 1:  # pragma: no cover - one scheme, one draw count
         return None
     draw_count = draws.pop()
-    primes = tuple(spec.prime for spec in specs)
 
     constant_false = any(not spec.accepts_when_checks_pass for spec in specs)
 
@@ -241,7 +231,7 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
                 )
 
     if constant_false or not pairs:
-        return _VectorState(draws=draw_count, primes=primes, constant_false=constant_false)
+        return _VectorState(draws=draw_count, constant_false=constant_false)
 
     # Dirty pair k's draw d sits at position k * draws + d.  Under edge/node
     # randomness one stream feeds every half-edge in sequence (half-edge h's
@@ -258,7 +248,6 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
 
     return _VectorState(
         draws=draw_count,
-        primes=primes,
         constant_false=False,
         pairs=tuple(pairs),
         counters=counters,
@@ -355,49 +344,38 @@ def _build_parity_state(plan, specs) -> Optional[_ParityState]:
 def run_chunk(plan, trial_seeds, rng_mode: Optional[str] = None):
     """Run a chunk of trials vectorized; returns a per-trial bool array.
 
-    ``accepted[t]`` equals ``plan.run_trial(trial_seeds[t], rng_mode)`` for
-    every ``t`` — the kernel is a faithful re-execution of the scalar hook
-    path, not an approximation.  The plan must be vector-eligible
-    (:func:`vector_state` not ``None``); callers go through
-    ``plan.run_trials(..., vectorize=True)`` which enforces that.
+    ``accepted[t]`` equals ``plan.run_trial(trial_seeds[t], "vector")`` for
+    every ``t`` — the kernel is a faithful re-execution of the scalar
+    ``CounterRng`` hook path, not an approximation.  ``rng_mode`` (default:
+    the plan's) must be ``"vector"``, and the plan must be vector-eligible
+    (:func:`vector_state` not ``None``); both raise :class:`ValueError`
+    otherwise.
     """
+    check_kernel_mode(plan.rng_mode if rng_mode is None else rng_mode)
     state = vector_state(plan)
     if state is None:
         raise ValueError("plan has no vectorized kernel (see VerificationPlan.vector_ready)")
-    if rng_mode is None:
-        rng_mode = plan.rng_mode
     trials = len(trial_seeds)
     if state.constant_false:
         return _np.zeros(trials, dtype=bool)
     if isinstance(state, _ParityState):
-        return _run_parity_chunk(plan, state, trial_seeds, rng_mode)
+        return _run_parity_chunk(plan, state, trial_seeds)
     if not state.pairs:
         return _np.ones(trials, dtype=bool)  # every check passes every x
     agree = state.prepare().agree
-    points = _draw_dirty_points(plan, state, trial_seeds, rng_mode)
+    words = stream_words(_vector_bases(plan, trial_seeds), state.counters)
+    points = (words % state.draw_primes).astype(_np.int64)
     return agree[points + state.row_starts].all(axis=1)
 
 
-# -- query-point derivation -----------------------------------------------------
-#
-# Each helper replays the exact rng consumption of the scalar hook path for
-# its (rng_mode, randomness) pair: same seeds, same reseed boundaries, same
-# randrange arguments, same order.  The only difference is that the checks
-# between draws are looked up afterwards — they consume no randomness.
-# Compat and fast modes necessarily replay random.Random call by call, for
-# every half-edge, and keep the dirty pairs' columns; vector mode has no
-# sequential generator at all, so its draw stage is a single stream_words
-# broadcast over the dirty pairs' counters alone.
-
-
 def _vector_bases(plan, trial_seeds):
-    """Per-trial stream seeds for vector mode — the chunk's base array.
+    """Per-trial stream seeds — the chunk's base array.
 
-    Edge/node randomness feeds one sequential stream per trial (the same
-    ``derive_stream_seed(trial_seed, 0, 0)`` addressing as fast mode);
-    shared randomness uses the public stream address.  A caller's trial
-    seed may be any int, negative included, hence the mask before the
-    uint64 conversion.
+    Edge/node randomness feeds one sequential stream per trial, at
+    ``derive_stream_seed(trial_seed, 0, 0)``; shared randomness uses the
+    public stream address ``derive_stream_seed(trial_seed, -1, -1)``, as the
+    scalar hook path does.  A caller's trial seed may be any int, negative
+    included, hence the mask before the uint64 conversion.
     """
     masked = [seed & _MASK64 for seed in trial_seeds]
     if plan.randomness == "shared":
@@ -405,125 +383,35 @@ def _vector_bases(plan, trial_seeds):
     return derive_stream_seed_array(masked, 0, 0)
 
 
-def _draw_dirty_points(plan, state: _VectorState, trial_seeds, rng_mode: str):
-    """The chunk's points at the dirty pairs: a (trials, pairs * draws) array."""
-    if rng_mode == "vector":
-        words = stream_words(_vector_bases(plan, trial_seeds), state.counters)
-        return (words % state.draw_primes).astype(_np.int64)
-    sources = [pair.source for pair in state.pairs]
-    return _draw_points(plan, state, trial_seeds, rng_mode)[:, sources, :].reshape(
-        len(trial_seeds), len(sources) * state.draws
-    )
-
-
-def _draw_points(plan, state: _VectorState, trial_seeds, rng_mode: str):
-    """Every half-edge's points, replayed: a (trials, half-edges, draws) array."""
-    draws = state.draws
-    primes = state.primes
-    degrees = plan.degrees
-
-    randomness = plan.randomness
-    flat: List[int] = []
-    append = flat.append
-    rng = random.Random()
-    reseed = rng.seed
-    randrange = rng.randrange
-    draw_range = range(draws)
-
-    if rng_mode == "compat":
-        for trial_seed in trial_seeds:
-            prefix = str(trial_seed)
-            if randomness == "edge":
-                for suffixes, prime in zip(plan.port_suffixes, primes):
-                    for suffix in suffixes:
-                        reseed(prefix + suffix)
-                        for _ in draw_range:
-                            append(randrange(prime))
-            elif randomness == "node":
-                for i, prime in enumerate(primes):
-                    reseed(prefix + plan.node_suffixes[i])
-                    for _ in range(degrees[i] * draws):
-                        append(randrange(prime))
-            elif randomness == "shared":
-                shared_key = prefix + SHARED_RNG_SUFFIX
-                for i, prime in enumerate(primes):
-                    for _ in range(degrees[i]):
-                        reseed(shared_key)
-                        for _ in draw_range:
-                            append(randrange(prime))
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-    elif rng_mode == "fast":
-        for trial_seed in trial_seeds:
-            if randomness in ("edge", "node"):
-                reseed(derive_stream_seed(trial_seed, 0, 0))
-                for i, prime in enumerate(primes):
-                    for _ in range(degrees[i] * draws):
-                        append(randrange(prime))
-            elif randomness == "shared":
-                shared_seed = derive_stream_seed(trial_seed, -1, -1)
-                for i, prime in enumerate(primes):
-                    for _ in range(degrees[i]):
-                        reseed(shared_seed)
-                        for _ in draw_range:
-                            append(randrange(prime))
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-    else:
-        raise ValueError(f"unknown rng_mode {rng_mode!r}")
-
-    return _np.asarray(flat, dtype=_np.int64).reshape(
-        len(trial_seeds), plan.half_edge_count, draws
-    )
-
-
 # -- shared-coins parity kernel -------------------------------------------------
 
 
-def _draw_masks(plan, state: _ParityState, trial_seeds, rng_mode: str):
+def _draw_masks(plan, state: _ParityState, trial_seeds):
     """The chunk's public masks, packed: a (trials, t, words) uint64 array.
 
     Every sender of a trial re-derives the same masks from the shared
-    stream, so one draw per trial covers the whole round.  Compat and fast
-    modes replay ``random.Random.getrandbits`` mask by mask; vector mode
-    evaluates the counter-based stream in one broadcast, truncating the top
-    word exactly as :meth:`CounterRng.getrandbits` does.
+    stream, so one draw per trial covers the whole round: the counter-based
+    stream evaluated in one broadcast, truncating the top word exactly as
+    :meth:`CounterRng.getrandbits` does.
     """
     t = state.repetitions
     width = state.width
     words = state.mask_words
-
-    if rng_mode == "vector":
-        bases = _vector_bases(plan, trial_seeds)
-        packed = stream_words(bases, _np.arange(t * words, dtype=_np.uint64))
-        packed = packed.reshape(len(trial_seeds), t, words)
-        top = width - WORD_BITS * (words - 1)
-        packed[:, :, words - 1] &= _np.uint64((1 << top) - 1)
-        return packed
-
-    masks: List[List[int]] = []
-    if rng_mode == "compat":
-        for trial_seed in trial_seeds:
-            rng = random.Random(f"{trial_seed}{SHARED_RNG_SUFFIX}")
-            for _ in range(t):
-                masks.append(pack_value_words(rng.getrandbits(width), width))
-    elif rng_mode == "fast":
-        for trial_seed in trial_seeds:
-            rng = random.Random(derive_stream_seed(trial_seed, -1, -1))
-            for _ in range(t):
-                masks.append(pack_value_words(rng.getrandbits(width), width))
-    else:
-        raise ValueError(f"unknown rng_mode {rng_mode!r}")
-    return _np.asarray(masks, dtype=_np.uint64).reshape(len(trial_seeds), t, words)
+    bases = _vector_bases(plan, trial_seeds)
+    packed = stream_words(bases, _np.arange(t * words, dtype=_np.uint64))
+    packed = packed.reshape(len(trial_seeds), t, words)
+    top = width - WORD_BITS * (words - 1)
+    packed[:, :, words - 1] &= _np.uint64((1 << top) - 1)
+    return packed
 
 
-def _run_parity_chunk(plan, state: _ParityState, trial_seeds, rng_mode: str):
+def _run_parity_chunk(plan, state: _ParityState, trial_seeds):
     """The GF(2) chunk: every trial's parity checks as one popcount pass."""
     trials = len(trial_seeds)
     if state.diff_words is None:
         # No nonzero diff row: nothing randomized can fail, nothing is drawn.
         return _np.ones(trials, dtype=bool)
-    masks = _draw_masks(plan, state, trial_seeds, rng_mode)
+    masks = _draw_masks(plan, state, trial_seeds)
     # parities[t, m, pair] = <diff_pair, mask_{t,m}> over GF(2); a trial
     # accepts iff every inner product is 0 (all senders matched all
     # receivers' stored replicas on every public mask).

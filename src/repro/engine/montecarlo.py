@@ -15,23 +15,17 @@ Bit-identical vs. statistically equivalent
   trial ``i`` runs with seed ``derive_trial_seed(seed, i)`` in both paths,
   and ``plan.run_trial`` reproduces the legacy RNG streams exactly, so the
   two paths agree on every individual accept/reject decision — the property
-  tests assert this per trial, not just on the final counts.  The vectorized
-  kernel preserves this: it draws the same coins in the same order and only
-  batches the (randomness-free) field arithmetic.
-- **Statistically equivalent** (``rng_mode="fast"``): per-stream seeds come
-  from the SplitMix64 integer mix instead of string hashing, so the same
-  seed lands on a *different* point of the same probability space — every
-  distributional statement (acceptance probability, soundness error) is
-  unchanged, but individual decisions differ from compat mode.  Within fast
-  mode, the scalar and vectorized kernels are again decision-identical to
-  each other per trial.
+  tests assert this per trial, not just on the final counts.  Compat runs
+  the scalar path only.
 - **Statistically equivalent, fully batched** (``rng_mode="vector"``): the
-  counter-based SplitMix64 stream of :mod:`repro.core.seeding` — yet
-  another point of the same space, chosen so the *draws themselves* (not
-  just the arithmetic) evaluate as one numpy array op per chunk.  The
+  counter-based SplitMix64 stream of :mod:`repro.core.seeding` — another
+  point of the same probability space, chosen so the *draws themselves*
+  (not just the arithmetic) evaluate as one numpy array op per chunk.
+  Every distributional statement (acceptance probability, soundness error)
+  is unchanged, but individual decisions differ from compat mode.  The
   scalar :class:`~repro.core.seeding.CounterRng` path and the numpy kernel
-  are bit-identical per trial; the cross-mode consistency suite pins all
-  three modes to the same acceptance probability within Wilson tolerance.
+  are bit-identical per trial; the cross-mode consistency suite pins both
+  modes to the same acceptance probability within Wilson tolerance.
 
 Wilson early exit
 -----------------
@@ -68,13 +62,30 @@ from repro.core.configuration import Configuration
 from repro.core.scheme import RandomizedScheme
 from repro.core.seeding import trial_seed_slice
 from repro.core.verifier import RandomnessMode
-from repro.engine.plan import RngMode, VerificationPlan
+from repro.engine.plan import RngMode, VerificationPlan, check_kernel_mode
 from repro.graphs.port_graph import Node
 
 DEFAULT_CHUNK = 64
 
-# The rng modes whose estimates take a plan's numpy kernel unless told not to.
-_AUTO_VECTOR_MODES = ("fast", "vector")
+
+def _vectorizes(plan: VerificationPlan, rng_mode: RngMode, vectorize: Optional[bool]) -> bool:
+    """Whether an estimate runs ``plan``'s numpy kernel — the one rule.
+
+    ``None`` takes the kernel whenever the plan has one and the mode is
+    ``"vector"``; ``True`` requires both (raising :class:`ValueError`, so
+    a caller that must not silently fall back learns before any trial
+    runs); ``False`` never takes it.
+    """
+    if vectorize is None:
+        return rng_mode == "vector" and plan.vector_ready
+    if vectorize:
+        check_kernel_mode(rng_mode)
+        if not plan.vector_ready and plan.constant_verdict is None:
+            raise ValueError(
+                "vectorize=True but the plan has no vectorized kernel "
+                "(numpy missing, or the scheme has no engine_vector_spec hook)"
+            )
+    return vectorize
 
 
 @dataclass(frozen=True)
@@ -142,11 +153,12 @@ def estimate_acceptance_fast(
     ``rng_mode=None`` (default) uses the plan's compiled default mode.
 
     ``vectorize`` selects the numpy trial-chunk kernel: ``None`` (default)
-    uses it automatically in ``rng_mode="fast"`` / ``"vector"`` whenever
-    the plan supports it (``plan.vector_ready``), ``True`` requires it (raising
-    :class:`ValueError` on unsupported plans — useful in tests and
-    benchmarks that must not silently fall back), ``False`` forces the
-    scalar path.  The kernel never changes decisions, only throughput.
+    uses it automatically in ``rng_mode="vector"`` whenever the plan
+    supports it (``plan.vector_ready``), ``True`` requires it (raising
+    :class:`ValueError` in compat mode or on unsupported plans — useful in
+    tests and benchmarks that must not silently fall back), ``False``
+    forces the scalar path.  The kernel never changes decisions, only
+    throughput.
 
     The two shard hooks (see :mod:`repro.parallel`):
 
@@ -184,17 +196,7 @@ def estimate_acceptance_fast(
         raise ValueError("first_trial must be non-negative")
     if rng_mode is None:
         rng_mode = plan.rng_mode
-    if vectorize is None:
-        use_vector = rng_mode in _AUTO_VECTOR_MODES and plan.vector_ready
-    elif vectorize:
-        if not plan.vector_ready and plan.constant_verdict is None:
-            raise ValueError(
-                "vectorize=True but the plan has no vectorized kernel "
-                "(numpy missing, or the scheme has no engine_vector_spec hook)"
-            )
-        use_vector = True
-    else:
-        use_vector = False
+    use_vector = _vectorizes(plan, rng_mode, vectorize)
 
     if plan.constant_verdict is not None:
         accepted = trials if plan.constant_verdict else 0
@@ -239,14 +241,13 @@ def executed_path(
 
     ``plan.kernel_path``, except that a kernel-capable plan runs
     ``"scalar"`` when the call does not vectorize: ``vectorize=False``, or
-    the default ``None`` in compat mode.
+    the default ``None`` in compat mode.  Same rule, and same errors, as
+    the estimator.
     """
+    vectorizes = _vectorizes(plan, rng_mode or plan.rng_mode, vectorize)
     path = plan.kernel_path
-    if path in ("table", "parity"):
-        if vectorize is None:
-            vectorize = (rng_mode or plan.rng_mode) in _AUTO_VECTOR_MODES
-        if not vectorize:
-            return "scalar"
+    if path in ("table", "parity") and not vectorizes:
+        return "scalar"
     return path
 
 

@@ -146,15 +146,35 @@ from repro.core.seeding import CounterRng, derive_stream_seed
 from repro.core.verifier import RandomnessMode
 from repro.graphs.port_graph import Node
 
-# "compat": legacy string-seeded streams, bit-identical to the one-shot
-# oracle.  "fast": sequential SplitMix64-seeded random.Random streams.
-# "vector": the counter-based SplitMix64 stream (repro.core.seeding), whose
-# draws are a closed-form function of (stream seed, counter) — the only mode
-# whose query points batch as one numpy array op per chunk.  The scalar and
-# vectorized executions of any one mode are decision-identical per trial;
-# the three modes are distinct points of the same probability space.
+# "compat": legacy string-seeded random.Random streams, bit-identical to the
+# one-shot oracle; scalar only.  "vector": the counter-based SplitMix64
+# stream (repro.core.seeding), whose draws are a closed-form function of
+# (stream seed, counter), so a chunk's draws batch as one numpy array op;
+# its scalar (CounterRng) and numpy executions are decision-identical per
+# trial.  The two modes are distinct points of the same probability space.
 RngMode = str
-RNG_MODES = ("compat", "fast", "vector")
+RNG_MODES = ("compat", "vector")
+
+
+def check_rng_mode(rng_mode: RngMode) -> None:
+    """Raise :class:`ValueError` unless ``rng_mode`` is one of :data:`RNG_MODES`."""
+    if rng_mode not in RNG_MODES:
+        raise ValueError(
+            f"unknown rng_mode {rng_mode!r} (choose from {', '.join(RNG_MODES)})"
+        )
+
+
+def check_kernel_mode(rng_mode: RngMode) -> None:
+    """Raise :class:`ValueError` unless the numpy kernels can run ``rng_mode``.
+
+    The kernels draw only the counter-based stream; compat mode's
+    string-seeded ``random.Random`` streams run on the scalar path.
+    """
+    if rng_mode != "vector":
+        raise ValueError(
+            f"vectorize=True requires rng_mode='vector' (got {rng_mode!r}): "
+            "the numpy kernels draw only the counter-based stream"
+        )
 
 _EMPTY = BitString.empty()
 
@@ -234,8 +254,7 @@ class VerificationPlan:
         randomness: RandomnessMode,
         rng_mode: RngMode = "compat",
     ):
-        if rng_mode not in RNG_MODES:
-            raise ValueError(f"unknown rng_mode {rng_mode!r}")
+        check_rng_mode(rng_mode)
         self.scheme = scheme
         self.configuration = configuration
         self.labels = labels
@@ -379,7 +398,7 @@ class VerificationPlan:
 
         return self.constant_verdict is None and vector_state(self) is not None
 
-    def prepare(self, vectorize: Optional[bool] = None) -> "VerificationPlan":
+    def prepare(self) -> "VerificationPlan":
         """Force every lazily-built execution structure now; returns self.
 
         The vectorized kernel description (:func:`repro.engine.kernels.vector_state`)
@@ -389,76 +408,37 @@ class VerificationPlan:
         racily — harmlessly, since every builder computes the same value,
         but redundantly, once per worker.
         Executors call ``prepare()`` once before fanning a plan out so the
-        workers only ever read.  ``vectorize=True`` additionally asserts the
-        plan really has a kernel (same contract as
-        ``estimate_acceptance_fast(vectorize=True)``).
+        workers only ever read.
         """
         if self.constant_verdict is None:
             from repro.engine.kernels import vector_state
 
             state = vector_state(self)  # builds and memoizes the state
-            if vectorize and state is None:
-                raise ValueError(
-                    "vectorize=True but the plan has no vectorized kernel "
-                    "(numpy missing, or the scheme has no engine_vector_spec hook)"
-                )
             if state is not None:
                 state.prepare()
         return self
 
     # -- per-trial RNG derivation ---------------------------------------------
 
-    def _edge_rngs(self, trial_seed: int, rng_mode: RngMode) -> List[random.Random]:
-        """One generator per half-edge, flat-indexed, for the current mode."""
+    def _edge_rngs(self, trial_seed: int) -> List[random.Random]:
+        """One compat generator per half-edge, flat-indexed."""
         Random = random.Random
         randomness = self.randomness
         rngs: List[random.Random] = []
-        if rng_mode == "compat":
-            prefix = str(trial_seed)
-            if randomness == "edge":
-                for suffixes in self.port_suffixes:
-                    rngs.extend(Random(prefix + suffix) for suffix in suffixes)
-            elif randomness == "node":
-                for i, degree in enumerate(self.degrees):
-                    rng = Random(prefix + self.node_suffixes[i])
-                    rngs.extend(rng for _ in range(degree))
-            elif randomness == "shared":
-                shared_key = prefix + SHARED_RNG_SUFFIX
-                rngs.extend(
-                    Random(shared_key) for _ in range(self.half_edge_count)
-                )
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-        elif rng_mode == "fast":
-            if randomness == "edge":
-                for i, degree in enumerate(self.degrees):
-                    rngs.extend(
-                        Random(derive_stream_seed(trial_seed, i, port))
-                        for port in range(degree)
-                    )
-            elif randomness == "node":
-                for i, degree in enumerate(self.degrees):
-                    rng = Random(derive_stream_seed(trial_seed, i, -1))
-                    rngs.extend(rng for _ in range(degree))
-            elif randomness == "shared":
-                shared_seed = derive_stream_seed(trial_seed, -1, -1)
-                rngs.extend(
-                    Random(shared_seed) for _ in range(self.half_edge_count)
-                )
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-        else:
-            raise ValueError(f"unknown rng_mode {rng_mode!r}")
+        prefix = str(trial_seed)
+        if randomness == "edge":
+            for suffixes in self.port_suffixes:
+                rngs.extend(Random(prefix + suffix) for suffix in suffixes)
+        elif randomness == "node":
+            for i, degree in enumerate(self.degrees):
+                rng = Random(prefix + self.node_suffixes[i])
+                rngs.extend(rng for _ in range(degree))
+        elif randomness == "shared":
+            shared_key = prefix + SHARED_RNG_SUFFIX
+            rngs.extend(Random(shared_key) for _ in range(self.half_edge_count))
+        else:  # pragma: no cover - guarded upstream
+            raise ValueError(f"unknown randomness mode {randomness!r}")
         return rngs
-
-    def _shared_verifier_rng(
-        self, trial_seed: int, rng_mode: RngMode
-    ) -> Optional[random.Random]:
-        if self.randomness != "shared":
-            return None
-        if rng_mode == "compat":
-            return random.Random(f"{trial_seed}{SHARED_RNG_SUFFIX}")
-        return random.Random(derive_stream_seed(trial_seed, -1, -1))
 
     # -- execution -------------------------------------------------------------
 
@@ -469,16 +449,12 @@ class VerificationPlan:
         unless the plan was built otherwise).  ``"compat"`` derives the
         exact RNG streams of :func:`~repro.core.verifier.verify_randomized`,
         so the decision is bit-identical to
-        ``verify_randomized(..., seed=trial_seed)``.  ``"fast"`` swaps the
-        string-seeded derivation for the SplitMix64 integer mix of
-        :mod:`repro.core.seeding` — statistically equivalent streams at a
-        fraction of the derivation cost, but a *different* probability-space
-        point for the same seed.  ``"vector"`` draws through the
-        counter-based stream (:class:`~repro.core.seeding.CounterRng` here;
-        one numpy array op per chunk in the vectorized kernels) — again the
-        same probability space at yet another point; it requires the hook
-        fast path, whose certificate generators draw only via
-        ``randrange``/``getrandbits``/``random``.
+        ``verify_randomized(..., seed=trial_seed)``.  ``"vector"`` draws
+        through the counter-based stream (:class:`~repro.core.seeding.CounterRng`
+        here; one numpy array op per chunk in the vectorized kernels) — the
+        same probability space at a *different* point for the same seed; it
+        requires the hook fast path, whose certificate generators draw only
+        via ``randrange``/``getrandbits``/``random``.
         """
         if rng_mode is None:
             rng_mode = self.rng_mode
@@ -544,16 +520,15 @@ class VerificationPlan:
                         flat += 1
             else:  # pragma: no cover - guarded upstream
                 raise ValueError(f"unknown randomness mode {randomness!r}")
-        elif rng_mode in ("fast", "vector"):
+        elif rng_mode == "vector":
             if randomness in ("edge", "node"):
-                # One SplitMix64-seeded stream feeds every certificate in
+                # One counter-based stream feeds every certificate in
                 # sequence.  Consecutive draws of one stream are as
                 # independent as draws of derived per-port streams, so the
                 # round's acceptance distribution is unchanged — only the
-                # (seed -> coins) mapping differs from compat mode.  Vector
-                # mode keeps the identical seed addressing over the
-                # counter-based stream, so its kernel draws line up with
-                # this loop position for position.
+                # (seed -> coins) mapping differs from compat mode.  The
+                # numpy kernels address the same stream, so their draws
+                # line up with this loop position for position.
                 reseed(derive_stream_seed(trial_seed, 0, 0))
                 flat = 0
                 for context, degree in zip(contexts, self.degrees):
@@ -601,17 +576,19 @@ class VerificationPlan:
         return True
 
     def _run_trial_generic(self, trial_seed: int, rng_mode: RngMode) -> bool:
-        if rng_mode == "vector":
+        if rng_mode != "compat":
+            check_rng_mode(rng_mode)
             # Generic-path schemes may draw through any random.Random
             # method; the counter-based stream only guarantees replayable
             # word consumption for randrange/getrandbits/random, which is
             # what the hook contract restricts certificate generators to.
             raise ValueError(
                 "rng_mode='vector' requires the engine hook fast path "
-                f"({self.scheme.name} has no engine hooks)"
+                f"({self.scheme.name} has no engine hooks); "
+                "use rng_mode='compat'"
             )
         scheme = self.scheme
-        rngs = self._edge_rngs(trial_seed, rng_mode)
+        rngs = self._edge_rngs(trial_seed)
         certificate = scheme.certificate
 
         certificates: List[BitString] = [_EMPTY] * self.half_edge_count
@@ -636,9 +613,7 @@ class VerificationPlan:
                 own_label=view.own_label,
                 messages=tuple(certificates[j] for j in self.incoming[i]),
                 shared_rng=(
-                    self._shared_verifier_rng(trial_seed, rng_mode)
-                    if shared
-                    else None
+                    random.Random(f"{trial_seed}{SHARED_RNG_SUFFIX}") if shared else None
                 ),
             )
             try:
@@ -659,13 +634,15 @@ class VerificationPlan:
 
         ``rng_mode=None`` uses the plan's compiled default.
         ``vectorize=True`` executes the chunk through the numpy kernel of
-        :mod:`repro.engine.kernels` (requires :attr:`vector_ready`); the
-        per-trial decisions are identical to the scalar path in every
-        ``rng_mode``, only the arithmetic (and, in vector mode, the query
-        point draws) is batched.
+        :mod:`repro.engine.kernels` (requires :attr:`vector_ready` and
+        ``rng_mode="vector"``; compat raises :class:`ValueError`); the
+        per-trial decisions are identical to the scalar ``CounterRng`` path,
+        only the draws and the checks are batched.
         """
         if rng_mode is None:
             rng_mode = self.rng_mode
+        if vectorize:
+            check_kernel_mode(rng_mode)
         if self.constant_verdict is not None:
             return len(trial_seeds) if self.constant_verdict else 0
         if vectorize:

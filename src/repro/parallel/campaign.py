@@ -140,7 +140,7 @@ class Campaign:
         size kwargs: ``("spanning-tree", {"node_count": 200})``.
 
         >>> len(Campaign.sweep("s", ["spanning-tree", "shared-coins"],
-        ...                    rng_modes=("fast", "vector"),
+        ...                    rng_modes=("compat", "vector"),
         ...                    trial_budgets=(100, 1000)).cells)
         8
         """
@@ -461,7 +461,6 @@ def run_campaign(
     sink=None,
     planner: Optional[ShardPlanner] = None,
     chunk_policy=FixedChunkPolicy(),
-    vectorize: Optional[bool] = None,
     cell_parallelism: int = 1,
     on_cell_error: str = "raise",
     cell_retries: int = 1,
@@ -576,7 +575,6 @@ def run_campaign(
         "executor": instance,
         "planner": planner,
         "chunk_policy": chunk_policy,
-        "vectorize": vectorize,
         "shard_timeout": shard_timeout,
         "max_retries": max_retries,
     }

@@ -7,7 +7,7 @@ Run as ``python -m repro.parallel.cli`` (with ``src`` on ``PYTHONPATH``):
   --executor process`` — one sharded estimate, printed with its Wilson
   interval and shard provenance;
 - ``... campaign --workloads spanning-tree,shared-coins --rng-modes
-  fast,vector --trials 2000,8000 --out results/campaign.jsonl`` — a sweep
+  compat,vector --trials 2000,8000 --out results/campaign.jsonl`` — a sweep
   streamed to a resumable JSON-lines sink (rerunning the same command picks
   up where it stopped).
 

@@ -150,9 +150,7 @@ def _run_shard(
             "first_trial": shard.start,
             "planned_trials": shard.trials,
             "rng_mode": options["rng_mode"],
-            "kernel_path": executed_path(
-                plan, options["rng_mode"], options["vectorize"]
-            ),
+            "kernel_path": executed_path(plan, options["rng_mode"]),
         }
         start_mono = time.monotonic()
     with recorder.span(
@@ -169,7 +167,6 @@ def _run_shard(
             # opens its own session engine-side (the session holds any
             # mutable growth state).
             chunk_policy=options["chunk_policy"],
-            vectorize=options["vectorize"],
             first_trial=shard.start,
             should_stop=should_stop,
             progress=progress,
@@ -748,7 +745,6 @@ def estimate_acceptance_sharded(
     chunk_policy=FixedChunkPolicy(),
     stop_halfwidth: Optional[float] = None,
     min_trials: int = 2 * DEFAULT_CHUNK,
-    vectorize: Optional[bool] = None,
     first_trial: int = 0,
     prior: Optional[Tuple[int, int]] = None,
     progress_observer: Optional[Callable[[int, int], None]] = None,
@@ -853,11 +849,11 @@ def estimate_acceptance_sharded(
             shard_target: Union[PlanSpec, VerificationPlan] = target
             if in_process:
                 # Same process: resolve once and share the read-only plan.
-                shard_target = target.resolve().prepare(vectorize)
+                shard_target = target.resolve().prepare()
         else:
             if rng_mode is None:
                 rng_mode = target.rng_mode
-            shard_target = target.prepare(vectorize)
+            shard_target = target.prepare()
 
         shards = planner.plan(trials, instance.workers)
         if first_trial:
@@ -876,7 +872,6 @@ def estimate_acceptance_sharded(
             "seed": seed,
             "rng_mode": rng_mode,
             "chunk_policy": chunk_policy,
-            "vectorize": vectorize,
         }
         if recorder.enabled:
             run_span.set("rng_mode", rng_mode)

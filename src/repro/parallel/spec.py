@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.engine.cache import PlanCache
-from repro.engine.plan import VerificationPlan
+from repro.engine.plan import VerificationPlan, check_rng_mode
 
 # Per-process resolution state (see module docstring).  Deliberately
 # process-global: with the default fork start method workers inherit a
@@ -83,7 +83,8 @@ class PlanSpec:
     hashable primitives (they key the worker-side memo and appear verbatim
     in campaign records).  ``randomness`` and ``rng_mode`` complete the plan
     identity, exactly as they do in :class:`~repro.engine.cache.PlanCache`
-    keys.
+    keys.  An unknown ``rng_mode`` raises :class:`ValueError` here, in the
+    parent, rather than at :meth:`resolve` in a worker.
     """
 
     factory: str
@@ -91,6 +92,9 @@ class PlanSpec:
     kwargs: Tuple[Tuple[str, object], ...] = ()
     randomness: str = "edge"
     rng_mode: str = "compat"
+
+    def __post_init__(self):
+        check_rng_mode(self.rng_mode)
 
     @classmethod
     def of(

@@ -109,8 +109,8 @@ def run_self_stabilization(
     FALSE at any node, recovery runs immediately (the repaired state is in
     force from the next round on).
 
-    ``rng_mode`` selects the per-round coin derivation (``"compat"``,
-    ``"fast"``, or the counter-based ``"vector"`` — see
+    ``rng_mode`` selects the per-round coin derivation (``"compat"`` or
+    the counter-based ``"vector"`` — see
     :mod:`repro.engine.plan`); it compiles into the plans this loop
     resolves, and the cache keys on it, so runs sharing one ``plan_cache``
     across modes can never serve each other's coin streams.

@@ -33,7 +33,7 @@ from repro.engine.specs import (
     spec_names,
 )
 
-RNG_MODES = ("compat", "fast", "vector")
+RNG_MODES = ("compat", "vector")
 WORKLOAD_KINDS = ("clean", "proof-fault", "state-fault")
 
 #: every registered scheme, in the registry's canonical order — parametrize

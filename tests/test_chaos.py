@@ -62,7 +62,7 @@ def small_spec(rng_mode="vector"):
     )
 
 
-def noisy_spec(rng_mode="fast"):
+def noisy_spec(rng_mode="vector"):
     return workload_spec(
         "noisy-spanning-tree", rng_mode=rng_mode, node_count=18, flip_milli=4
     )

@@ -35,10 +35,10 @@ from repro.simulation.metrics import AcceptanceEstimate
 
 @pytest.fixture(scope="module")
 def noisy_plan():
-    # Two-sided acceptance so accepted-counts are informative, generic
-    # (scalar) plan path.
+    # Two-sided acceptance so accepted-counts are informative, scalar hook
+    # path (no kernel tabulates the channel's flips).
     return workload_spec(
-        "noisy-spanning-tree", rng_mode="fast", node_count=16, flip_milli=5
+        "noisy-spanning-tree", rng_mode="vector", node_count=16, flip_milli=5
     ).resolve()
 
 

@@ -49,13 +49,13 @@ from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
 
 def easy_spec():
     # Honest spanning-tree run: every trial accepts, converges in the probe.
-    return workload_spec("spanning-tree", rng_mode="fast", node_count=12)
+    return workload_spec("spanning-tree", rng_mode="vector", node_count=12)
 
 
 def noisy_spec():
     # Two-sided acceptance: nontrivial interval, needs real budget.
     return workload_spec(
-        "noisy-spanning-tree", rng_mode="fast", node_count=18, flip_milli=4
+        "noisy-spanning-tree", rng_mode="vector", node_count=18, flip_milli=4
     )
 
 
@@ -642,7 +642,7 @@ class TestCliAdaptive:
     def test_adaptive_campaign_cli(self, tmp_path, capsys):
         code = cli_main(
             [
-                "campaign", "--workloads", "spanning-tree", "--rng-modes", "fast",
+                "campaign", "--workloads", "spanning-tree", "--rng-modes", "vector",
                 "--trials", "64", "--size", "node_count=12",
                 "--out", str(tmp_path / "cli.jsonl"),
                 "--global-budget", "2000", "--target-halfwidth", "0.05",
@@ -669,7 +669,7 @@ class TestCliAdaptive:
             cli_main(
                 [
                     "campaign", "--workloads", "spanning-tree", "--rng-modes",
-                    "fast", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
+                    "vector", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
                     "--target-halfwidth", "0.05",
                 ]
             )
@@ -679,7 +679,7 @@ class TestCliAdaptive:
             cli_main(
                 [
                     "campaign", "--workloads", "spanning-tree", "--rng-modes",
-                    "fast", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
+                    "vector", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
                     "--global-budget", "1000",
                 ]
             )
@@ -689,7 +689,7 @@ class TestCliAdaptive:
             cli_main(
                 [
                     "campaign", "--workloads", "spanning-tree", "--rng-modes",
-                    "fast", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
+                    "vector", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
                     "--global-budget", "0", "--target-halfwidth", "0.05",
                 ]
             )

@@ -1,14 +1,14 @@
-"""Cross-mode decision-consistency: compat / fast / vector agree statistically.
+"""Cross-mode decision-consistency: compat / vector agree statistically.
 
-The three ``rng_mode`` settings are *different points of the same
+The two ``rng_mode`` settings are *different points of the same
 probability space*: the per-trial decisions legitimately differ, but the
 acceptance probability they estimate must not.  A fast path that quietly
 changed the distribution — a biased draw, a dropped check, a misaligned
 counter — is exactly the "fast but wrong" regression these tests exist to
-catch: for every scheme with an engine hook, the three modes estimate the
+catch: for every scheme with an engine hook, both modes estimate the
 same acceptance probability on a shared workload, asserted via
 Wilson-interval overlap (each mode's interval must contain a point the
-others' intervals contain too).
+other's interval contains too).
 
 Three workload classes per scheme where they apply:
 
@@ -19,8 +19,8 @@ Three workload classes per scheme where they apply:
   a real statistical statement;
 - **illegal payloads** (Unif) — the classic nondegenerate soundness case.
 
-The tier-1 core runs a few hundred trials per mode (the vector/fast modes
-are vectorized, so this is cheap); the ``slow_stats`` tier re-runs the
+The tier-1 core runs a few hundred trials per mode (vector mode is
+vectorized, so this is cheap); the ``slow_stats`` tier re-runs the
 comparison at 10x depth with tighter intervals via ``make test-stats``.
 """
 
@@ -42,7 +42,7 @@ from repro.schemes.spanning_tree import SpanningTreePLS
 from repro.schemes.uniformity import DirectUnifRPLS
 from repro.simulation.metrics import wilson_interval
 
-MODES = ("compat", "fast", "vector")
+MODES = ("compat", "vector")
 
 
 def proof_fault_labels(scheme, configuration, trial_count=80, seed=1):
@@ -230,7 +230,7 @@ class TestDeepConsistency:
     @pytest.mark.parametrize("master_seed", (10, 11))
     def test_noisy_channel_deep(self, master_seed):
         # Two-sided on honest labels: every mode runs the scalar hook path,
-        # compat on string-seeded streams, fast and vector on one stream.
+        # compat on string-seeded streams, vector on one counter stream.
         config = spanning_tree_configuration(24, 6, seed=1)
         scheme = NoisyChannelRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), 0.002)
         estimates = estimates_by_mode(

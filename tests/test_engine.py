@@ -31,6 +31,7 @@ from repro.engine import (
     estimate_acceptance_batched,
     estimate_acceptance_fast,
 )
+from repro.engine.plan import RNG_MODES
 from repro.graphs.generators import (
     corrupt_mst_swap,
     corrupt_spanning_tree,
@@ -349,22 +350,22 @@ class TestEstimators:
             plan.run_trial(0, rng_mode="nope")
 
 
-class TestFastRngMode:
-    """The integer-mix mode trades bit-compat for speed, not correctness."""
+class TestVectorModeStatistics:
+    """The counter-stream mode trades bit-compat for speed, not correctness."""
 
     @pytest.mark.parametrize("randomness", ALL_MODES)
     def test_one_sided_completeness_preserved(self, randomness):
         config = spanning_tree_configuration(16, 5, seed=27)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         plan = VerificationPlan.compile(scheme, config, randomness=randomness)
-        estimate = estimate_acceptance_fast(plan, 40, seed=28, rng_mode="fast")
+        estimate = estimate_acceptance_fast(plan, 40, seed=28, rng_mode="vector")
         assert estimate.probability == 1.0
 
     def test_soundness_statistics_preserved(self):
         config = uniform_configuration(10, 64, equal=False, seed=29)
         scheme = DirectUnifRPLS()
         plan = VerificationPlan.compile(scheme, config)
-        estimate = estimate_acceptance_fast(plan, 150, seed=30, rng_mode="fast")
+        estimate = estimate_acceptance_fast(plan, 150, seed=30, rng_mode="vector")
         assert estimate.probability < 1 / 3 + 0.1
 
 
@@ -427,17 +428,19 @@ class TestRawFingerprints:
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
-def _assert_vector_identical(plan, seeds, rng_modes=("compat", "fast", "vector")):
-    """The vectorized kernel reproduces the scalar path's decision per trial."""
-    for rng_mode in rng_modes:
-        scalar = [plan.run_trial(seed, rng_mode) for seed in seeds]
-        singles = [
-            bool(plan.run_trials([seed], rng_mode=rng_mode, vectorize=True))
-            for seed in seeds
-        ]
-        assert singles == scalar, rng_mode
-        # Chunking across the whole seed list is equally invisible.
-        assert plan.run_trials(seeds, rng_mode=rng_mode, vectorize=True) == sum(scalar)
+def _assert_vector_identical(plan, seeds):
+    """The vectorized kernel reproduces the vector-mode scalar (CounterRng)
+    path's decision per trial; compat has no kernel and refuses one."""
+    scalar = [plan.run_trial(seed, "vector") for seed in seeds]
+    singles = [
+        bool(plan.run_trials([seed], rng_mode="vector", vectorize=True))
+        for seed in seeds
+    ]
+    assert singles == scalar
+    # Chunking across the whole seed list is equally invisible.
+    assert plan.run_trials(seeds, rng_mode="vector", vectorize=True) == sum(scalar)
+    with pytest.raises(ValueError, match="rng_mode='vector'"):
+        plan.run_trials(seeds, rng_mode="compat", vectorize=True)
 
 
 @needs_numpy
@@ -481,13 +484,13 @@ class TestVectorizedKernels:
         )
         assert plan.vector_ready
         seeds = [derive_trial_seed(0, trial) for trial in range(15)]
-        # Compat + vectorized reproduces the one-shot oracle per trial.
+        # Compat (scalar) reproduces the one-shot oracle per trial.
         for seed in seeds:
             reference = verify_randomized(
                 scheme, config, seed=seed, labels=labels, randomness=randomness
             ).accepted
-            assert bool(plan.run_trials([seed], vectorize=True)) == reference
-        # Fast mode: vectorized and scalar share their probability point.
+            assert plan.run_trial(seed) == reference
+        # Vector mode: vectorized and scalar share their probability point.
         _assert_vector_identical(plan, seeds)
 
     @pytest.mark.parametrize("randomness", ("edge", "node"))
@@ -536,23 +539,52 @@ class TestVectorizedKernels:
             reference = verify_randomized(
                 scheme, config, seed=seed, labels=flipped
             ).accepted
-            assert bool(plan.run_trials([seed], vectorize=True)) == reference
+            assert plan.run_trial(seed) == reference
         _assert_vector_identical(plan, seeds)
 
     def test_estimator_vectorize_knob(self):
         config = spanning_tree_configuration(12, 4, seed=58)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         plan = VerificationPlan.compile(scheme, config)
-        scalar = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="fast", vectorize=False)
-        vector = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="fast", vectorize=True)
-        auto = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="fast")
+        scalar = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="vector", vectorize=False)
+        vector = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="vector", vectorize=True)
+        auto = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="vector")
         assert scalar.accepted == vector.accepted == auto.accepted
         # Explicitly requesting the kernel on an unsupported plan fails loudly.
         unif_plan = VerificationPlan.compile(
-            DirectUnifRPLS(), uniform_configuration(6, 8, equal=True, seed=60)
+            DirectUnifRPLS(), uniform_configuration(6, 8, equal=True, seed=60),
+            rng_mode="vector",
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no vectorized kernel"):
             estimate_acceptance_fast(unif_plan, 10, vectorize=True)
+
+    def test_compat_refuses_the_kernel_before_any_trial(self, monkeypatch):
+        """The kernels draw only the counter stream: compat plus
+        vectorize=True raises at every entry point, before a trial runs."""
+        from repro.engine.kernels import run_chunk
+        from repro.engine.montecarlo import executed_path
+
+        config = spanning_tree_configuration(12, 4, seed=58)
+        plan = VerificationPlan.compile(FingerprintCompiledRPLS(SpanningTreePLS()), config)
+        assert plan.vector_ready and plan.rng_mode == "compat"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(plan, "_run_trial_hooks", forbidden)
+        seeds = [derive_trial_seed(1, t) for t in range(4)]
+        for call in (
+            lambda: plan.run_trials(seeds, vectorize=True),
+            lambda: run_chunk(plan, seeds),
+            lambda: run_chunk(plan, seeds, "compat"),
+            lambda: estimate_acceptance_fast(plan, 10, vectorize=True),
+            lambda: executed_path(plan, "compat", vectorize=True),
+        ):
+            with pytest.raises(ValueError, match="rng_mode='vector'"):
+                call()
+        # The default never asks compat for the kernel.
+        assert executed_path(plan) == "scalar"
+        assert executed_path(plan, "vector") == "table"
 
     def test_fingerprinter_eval_chunk_matches_scalar(self):
         from repro.core.fingerprint import Fingerprinter
@@ -809,7 +841,7 @@ class TestVectorRngMode:
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         plan = VerificationPlan.compile(scheme, config, randomness=randomness)
         seeds = [derive_trial_seed(4, t) for t in range(10)]
-        _assert_vector_identical(plan, seeds, rng_modes=("vector",))
+        _assert_vector_identical(plan, seeds)
         # One-sided completeness holds at the vector probability point too.
         assert all(plan.run_trial(seed, "vector") for seed in seeds)
 
@@ -831,9 +863,7 @@ class TestVectorRngMode:
         config = spanning_tree_configuration(12, 4, seed=72)
         scheme = BoostedRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), 3)
         plan = VerificationPlan.compile(scheme, config)
-        _assert_vector_identical(
-            plan, [derive_trial_seed(6, t) for t in range(8)], rng_modes=("vector",)
-        )
+        _assert_vector_identical(plan, [derive_trial_seed(6, t) for t in range(8)])
 
     def test_generic_path_rejects_vector_mode(self):
         from repro.core.noise import NoisyChannelRPLS
@@ -842,7 +872,7 @@ class TestVectorRngMode:
         scheme = NoisyChannelRPLS(DirectUnifRPLS(), flip_probability=0.01)
         plan = VerificationPlan.compile(scheme, config, labels=scheme.prover(config))
         assert not plan.uses_fast_path
-        with pytest.raises(ValueError, match="engine hook fast path"):
+        with pytest.raises(ValueError, match="engine hook fast path.*rng_mode='compat'"):
             plan.run_trial(derive_trial_seed(0, 0), "vector")
 
     def test_plan_default_rng_mode(self):
@@ -908,18 +938,20 @@ class TestParityKernel:
         for seed in seeds:
             assert plan.run_trial(seed) is True
 
-    def test_compat_kernel_matches_one_shot_oracle(self):
+    def test_compat_scalar_matches_one_shot_oracle(self):
         scheme, config, labels, plan = self._fault_workload()
         for trial in range(15):
             trial_seed = derive_trial_seed(3, trial)
             reference = verify_randomized(
                 scheme, config, seed=trial_seed, labels=labels, randomness="shared"
             ).accepted
-            assert bool(plan.run_trials([trial_seed], vectorize=True)) == reference
+            assert plan.run_trial(trial_seed) == reference
+        with pytest.raises(ValueError, match="rng_mode='vector'"):
+            plan.run_trials([derive_trial_seed(3, 0)], vectorize=True)
 
     def test_proof_fault_verdicts_identical_per_trial(self):
         """The satellite property: scalar vs popcount verdicts per trial,
-        under proof-fault randomness, in all three rng modes."""
+        under proof-fault randomness, in vector mode."""
         _scheme, _config, _labels, plan = self._fault_workload()
         _assert_vector_identical(plan, [derive_trial_seed(4, t) for t in range(40)])
 
@@ -946,7 +978,7 @@ class TestParityKernel:
         plan = VerificationPlan.compile(scheme, config, randomness="edge")
         assert plan.vector_ready
         seeds = [derive_trial_seed(6, t) for t in range(6)]
-        assert plan.run_trials(seeds, vectorize=True) == 0
+        assert plan.run_trials(seeds, rng_mode="vector", vectorize=True) == 0
         _assert_vector_identical(plan, seeds)
 
     def test_forged_kappa_width_mismatch_falls_back_to_scalar(self):
@@ -990,21 +1022,18 @@ class TestParityKernel:
 @needs_numpy
 class TestAgreementTable:
     """Kernels built around dirty pairs: clean pairs drop out, dirty pairs
-    are looked up in agree rows tabulated once per plan."""
-
-    RNG_MODES = ("compat", "fast", "vector")
+    are looked up in agree rows tabulated once per plan.  The kernels run
+    only rng_mode="vector"."""
 
     @staticmethod
     def _forbid_draws(monkeypatch):
-        """Make every randomness source the kernels could touch raise."""
+        """Make the kernels' one randomness source raise."""
         import repro.engine.kernels as kernels
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an honest chunk drew randomness")
 
         monkeypatch.setattr(kernels, "stream_words", forbidden)
-        monkeypatch.setattr(random.Random, "randrange", forbidden)
-        monkeypatch.setattr(random.Random, "getrandbits", forbidden)
 
     @staticmethod
     def _dirty_receivers(plan):
@@ -1032,21 +1061,20 @@ class TestAgreementTable:
         config = spanning_tree_configuration(14, 5, seed=90)
         seeds = [derive_trial_seed(3, t) for t in range(64)]
         self._forbid_draws(monkeypatch)
-        for rng_mode in self.RNG_MODES:
-            plan = VerificationPlan.compile(
-                scheme, config, randomness=randomness, rng_mode=rng_mode
-            )
-            state = vector_state(plan)
-            assert not state.constant_false
-            assert plan.constant_verdict is None  # not folded at plan level
-            assert state.dirty_pairs == 0
-            assert run_chunk(plan, seeds).all()
-            # Still a kernel-level constant: the Wilson stop lands where it
-            # did when every pair was checked, not at the full budget.
-            estimate = estimate_acceptance_fast(
-                plan, 5000, seed=3, stop_halfwidth=0.01, vectorize=True
-            )
-            assert (estimate.accepted, estimate.trials) == (192, 192)
+        plan = VerificationPlan.compile(
+            scheme, config, randomness=randomness, rng_mode="vector"
+        )
+        state = vector_state(plan)
+        assert not state.constant_false
+        assert plan.constant_verdict is None  # not folded at plan level
+        assert state.dirty_pairs == 0
+        assert run_chunk(plan, seeds).all()
+        # Still a kernel-level constant: the Wilson stop lands where it
+        # did when every pair was checked, not at the full budget.
+        estimate = estimate_acceptance_fast(
+            plan, 5000, seed=3, stop_halfwidth=0.01, vectorize=True
+        )
+        assert (estimate.accepted, estimate.trials) == (192, 192)
 
     def _three_receiver_forgery(self):
         """Two-bit replica flips at three nodes: three dirty pairs, each
@@ -1065,23 +1093,19 @@ class TestAgreementTable:
 
         scheme, config, labels = self._three_receiver_forgery()
         seeds = [derive_trial_seed(4, t) for t in range(120)]
-        accepted = 0
-        for rng_mode in self.RNG_MODES:
-            plan = VerificationPlan.compile(
-                scheme, config, labels=labels, randomness=randomness,
-                rng_mode=rng_mode,
-            )
-            state = vector_state(plan)
-            assert not state.constant_false
-            assert len(state.pairs) >= 3
-            assert len(self._dirty_receivers(plan)) >= 3
-            verdicts = [bool(v) for v in run_chunk(plan, seeds)]
-            assert verdicts == [plan.run_trial(seed) for seed in seeds], rng_mode
-            accepted += sum(verdicts)
+        plan = VerificationPlan.compile(
+            scheme, config, labels=labels, randomness=randomness, rng_mode="vector"
+        )
+        state = vector_state(plan)
+        assert not state.constant_false
+        assert len(state.pairs) >= 3
+        assert len(self._dirty_receivers(plan)) >= 3
+        verdicts = [bool(v) for v in run_chunk(plan, seeds)]
+        assert verdicts == [plan.run_trial(seed) for seed in seeds]
         if randomness == "shared":
             # Every pair sees the same public point, so the three checks
             # pass together often enough for both verdicts to occur.
-            assert 0 < accepted < 3 * len(seeds)
+            assert 0 < sum(verdicts) < len(seeds)
 
     @staticmethod
     def _replace_context(plan, index, **changes):
@@ -1098,20 +1122,19 @@ class TestAgreementTable:
         config = spanning_tree_configuration(14, 5, seed=91)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         seeds = [derive_trial_seed(5, t) for t in range(40)]
-        for rng_mode in self.RNG_MODES:
-            plan = VerificationPlan.compile(scheme, config, rng_mode=rng_mode)
-            context = plan.contexts[0]
-            prime = context.fingerprinter.params.prime
-            stored = list(context.stored_coefficients[0])
-            stored[-1] = (stored[-1] + 1) % prime  # Q_r - A_s = 1
-            self._replace_context(
-                plan, 0,
-                stored_coefficients=(tuple(stored),) + context.stored_coefficients[1:],
-            )
-            state = vector_state(plan).prepare()
-            assert len(state.pairs) == 1 and not state.agree.any()
-            assert not run_chunk(plan, seeds).any()
-            assert not any(plan.run_trial(seed) for seed in seeds)
+        plan = VerificationPlan.compile(scheme, config, rng_mode="vector")
+        context = plan.contexts[0]
+        prime = context.fingerprinter.params.prime
+        stored = list(context.stored_coefficients[0])
+        stored[-1] = (stored[-1] + 1) % prime  # Q_r - A_s = 1
+        self._replace_context(
+            plan, 0,
+            stored_coefficients=(tuple(stored),) + context.stored_coefficients[1:],
+        )
+        state = vector_state(plan).prepare()
+        assert len(state.pairs) == 1 and not state.agree.any()
+        assert not run_chunk(plan, seeds).any()
+        assert not any(plan.run_trial(seed, mode) for seed in seeds for mode in RNG_MODES)
 
     def test_equal_coefficients_different_primes_is_dirty(self):
         """A receiver checking the right polynomial over the wrong field."""
@@ -1130,19 +1153,18 @@ class TestAgreementTable:
                 break
         assert other.certificate_bits == honest.certificate_bits
         seeds = [derive_trial_seed(6, t) for t in range(60)]
-        for rng_mode in self.RNG_MODES:
-            plan = VerificationPlan.compile(scheme, config, rng_mode=rng_mode)
-            self._replace_context(plan, 0, fingerprinter=other)
-            state = vector_state(plan)
-            assert not state.constant_false
-            incoming = set(plan.incoming[0])
-            dirty = [pair for pair in state.pairs if pair.source in incoming]
-            assert len(dirty) == len(incoming)
-            for pair in dirty:
-                assert pair.receiver_prime != pair.sender_prime
-                assert list(pair.stored) == list(pair.sent)
-            self._assert_rows_match_check_raw(plan, state.prepare())
-            _assert_vector_identical(plan, seeds, rng_modes=(rng_mode,))
+        plan = VerificationPlan.compile(scheme, config, rng_mode="vector")
+        self._replace_context(plan, 0, fingerprinter=other)
+        state = vector_state(plan)
+        assert not state.constant_false
+        incoming = set(plan.incoming[0])
+        dirty = [pair for pair in state.pairs if pair.source in incoming]
+        assert len(dirty) == len(incoming)
+        for pair in dirty:
+            assert pair.receiver_prime != pair.sender_prime
+            assert list(pair.stored) == list(pair.sent)
+        self._assert_rows_match_check_raw(plan, state.prepare())
+        _assert_vector_identical(plan, seeds)
 
     @staticmethod
     def _assert_rows_match_check_raw(plan, state):
@@ -1289,17 +1311,12 @@ class TestPlanCacheRngMode:
         cache = PlanCache(maxsize=8)
         compat = cache.get(scheme, config, labels=labels)
         vector = cache.get(scheme, config, labels=labels, rng_mode="vector")
-        fast = cache.get(scheme, config, labels=labels, rng_mode="fast")
-        assert compat is not vector and compat is not fast and vector is not fast
-        assert (compat.rng_mode, fast.rng_mode, vector.rng_mode) == (
-            "compat",
-            "fast",
-            "vector",
-        )
+        assert compat is not vector
+        assert (compat.rng_mode, vector.rng_mode) == ("compat", "vector")
         # Same mode hits.
         assert cache.get(scheme, config, labels=labels, rng_mode="vector") is vector
         assert cache.get(scheme, config, labels=labels) is compat
-        assert (cache.hits, cache.misses) == (2, 3)
+        assert (cache.hits, cache.misses) == (2, 2)
 
     def test_vector_plan_never_served_to_compat_caller(self):
         """The regression the key fix exists for: a shared cache must not
@@ -1397,7 +1414,6 @@ class TestIncrementalCompile:
     identical to a from-scratch compile and to the reference oracle."""
 
     TRIALS = 48
-    RNG_MODES = ("compat", "fast", "vector")
 
     @staticmethod
     def _flip(labels, victim, bit=0):
@@ -1465,7 +1481,8 @@ class TestIncrementalCompile:
         scheme, config = make_scheme(), make_config()
         steps = self._sequence(scheme, config, parses_labels)
         seeds = [derive_trial_seed(5, t) for t in range(self.TRIALS)]
-        rng_modes = self.RNG_MODES[:2] if case == "generic" else self.RNG_MODES
+        # The generic path is compat-only.
+        rng_modes = ("compat",) if case == "generic" else RNG_MODES
         mixed = False
         for rng_mode in rng_modes:
             for index, labels in enumerate(steps):
@@ -1493,7 +1510,7 @@ class TestIncrementalCompile:
                     )
                     expected = [fresh.run_trial(seed) for seed in seeds]
                 assert scalar == expected, (case, rng_mode, index)
-                if plan.vector_ready:
+                if plan.vector_ready and rng_mode == "vector":
                     assert run_chunk(plan, seeds).tolist() == scalar, (
                         case, rng_mode, index,
                     )

@@ -388,7 +388,6 @@ class TestRunReportTiming:
             "seed": 0,
             "rng_mode": "vector",
             "chunk_policy": FixedChunkPolicy(16),
-            "vectorize": None,
         }
         payloads = [(plan, shard, options) for shard in shards]
         with SerialExecutor() as executor:

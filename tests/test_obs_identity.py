@@ -38,7 +38,7 @@ FAMILIES = [
     ("boosted-spanning-tree", {"node_count": 12, "extra_edges": 4, "seed": 1}),  # threshold
     ("noisy-spanning-tree", {"node_count": 12, "extra_edges": 4, "seed": 1}),  # scalar
 ]
-RNG_MODES = ["compat", "fast", "vector"]
+RNG_MODES = ["compat", "vector"]
 
 
 @pytest.fixture(autouse=True)
@@ -99,8 +99,12 @@ class TestShardedEstimateIdentity:
         [
             ("spanning-tree", "vector", "table"),
             ("spanning-tree", "compat", "scalar"),
-            ("shared-coins", "fast", "parity"),
+            ("shared-coins", "vector", "parity"),
             ("noisy-spanning-tree", "compat", "scalar"),
+            ("shared-coins", "compat", "scalar"),
+            ("boosted-spanning-tree", "vector", "table"),
+            ("boosted-spanning-tree", "compat", "scalar"),
+            ("noisy-spanning-tree", "vector", "scalar"),
         ],
     )
     def test_shard_spans_name_the_kernel_path(self, tmp_path, workload, rng_mode, path):
@@ -154,7 +158,7 @@ class TestPerTrialVerdictIdentity:
     stream: cumulative counts advance by exactly one trial per callback, so
     the accepted-delta sequence *is* the verdict bit sequence."""
 
-    def _untraced_verdicts(self, spec, rng_mode):
+    def _untraced_verdicts(self, spec, rng_mode, vectorize=None):
         plan = spec.resolve()
         verdicts, last = [], (0, 0)
         def capture(accepted, trials):
@@ -162,7 +166,8 @@ class TestPerTrialVerdictIdentity:
             verdicts.append(accepted - last[0])
             last = (accepted, trials)
         estimate = estimate_acceptance_fast(
-            plan, TRIALS, seed=SEED, chunk_policy=FixedChunkPolicy(1), progress=capture
+            plan, TRIALS, seed=SEED, chunk_policy=FixedChunkPolicy(1),
+            progress=capture, vectorize=vectorize,
         )
         assert len(verdicts) == TRIALS
         assert sum(verdicts) == estimate.accepted
@@ -203,13 +208,36 @@ class TestPerTrialVerdictIdentity:
         assert got == expected
         assert sum(got) == traced.estimate.accepted
 
+    @pytest.mark.parametrize(
+        "workload,kwargs", FAMILIES, ids=[f[0] for f in FAMILIES]
+    )
+    def test_vector_verdicts_match_the_scalar_counter_path(
+        self, tmp_path, workload, kwargs
+    ):
+        # The traced vector run takes each plan's own path (a kernel where
+        # the plan has one); the reference forces the scalar CounterRng
+        # path.  Same counter stream, so the same verdict per trial.
+        spec = workload_spec(workload, rng_mode="vector", **kwargs)
+        expected = self._untraced_verdicts(spec, "vector", vectorize=False)
+        with tracing(tmp_path / "trace"):
+            traced = estimate_acceptance_sharded(
+                spec, TRIALS, seed=SEED, executor="serial", shard_count=2,
+                chunk_policy=FixedChunkPolicy(1),
+            )
+        trace = load_trace(tmp_path / "trace")
+        paths = {s["attrs"]["kernel_path"] for s in trace.named("shard")}
+        assert paths == {spec.resolve().kernel_path}
+        got = self._traced_verdicts(trace)
+        assert got == expected
+        assert sum(got) == traced.estimate.accepted
+
 
 class TestCampaignRecordIdentity:
     def _campaign(self):
         return Campaign.sweep(
             "identity",
             [("spanning-tree", {"node_count": 12}), ("shared-coins", {"node_count": 12})],
-            rng_modes=("fast", "vector"),
+            rng_modes=("compat", "vector"),
             trial_budgets=(96,),
         )
 

@@ -64,7 +64,7 @@ def small_spec(rng_mode="vector"):
     )
 
 
-def noisy_spec(rng_mode="fast"):
+def noisy_spec(rng_mode="vector"):
     # Two-sided acceptance (generic plan path): nontrivial per-shard counts.
     return workload_spec(
         "noisy-spanning-tree", rng_mode=rng_mode, node_count=18, flip_milli=4
@@ -240,7 +240,7 @@ class TestPlanSpec:
         plan_a = spec.resolve()
         plan_b = spec.resolve()
         assert plan_a is plan_b  # workload memo + PlanCache hit
-        other_mode = small_spec(rng_mode="fast")
+        other_mode = small_spec(rng_mode="compat")
         assert other_mode.resolve() is not plan_a  # rng_mode is plan identity
 
     def test_resolution_with_explicit_cache(self):
@@ -253,6 +253,18 @@ class TestPlanSpec:
     def test_workload_spec_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             workload_spec("no-such-workload")
+
+    @pytest.mark.parametrize("rng_mode", ["fast", "turbo"])
+    def test_unknown_rng_mode_rejected_in_the_parent(self, rng_mode):
+        # Construction fails with the valid modes listed, before any
+        # worker could resolve the spec.
+        with pytest.raises(ValueError, match="choose from compat, vector"):
+            PlanSpec.of(compiled_spanning_tree, node_count=12, rng_mode=rng_mode)
+        with pytest.raises(ValueError, match="choose from compat, vector"):
+            workload_spec("spanning-tree", rng_mode=rng_mode)
+        with pytest.raises(ValueError, match="choose from compat, vector"):
+            PlanSpec(factory="repro.parallel.factories:compiled_spanning_tree",
+                     rng_mode=rng_mode)
 
     def test_registry_factories_all_resolve(self):
         for name in WORKLOADS:
@@ -273,7 +285,7 @@ def _single(spec, rng_mode=None):
 
 class TestShardedDeterminism:
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_serial_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         sharded = estimate_acceptance_sharded(
@@ -282,6 +294,21 @@ class TestShardedDeterminism:
         assert sharded.estimate == _single(spec)
         assert sharded.shards == shards
         assert not sharded.stopped_early
+
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    def test_scalar_counter_path_matches_single_process(self, shards):
+        # vector mode on a plan with no kernel: the scalar hook path draws
+        # from CounterRng, and its trials are addressed by counter, so any
+        # shard split replays the same two-sided verdicts.
+        spec = noisy_spec("vector")
+        assert spec.resolve().kernel_path == "scalar"
+        single = _single(spec)
+        assert 0 < single.accepted < single.trials
+        sharded = estimate_acceptance_sharded(
+            spec, TRIALS, seed=SEED, executor="serial", shard_count=shards
+        )
+        assert sharded.estimate == single
+        assert sharded.shards == shards
 
     @pytest.mark.parametrize("shards", [2, 8])
     def test_thread_matches_single_process(self, shards):
@@ -541,7 +568,7 @@ class TestCampaign:
         campaign = Campaign.sweep(
             "sweep",
             ["spanning-tree", ("shared-coins", {"node_count": 12})],
-            rng_modes=("fast", "vector"),
+            rng_modes=("compat", "vector"),
             trial_budgets=(64, 128),
             seeds=(0, 1),
         )
@@ -569,7 +596,7 @@ class TestCampaign:
         campaign = Campaign.sweep(
             "demo",
             [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast",),
+            rng_modes=("vector",),
             trial_budgets=(96,),
         )
         sink = MemorySink()
@@ -590,7 +617,7 @@ class TestCampaign:
         campaign = Campaign.sweep(
             "resume",
             [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast", "vector"),
+            rng_modes=("compat", "vector"),
             trial_budgets=(64,),
         )
         first = run_campaign(campaign, sink=JsonlSink(path))
@@ -604,7 +631,7 @@ class TestCampaign:
         path = tmp_path / "torn.jsonl"
         campaign = Campaign.sweep(
             "torn", [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast",), trial_budgets=(64,),
+            rng_modes=("vector",), trial_budgets=(64,),
         )
         run_campaign(campaign, sink=JsonlSink(path))
         with path.open("a") as handle:
@@ -617,7 +644,7 @@ class TestCampaign:
         path = tmp_path / "trunc.jsonl"
         campaign = Campaign.sweep(
             "trunc", [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast",), trial_budgets=(64,),
+            rng_modes=("vector",), trial_budgets=(64,),
         )
         run_campaign(campaign, sink=JsonlSink(path))
         rerun = run_campaign(campaign, sink=JsonlSink(path, resume=False))
@@ -649,7 +676,7 @@ class TestCli:
     def test_campaign_with_resume(self, tmp_path, capsys):
         out_path = str(tmp_path / "cli.jsonl")
         argv = [
-            "campaign", "--workloads", "spanning-tree", "--rng-modes", "fast",
+            "campaign", "--workloads", "spanning-tree", "--rng-modes", "vector",
             "--trials", "64", "--size", "node_count=12", "--out", out_path,
         ]
         assert cli_main(argv) == 0
@@ -670,7 +697,7 @@ class TestCli:
         # warns where it can't.
         code = cli_main(
             ["campaign", "--workloads", "spanning-tree,k-flow", "--rng-modes",
-             "fast", "--trials", "32", "--size", "node_count=12"]
+             "vector", "--trials", "32", "--size", "node_count=12"]
         )
         assert code == 0
         captured = capsys.readouterr()
@@ -680,7 +707,7 @@ class TestCli:
     def test_per_workload_sizes(self, capsys):
         code = cli_main(
             ["campaign", "--workloads", "spanning-tree,k-flow", "--rng-modes",
-             "fast", "--trials", "32",
+             "vector", "--trials", "32",
              "--size", "spanning-tree:node_count=12", "--size", "k-flow:k=2"]
         )
         assert code == 0
@@ -738,14 +765,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(
                 ["campaign", "--workloads", "spanning-tree", "--trials", "8",
-                 "--rng-modes", "fast,turbo"]
+                 "--rng-modes", "vector,turbo"]
+            )
+        # The retired third mode fails the same way, in either flag.
+        with pytest.raises(SystemExit):
+            cli_main(
+                ["estimate", "--workload", "spanning-tree", "--trials", "8",
+                 "--rng-mode", "fast"]
+            )
+        with pytest.raises(SystemExit):
+            cli_main(
+                ["campaign", "--workloads", "spanning-tree", "--trials", "8",
+                 "--rng-modes", "compat,fast"]
             )
 
     def test_campaign_cell_parallelism_and_streaming_flags(self, tmp_path, capsys):
         out_path = str(tmp_path / "stream.jsonl")
         code = cli_main(
             ["campaign", "--workloads", "spanning-tree", "--rng-modes",
-             "fast,vector", "--trials", "48", "--size", "node_count=12",
+             "compat,vector", "--trials", "48", "--size", "node_count=12",
              "--executor", "thread", "--workers", "2",
              "--cell-parallelism", "2", "--out", out_path]
         )

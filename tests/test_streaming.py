@@ -66,7 +66,7 @@ def small_spec(rng_mode="vector"):
     )
 
 
-def noisy_spec(rng_mode="fast"):
+def noisy_spec(rng_mode="vector"):
     return workload_spec(
         "noisy-spanning-tree", rng_mode=rng_mode, node_count=18, flip_milli=4
     )
@@ -91,8 +91,8 @@ class SlowPlan:
     def __getattr__(self, name):
         return getattr(self._plan, name)
 
-    def prepare(self, vectorize=None):
-        self._plan.prepare(vectorize)
+    def prepare(self):
+        self._plan.prepare()
         return self
 
     def run_trials(self, seeds, **kwargs):
@@ -130,7 +130,7 @@ class TestProgressHook:
 
     def test_constant_verdict_publishes_degenerate_counts(self):
         class ConstantPlan:
-            rng_mode = "fast"
+            rng_mode = "vector"
             vector_ready = False
             constant_verdict = False
 
@@ -207,7 +207,7 @@ class TestStreamingAggregator:
 
 class TestStreamedDeterminism:
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_serial_streamed_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         streamed = estimate_acceptance_sharded(
@@ -218,12 +218,26 @@ class TestStreamedDeterminism:
         assert not streamed.stopped_early
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_thread_streamed_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         streamed = estimate_acceptance_sharded(
             spec, TRIALS, seed=SEED, executor="thread", workers=2,
             shard_count=shards,
+        )
+        assert streamed.estimate == _single(spec)
+        assert streamed.progress_updates > 0
+
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_scalar_counter_path_streams_exactly(self, executor, shards):
+        # vector mode without a kernel (the noisy channel): scalar CounterRng
+        # draws, two-sided verdicts, streamed through every in-process backend.
+        spec = noisy_spec("vector")
+        assert spec.resolve().kernel_path == "scalar"
+        streamed = estimate_acceptance_sharded(
+            spec, TRIALS, seed=SEED, executor=executor,
+            workers=2 if executor == "thread" else None, shard_count=shards,
         )
         assert streamed.estimate == _single(spec)
         assert streamed.progress_updates > 0
@@ -241,7 +255,7 @@ class TestStreamedDeterminism:
 @pytest.mark.parallel_proc
 class TestProcessStreaming:
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_process_streamed_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         with ProcessExecutor(workers=2) as executor:
@@ -250,6 +264,18 @@ class TestProcessStreaming:
             )
         assert streamed.estimate == _single(spec)
         assert streamed.progress_updates > 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    def test_process_streamed_scalar_counter_path(self, shards):
+        # The CounterRng scalar path across the pickle boundary: workers
+        # rebuild the noisy plan and replay the parent's counter-addressed trials.
+        spec = noisy_spec("vector")
+        with ProcessExecutor(workers=2) as executor:
+            streamed = estimate_acceptance_sharded(
+                spec, TRIALS, seed=SEED, executor=executor, shard_count=shards,
+            )
+        assert streamed.estimate == _single(spec)
         assert multiprocessing.active_children() == []
 
     def test_process_streamed_stop_saves_trials(self):
@@ -361,7 +387,7 @@ class TestConcurrentCells:
         return Campaign.sweep(
             "cells",
             ["spanning-tree", ("shared-coins", {"node_count": 12})],
-            rng_modes=("fast", "vector"),
+            rng_modes=("vector",),
             trial_budgets=(64, 96),
         )
 
@@ -558,11 +584,11 @@ class TestStopEpoch:
         from repro.parallel.shards import ShardPlanner
 
         spec = small_spec()
-        plan = spec.resolve().prepare(None)
+        plan = spec.resolve().prepare()
         executor = SerialExecutor()
         options = {
             "seed": SEED, "rng_mode": None,
-            "chunk_policy": FixedChunkPolicy(64), "vectorize": None,
+            "chunk_policy": FixedChunkPolicy(64),
         }
         shards = ShardPlanner(shard_count=4).plan(256)
         handle = executor.start_run(
@@ -703,7 +729,6 @@ class TestProcessHandleRelease:
             "seed": SEED,
             "rng_mode": spec.rng_mode,
             "chunk_policy": FixedChunkPolicy(64),
-            "vectorize": None,
         }
         shards = ShardPlanner(shard_count=shard_count).plan(trials)
         return [(spec, shard, options) for shard in shards]

@@ -19,8 +19,8 @@ Matrix axes:
   (one label bit flipped), state-fault (honest labels replayed against a
   violating configuration);
 - **rng mode** — ``compat`` pinned bit-for-bit to the oracle;
-  ``fast`` / ``vector`` pinned scalar-vs-vectorized per trial, plus
-  Wilson-interval cross-mode agreement on the estimated probability.
+  ``vector`` pinned scalar-vs-vectorized per trial, plus Wilson-interval
+  cross-mode agreement on the estimated probability.
 
 Also here: the spec-registry property tests (explicit
 :class:`UnknownSchemeError` fallback, :class:`VerdictSpec` validation,
@@ -46,6 +46,7 @@ from repro.core.seeding import derive_trial_seed
 from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.core.verifier import verify_randomized
 from repro.engine import (
+    FixedChunkPolicy,
     PlanCache,
     UnknownSchemeError,
     VerdictSpec,
@@ -196,10 +197,10 @@ class TestDifferentialMatrix:
                     trial,
                 )
 
-    @pytest.mark.parametrize("rng_mode", ("fast", "vector"))
+    @pytest.mark.parametrize("rng_mode", ("vector",))
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_scalar_vector_bit_identity(self, name, rng_mode):
-        """Within fast/vector modes the numpy kernel and the scalar path
+        """In vector mode the numpy kernel and the scalar CounterRng path
         make identical per-trial decisions on every matrix cell."""
         seeds = [derive_trial_seed(7, t) for t in range(2 * MATRIX_TRIALS)]
         compared = 0
@@ -220,8 +221,37 @@ class TestDifferentialMatrix:
             pytest.skip(f"{name}: hook-fast but scalar-only (no engine_vector_spec)")
 
 
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_vector_estimates_are_counter_addressed(self, name):
+        """A vector-mode estimate of trials ``[first, first + n)`` counts
+        exactly the scalar CounterRng verdicts of those counters, on the
+        plan's own path (kernel where it has one) and at any chunking, so
+        shards and installments may cut the trial range anywhere."""
+        trials, split = 3 * MATRIX_TRIALS, MATRIX_TRIALS + 1
+        for kind in WORKLOAD_KINDS:
+            plan = matrix_plan(name, kind, "vector")
+            if plan is None:
+                continue  # vacuous cell
+            verdicts = [
+                plan.run_trial(derive_trial_seed(7, t)) for t in range(trials)
+            ]
+            whole = estimate_acceptance_fast(
+                plan, trials, seed=7, chunk_policy=FixedChunkPolicy(5)
+            )
+            left = estimate_acceptance_fast(
+                plan, split, seed=7, chunk_policy=FixedChunkPolicy(4)
+            )
+            right = estimate_acceptance_fast(
+                plan, trials - split, seed=7, first_trial=split,
+                chunk_policy=FixedChunkPolicy(3),
+            )
+            assert (whole.accepted, left.accepted, right.accepted) == (
+                sum(verdicts), sum(verdicts[:split]), sum(verdicts[split:])
+            ), (name, kind, plan.kernel_path)
+
+
 class TestCrossModeAgreement:
-    """compat / fast / vector estimate the same acceptance probability."""
+    """compat / vector estimate the same acceptance probability."""
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_clean_completeness_every_mode(self, name):

@@ -162,7 +162,7 @@ class TestSchedulesDriveTheLoop:
                 hotspot_label_injector(seed=1), 40, 2, 10, seed=1
             ),
             total_rounds=40,
-            rng_mode="fast",
+            rng_mode="vector",
         )
         assert trace.availability == 1.0  # label faults keep the output legal
         assert trace.detection_latencies  # ...but the checks catch them
@@ -189,7 +189,7 @@ def _replica_setup(run_index, run_seed):
             hotspot_label_injector(seed=run_index), 30, 2, 10, seed=run_index
         ),
         total_rounds=30,
-        rng_mode="fast",
+        rng_mode="vector",
     )
 
 
