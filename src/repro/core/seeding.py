@@ -114,12 +114,13 @@ def trial_seed_slice(seed: int, start: int, stop: int):
     sequential derivation: concatenating the slices of a partition of
     ``[0, trials)`` reproduces, element for element, the seeds a
     single-process run derives.  Takes the vectorized SplitMix64 kernel
-    when numpy is present (bit-identical to the scalar mix).
+    when numpy is present (bit-identical to the scalar mix); the kernels
+    take :func:`derive_trial_seed_array`'s ``uint64`` array directly.
     """
     if stop <= start:
         return []
     if _np is not None:
-        return [int(word) for word in derive_trial_seed_array(seed, start, stop)]
+        return derive_trial_seed_array(seed, start, stop).tolist()
     return [derive_trial_seed(seed, trial) for trial in range(start, stop)]
 
 
@@ -215,13 +216,19 @@ class CounterRng:
         self.stream_seed = stream_seed & _MASK64
         self.counter = 0
 
+    # The three draws inline :func:`stream_word` (word ``c`` is the
+    # SplitMix64 finalizer of ``stream_seed + (c + 1) * gamma``): one Python
+    # call per draw instead of three, same words in the same order.
+
     def randrange(self, n: int) -> int:
         """A draw from ``[0, n)`` — one stream word, reduced modulo ``n``."""
         if n <= 0:
             raise ValueError("empty range for randrange()")
-        word = stream_word(self.stream_seed, self.counter)
-        self.counter += 1
-        return word % n
+        self.counter = counter = self.counter + 1
+        x = (self.stream_seed + counter * _GOLDEN_GAMMA) & _MASK64
+        x = ((x ^ (x >> 30)) * _MIX_1) & _MASK64
+        x = ((x ^ (x >> 27)) * _MIX_2) & _MASK64
+        return (x ^ (x >> 31)) % n
 
     def getrandbits(self, k: int) -> int:
         """``k`` random bits from ``ceil(k / 64)`` stream words.
@@ -234,18 +241,24 @@ class CounterRng:
             raise ValueError("number of bits must be greater than zero")
         words = (k + 63) // 64
         base = self.counter
+        stream_seed = self.stream_seed
         value = 0
         for j in range(words):
-            value |= stream_word(self.stream_seed, base + j) << (64 * j)
+            x = (stream_seed + (base + j + 1) * _GOLDEN_GAMMA) & _MASK64
+            x = ((x ^ (x >> 30)) * _MIX_1) & _MASK64
+            x = ((x ^ (x >> 27)) * _MIX_2) & _MASK64
+            value |= (x ^ (x >> 31)) << (64 * j)
         self.counter = base + words
         return value & ((1 << k) - 1)
 
     def random(self) -> float:
         """A float in ``[0, 1)`` from one stream word: its top 53 bits,
         scaled by ``2**-53`` (every value is exact in a double)."""
-        word = stream_word(self.stream_seed, self.counter)
-        self.counter += 1
-        return (word >> 11) * _TWO_POW_MINUS_53
+        self.counter = counter = self.counter + 1
+        x = (self.stream_seed + counter * _GOLDEN_GAMMA) & _MASK64
+        x = ((x ^ (x >> 30)) * _MIX_1) & _MASK64
+        x = ((x ^ (x >> 27)) * _MIX_2) & _MASK64
+        return ((x ^ (x >> 31)) >> 11) * _TWO_POW_MINUS_53
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CounterRng seed={self.stream_seed:#x} counter={self.counter}>"

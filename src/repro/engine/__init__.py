@@ -45,8 +45,9 @@ Knobs
   trial; hook-path schemes only).  A plan compiled with ``rng_mode=...``
   makes that mode its default for every run.
 - ``stop_halfwidth=...`` enables the confidence-interval early exit of
-  :func:`estimate_acceptance_fast`; ``chunk_policy=FixedChunkPolicy(n)``
-  sets how many trials run between stop-rule checks.
+  :func:`estimate_acceptance_fast`, checked after every trial;
+  ``chunk_policy=FixedChunkPolicy(n)`` sets how many trials run per chunk,
+  which only affects throughput.
 - ``vectorize=...`` selects the numpy trial-chunk kernel
   (:mod:`repro.engine.kernels`): fingerprint-certificate schemes run whole
   Monte-Carlo chunks as lookups in per-plan agree rows (one draw, one

@@ -374,13 +374,16 @@ def _vector_bases(plan, trial_seeds):
     Edge/node randomness feeds one sequential stream per trial, at
     ``derive_stream_seed(trial_seed, 0, 0)``; shared randomness uses the
     public stream address ``derive_stream_seed(trial_seed, -1, -1)``, as the
-    scalar hook path does.  A caller's trial seed may be any int, negative
-    included, hence the mask before the uint64 conversion.
+    scalar hook path does.  The estimator passes the ``uint64`` array of
+    :func:`~repro.core.seeding.derive_trial_seed_array`, used as is; any
+    other sequence is a caller's ints, negative ones included, so it is
+    masked into ``[0, 2**64)`` before the uint64 conversion.
     """
-    masked = [seed & _MASK64 for seed in trial_seeds]
+    if getattr(trial_seeds, "dtype", None) != _np.uint64:
+        trial_seeds = [seed & _MASK64 for seed in trial_seeds]
     if plan.randomness == "shared":
-        return derive_stream_seed_array(masked, -1, -1)
-    return derive_stream_seed_array(masked, 0, 0)
+        return derive_stream_seed_array(trial_seeds, -1, -1)
+    return derive_stream_seed_array(trial_seeds, 0, 0)
 
 
 # -- shared-coins parity kernel -------------------------------------------------

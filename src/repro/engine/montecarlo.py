@@ -5,8 +5,9 @@ of :func:`repro.core.verifier.estimate_acceptance`: same probability space,
 same per-trial seed derivation (the SplitMix64 mix of
 :mod:`repro.core.seeding`), same estimate — it just runs the trials over a
 :class:`~repro.engine.plan.VerificationPlan` in chunks, with an optional
-confidence-interval early exit and, where the scheme supports it, the
-vectorized numpy trial-chunk kernel of :mod:`repro.engine.kernels`.
+confidence-interval early exit (exact to the trial) and, where the scheme
+supports it, the vectorized numpy trial-chunk kernel of
+:mod:`repro.engine.kernels`.
 
 Bit-identical vs. statistically equivalent
 ------------------------------------------
@@ -30,10 +31,14 @@ Bit-identical vs. statistically equivalent
 Wilson early exit
 -----------------
 
-When ``stop_halfwidth`` is given, the estimator checks the Wilson score
-interval of the running estimate after each chunk (once ``min_trials`` have
-run) and stops when the interval is narrower than ``2 * stop_halfwidth``.
-Two guarantees make this safe to use in experiments:
+When ``stop_halfwidth`` is given, the estimator stops at the first trial
+``n >= min_trials`` whose Wilson score interval is at most ``2 *
+stop_halfwidth`` wide.  The rule is checked per trial: the kernel path
+scans a chunk's prefix counts with
+:func:`~repro.simulation.metrics.wilson_widths` (bit-identical to
+:func:`~repro.simulation.metrics.wilson_interval`), the scalar paths check
+after each trial.  Chunk size therefore only affects throughput.  Two
+guarantees make this safe to use in experiments:
 
 - early exit changes *which prefix* of the deterministic trial sequence is
   consumed, never any individual decision — re-running with ``trials`` set
@@ -60,12 +65,16 @@ from typing import Callable, Dict, Optional
 from repro.core.bitstrings import BitString
 from repro.core.configuration import Configuration
 from repro.core.scheme import RandomizedScheme
-from repro.core.seeding import trial_seed_slice
+from repro.core.seeding import derive_trial_seed_array, trial_seed_slice
 from repro.core.verifier import RandomnessMode
 from repro.engine.plan import RngMode, VerificationPlan, check_kernel_mode
 from repro.graphs.port_graph import Node
 
-DEFAULT_CHUNK = 64
+#: Trials per chunk: a kernel chunk costs about 0.1 ms of fixed overhead
+#: plus 20-70 ns per trial, and the per-trial cost stops falling near 3000.
+DEFAULT_CHUNK = 4096
+#: Trials before the Wilson stop may fire, in every estimator.
+MIN_STOP_TRIALS = 128
 
 
 def _vectorizes(plan: VerificationPlan, rng_mode: RngMode, vectorize: Optional[bool]) -> bool:
@@ -90,12 +99,11 @@ def _vectorizes(plan: VerificationPlan, rng_mode: RngMode, vectorize: Optional[b
 
 @dataclass(frozen=True)
 class FixedChunkPolicy:
-    """The constant-size chunk policy — the default of every estimator.
+    """Trials per chunk, the one ``chunk_policy`` of every estimator.
 
-    Frozen (hence picklable: policies ride to process-pool workers inside
-    the shard options dict); per-call mutable state lives in the session
-    object :meth:`session` returns.  Adaptive policies live in
-    :mod:`repro.parallel.controller`.
+    Frozen, hence picklable: it rides to process-pool workers inside the
+    shard options dict.  The sharded layers default to
+    ``FixedChunkPolicy(SHARD_CHUNK)`` (:mod:`repro.parallel.shards`).
     """
 
     chunk_size: int = DEFAULT_CHUNK
@@ -107,15 +115,6 @@ class FixedChunkPolicy:
     def describe(self) -> str:
         return f"fixed:{self.chunk_size}"
 
-    def session(self):
-        """A fresh per-run decision function (stateless for fixed size)."""
-        size = self.chunk_size
-
-        def next_chunk(accepted: int, done: int, remaining: int) -> int:
-            return size
-
-        return next_chunk
-
 
 def estimate_acceptance_fast(
     plan: VerificationPlan,
@@ -124,7 +123,7 @@ def estimate_acceptance_fast(
     rng_mode: Optional[RngMode] = None,
     chunk_policy=FixedChunkPolicy(),
     stop_halfwidth: Optional[float] = None,
-    min_trials: int = 2 * DEFAULT_CHUNK,
+    min_trials: int = MIN_STOP_TRIALS,
     vectorize: Optional[bool] = None,
     first_trial: int = 0,
     should_stop: Optional[Callable[[], bool]] = None,
@@ -132,23 +131,15 @@ def estimate_acceptance_fast(
 ) -> "AcceptanceEstimate":
     """Estimate ``Pr[verifier accepts]`` by running ``trials`` plan rounds.
 
-    Trials run in chunks sized by ``chunk_policy``.  When
-    ``stop_halfwidth`` is given, the estimator stops early once the Wilson
-    score interval of the running estimate is narrower than ``2 *
-    stop_halfwidth`` (and at least ``min_trials`` trials have run); the
-    returned estimate then reports the trials actually executed.  Early
-    exit changes *which prefix* of the trial sequence is used, never the
-    per-trial decisions.
-
-    ``chunk_policy`` is the chunk seam: an object whose ``session()``
-    returns a per-run decision function ``next_chunk(accepted, done,
-    remaining) -> int``, consulted before every chunk.  The default
-    :class:`FixedChunkPolicy` runs chunks of :data:`DEFAULT_CHUNK` trials;
-    adaptive policies live in :mod:`repro.parallel.controller`.  The
-    decision-validity contract: chunking only re-partitions the same
-    deterministic trial prefix, so any policy changes *when* the stop rule
-    is checked between chunks — never which seed a trial derives or what it
-    decides.  Returned sizes are clamped to ``[1, remaining]``.
+    Trials run in chunks of ``chunk_policy.chunk_size`` (the last one
+    truncated to the budget).  When ``stop_halfwidth`` is given, the
+    estimator stops at the first trial ``n >= min_trials`` whose Wilson
+    score interval is at most ``2 * stop_halfwidth`` wide and reports
+    exactly those ``n`` trials, so the stopped estimate equals the
+    ``FixedChunkPolicy(1)`` one for every chunk size.  Neither chunking nor
+    early exit changes a trial's seed or decision, only which prefix of the
+    trial sequence is used; chunk size also sets how often ``should_stop``
+    and ``progress`` run.
 
     ``rng_mode=None`` (default) uses the plan's compiled default mode.
 
@@ -204,32 +195,60 @@ def estimate_acceptance_fast(
             progress(accepted, trials)
         return AcceptanceEstimate(accepted=accepted, trials=trials)
 
-    next_chunk = chunk_policy.session()
-
+    stop_width = None if stop_halfwidth is None else 2 * stop_halfwidth
     accepted = 0
     done = 0
-    while done < trials:
+    stopped = False
+    while done < trials and not stopped:
         if should_stop is not None and should_stop():
             break
-        # The final chunk is exactly the remaining trials — `done + chunk`
-        # never overshoots `trials`, so the reported count equals the prefix
-        # of the trial sequence actually consumed (pinned by the chunk-tail
-        # regression tests).  The policy's answer is clamped to [1, remaining],
-        # so no policy can overshoot the range or stall the loop.
-        chunk = max(1, min(int(next_chunk(accepted, done, trials - done)), trials - done))
-        accepted += plan.run_trials(
-            trial_seed_slice(seed, first_trial + done, first_trial + done + chunk),
-            rng_mode=rng_mode,
-            vectorize=use_vector,
-        )
-        done += chunk
+        # The final chunk is exactly the remaining trials, so the reported
+        # count is the prefix actually consumed (pinned by the chunk-tail
+        # regression tests).
+        chunk = min(chunk_policy.chunk_size, trials - done)
+        start = first_trial + done
+        if use_vector:
+            verdicts = plan.trial_verdicts(
+                derive_trial_seed_array(seed, start, start + chunk), rng_mode, vectorize=True
+            )
+            kept, ran, stopped = _kernel_prefix(verdicts, accepted, done, stop_width, min_trials)
+            accepted += kept
+            done += ran
+        else:
+            for verdict in plan.trial_verdicts(trial_seed_slice(seed, start, start + chunk), rng_mode):
+                accepted += verdict
+                done += 1
+                if stop_width is not None and done >= min_trials:
+                    low, high = wilson_interval(accepted, done)
+                    if high - low <= stop_width:
+                        stopped = True
+                        break
         if progress is not None:
             progress(accepted, done)
-        if stop_halfwidth is not None and done >= min_trials:
-            low, high = wilson_interval(accepted, done)
-            if high - low <= 2 * stop_halfwidth:
-                break
     return AcceptanceEstimate(accepted=accepted, trials=done)
+
+
+def _kernel_prefix(verdicts, accepted: int, done: int, stop_width, min_trials: int):
+    """``(accepts, trials, stopped)`` of the part of a kernel chunk to count.
+
+    The whole chunk, unless some prefix ends at a trial ``n >= min_trials``
+    whose Wilson width, over the counts so far plus that prefix, is ``<=
+    stop_width``: then the shortest such prefix, with ``stopped`` true.
+    """
+    running = verdicts.cumsum()
+    if stop_width is not None:
+        skip = max(0, min_trials - done - 1)  # positions with n < min_trials
+        if skip < len(running):
+            import numpy as np
+
+            from repro.simulation.metrics import wilson_widths
+
+            n = np.arange(done + skip + 1, done + len(running) + 1)
+            hits = np.flatnonzero(wilson_widths(accepted + running[skip:], n) <= stop_width)
+            if hits.size:
+                last = skip + int(hits[0])
+                return int(running[last]), last + 1, True
+    return int(running[-1]), len(running), False
 
 
 def executed_path(

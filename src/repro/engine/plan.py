@@ -624,37 +624,43 @@ class VerificationPlan:
                 return False
         return True
 
+    def trial_verdicts(
+        self,
+        trial_seeds: Sequence[int],
+        rng_mode: Optional[RngMode] = None,
+        vectorize: bool = False,
+    ):
+        """Per-trial verdicts of a chunk, in trial order: :meth:`run_trial`'s.
+
+        ``vectorize=True`` returns a bool array from the numpy kernel of
+        :mod:`repro.engine.kernels` (requires :attr:`vector_ready` and
+        ``rng_mode="vector"``; compat raises :class:`ValueError`), and
+        ``trial_seeds`` may be a ``uint64`` array.  The scalar paths return a
+        lazy iterator, so a caller that stops early (the per-trial Wilson
+        stop) runs no trial past the stop.
+        """
+        if rng_mode is None:
+            rng_mode = self.rng_mode
+        if not vectorize:
+            return (self.run_trial(seed, rng_mode) for seed in trial_seeds)
+        check_kernel_mode(rng_mode)
+        if self.constant_verdict is not None:
+            import numpy as np
+
+            return np.full(len(trial_seeds), self.constant_verdict)
+        from repro.engine.kernels import run_chunk
+
+        return run_chunk(self, trial_seeds, rng_mode)
+
     def run_trials(
         self,
         trial_seeds: Sequence[int],
         rng_mode: Optional[RngMode] = None,
         vectorize: bool = False,
     ) -> int:
-        """Run a chunk of trials; returns how many rounds accepted.
-
-        ``rng_mode=None`` uses the plan's compiled default.
-        ``vectorize=True`` executes the chunk through the numpy kernel of
-        :mod:`repro.engine.kernels` (requires :attr:`vector_ready` and
-        ``rng_mode="vector"``; compat raises :class:`ValueError`); the
-        per-trial decisions are identical to the scalar ``CounterRng`` path,
-        only the draws and the checks are batched.
-        """
-        if rng_mode is None:
-            rng_mode = self.rng_mode
-        if vectorize:
-            check_kernel_mode(rng_mode)
-        if self.constant_verdict is not None:
-            return len(trial_seeds) if self.constant_verdict else 0
-        if vectorize:
-            from repro.engine.kernels import run_chunk
-
-            return int(run_chunk(self, trial_seeds, rng_mode).sum())
-        run_trial = (
-            self._run_trial_hooks
-            if self.contexts is not None
-            else self._run_trial_generic
-        )
-        return sum(1 for seed in trial_seeds if run_trial(seed, rng_mode))
+        """How many of :meth:`trial_verdicts` accept (same arguments)."""
+        verdicts = self.trial_verdicts(trial_seeds, rng_mode, vectorize)
+        return int(verdicts.sum()) if vectorize else sum(verdicts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -60,11 +60,9 @@ from repro.parallel.chaos import (
 from repro.parallel.controller import (
     CampaignAllocator,
     FixedChunkPolicy,
-    GeometricChunkPolicy,
     parse_chunk_policy,
 )
 from repro.parallel.executors import (
-    DEFAULT_CHUNK,
     EXECUTORS,
     ProcessExecutor,
     SerialExecutor,
@@ -82,7 +80,7 @@ from repro.parallel.progress import (
     StopToken,
     StreamingAggregator,
 )
-from repro.parallel.shards import Shard, ShardPlanner
+from repro.parallel.shards import SHARD_CHUNK, Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import (
     QuarantinedShard,
@@ -93,8 +91,8 @@ from repro.parallel.supervision import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK",
     "EXECUTORS",
+    "SHARD_CHUNK",
     "WORKLOADS",
     "Campaign",
     "CampaignAllocator",
@@ -106,7 +104,6 @@ __all__ = [
     "ChaosWorkerHang",
     "FaultPolicy",
     "FixedChunkPolicy",
-    "GeometricChunkPolicy",
     "JsonlSink",
     "MemorySink",
     "PlanSpec",

@@ -61,12 +61,12 @@ from repro.parallel.controller import (
     validate_halfwidth,
 )
 from repro.parallel.executors import (
-    DEFAULT_CHUNK,
     ShardPlanner,
     estimate_acceptance_sharded,
     resolve_executor,
 )
 from repro.parallel.factories import workload_spec
+from repro.parallel.shards import SHARD_CHUNK
 from repro.parallel.spec import PlanSpec
 from repro.simulation.metrics import AcceptanceEstimate
 
@@ -460,7 +460,7 @@ def run_campaign(
     workers: Optional[int] = None,
     sink=None,
     planner: Optional[ShardPlanner] = None,
-    chunk_policy=FixedChunkPolicy(),
+    chunk_policy=FixedChunkPolicy(SHARD_CHUNK),
     cell_parallelism: int = 1,
     on_cell_error: str = "raise",
     cell_retries: int = 1,
@@ -468,7 +468,7 @@ def run_campaign(
     max_retries: int = 0,
     global_budget: Optional[int] = None,
     target_halfwidth: Optional[float] = None,
-    min_installment: int = DEFAULT_CHUNK,
+    min_installment: int = SHARD_CHUNK,
 ) -> List[Dict]:
     """Run every (not yet completed) cell; returns the new records.
 
@@ -523,7 +523,7 @@ def run_campaign(
     cell's record carries its ``allocation`` history (per-installment
     ``first_trial``/``trials``) so a resumed or follow-up campaign can
     continue the exact counter range.  ``chunk_policy`` (a policy object,
-    e.g. ``parse_chunk_policy("geometric")`` from
+    e.g. ``parse_chunk_policy("fixed:128")`` from
     :mod:`repro.parallel.controller`) applies to every installment.
     """
     if cell_parallelism < 1:

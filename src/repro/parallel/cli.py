@@ -23,11 +23,12 @@ factory does not take are skipped with a warning, not a crash), and a
 worker pool.  Workers stream partial shard counts, so Wilson stops fire at
 chunk granularity (see ``docs/parallel.md``).
 
-Adaptive budgets (see docs/parallel.md "Adaptive budgets"):
-``--chunk-policy geometric`` lets chunks start small and grow as the Wilson
-interval tightens, and ``campaign --global-budget 20000 --target-halfwidth
-0.03`` replaces per-cell budgets with one allocator-managed pool that is
-re-granted to the widest cells until every cell reaches the target.
+``--chunk-policy fixed:N`` sets the trials per shard chunk (default 64).
+
+Adaptive budgets (see docs/parallel.md "Adaptive budgets"): ``campaign
+--global-budget 20000 --target-halfwidth 0.03`` replaces per-cell budgets
+with one allocator-managed pool that is re-granted to the widest cells
+until every cell reaches the target.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ from repro.obs.runtime import tracing
 from repro.parallel.campaign import Campaign, JsonlSink, MemorySink, run_campaign
 from repro.parallel.controller import FixedChunkPolicy, parse_chunk_policy
 from repro.parallel.executors import (
-    DEFAULT_CHUNK,
     EXECUTORS,
     available_cpus,
     estimate_acceptance_sharded,
 )
 from repro.parallel.factories import WORKLOADS, workload_spec
-from repro.parallel.shards import ShardPlanner
+from repro.parallel.shards import SHARD_CHUNK, ShardPlanner
 
 
 def _parse_sizes(
@@ -196,11 +196,10 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chunk-policy",
         type=_chunk_policy_flag,
-        default=FixedChunkPolicy(),
+        default=FixedChunkPolicy(SHARD_CHUNK),
         metavar="SPEC",
-        help="trials per chunk between stop-rule checks: 'fixed[:SIZE]' or "
-        "'geometric[:initial=I,factor=F,max=M]' — start small, grow as the "
-        f"Wilson interval tightens (default: fixed:{DEFAULT_CHUNK})",
+        help="trials per shard chunk between stop-rule checks: "
+        f"'fixed[:SIZE]' (default: fixed:{SHARD_CHUNK})",
     )
     parser.add_argument(
         "--stop-halfwidth",

@@ -1,21 +1,18 @@
-"""Adaptive budget control: chunk policies and the campaign allocator.
+"""Adaptive budget control: the chunk-policy parser and the campaign allocator.
 
 Two decisions used to be hardcoded integers threaded through every layer of
 the stack: *how many trials to run between stop-rule checks* and *how many
 trials each campaign cell gets* (the per-cell ``trials`` budget).  This
 module turns both into policy objects:
 
-- **Chunk policies** (:class:`GeometricChunkPolicy`; the default
-  :class:`~repro.engine.montecarlo.FixedChunkPolicy` lives in the engine
-  and is re-exported here) plug into the ``chunk_policy`` seam of
-  :func:`~repro.engine.montecarlo.estimate_acceptance_fast`: before each
-  chunk the trial loop asks the policy for the next chunk size.  The
-  geometric policy starts small — a lopsided verdict tightens its Wilson
-  interval within a few trials, so a small first chunk lets the stop rule
-  fire almost immediately — and grows the chunk geometrically as the
-  interval tightens, amortizing per-chunk dispatch overhead once it is
-  clear the run will be long.  The fixed policy is the default: a constant
-  size.
+- **Chunk policies**: :class:`~repro.engine.montecarlo.FixedChunkPolicy`
+  lives in the engine and is re-exported here; it plugs into the
+  ``chunk_policy`` seam of
+  :func:`~repro.engine.montecarlo.estimate_acceptance_fast`, which asks it
+  for the size of every chunk.  :func:`parse_chunk_policy` reads the CLI
+  spelling.  The sharded layers default to
+  :data:`~repro.parallel.shards.SHARD_CHUNK` trials, because their streamed
+  stop is checked between chunks.
 - **The campaign allocator** (:class:`CampaignAllocator`) manages one
   *global* trial budget across all cells of a campaign.  It grants budget in
   rounds: a cheap probe round first, then need-proportional rounds where
@@ -47,7 +44,7 @@ Allocator decisions surface through :mod:`repro.obs`: each round emits a
 ``controller.round`` trace event with its grant table, convergence emits
 ``controller.converged``, and the ``controller.*`` counters
 (``rounds``, ``grants``, ``granted_trials``, ``consumed_trials``,
-``returned_trials``, ``converged_cells``, ``chunks``) accumulate in the
+``returned_trials``, ``converged_cells``) accumulate in the
 metrics registry.
 """
 
@@ -57,8 +54,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.montecarlo import DEFAULT_CHUNK, FixedChunkPolicy
+from repro.engine.montecarlo import FixedChunkPolicy
 from repro.obs.runtime import get_metrics, record_event
+from repro.parallel.shards import SHARD_CHUNK
 from repro.simulation.metrics import wilson_interval
 
 
@@ -87,83 +85,21 @@ def validate_halfwidth(value: float, name: str = "halfwidth") -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeometricChunkPolicy:
-    """Start small, grow geometrically as the Wilson interval tightens.
-
-    The first chunk is ``initial`` trials.  Before each later chunk the
-    session compares the observed Wilson halfwidth against the narrowest
-    halfwidth seen so far: if the interval tightened, the next chunk grows
-    by ``factor`` (capped at ``max_chunk``); if it did not (the running
-    estimate drifted), the size holds.  Lopsided workloads therefore stop
-    within a few trials of satisfying the stop rule, while long unstopped
-    runs quickly reach ``max_chunk`` and pay near-zero scheduling overhead.
-    """
-
-    initial: int = 8
-    factor: float = 2.0
-    max_chunk: int = 1024
-
-    def __post_init__(self):
-        if self.initial <= 0:
-            raise ValueError("initial chunk must be positive")
-        if self.factor < 1.0:
-            raise ValueError("growth factor must be >= 1")
-        if self.max_chunk < self.initial:
-            raise ValueError("max_chunk must be >= initial")
-
-    def describe(self) -> str:
-        return f"geometric:initial={self.initial},factor={self.factor},max={self.max_chunk}"
-
-    def session(self):
-        """A fresh per-run decision function carrying the growth state."""
-        return _GeometricSession(self)
-
-
-class _GeometricSession:
-    """Mutable per-run state of one :class:`GeometricChunkPolicy` use.
-
-    Created engine-side by ``session()`` — never pickled; only the frozen
-    policy crosses a process boundary.
-    """
-
-    def __init__(self, policy: GeometricChunkPolicy):
-        self._policy = policy
-        self._size = policy.initial
-        self._best_halfwidth = math.inf
-
-    def __call__(self, accepted: int, done: int, remaining: int) -> int:
-        if done > 0:
-            halfwidth = observed_halfwidth(accepted, done)
-            if halfwidth < self._best_halfwidth:
-                self._best_halfwidth = halfwidth
-                self._size = min(
-                    self._policy.max_chunk,
-                    max(self._size + 1, int(self._size * self._policy.factor)),
-                )
-        get_metrics().counter("controller.chunks").inc()
-        return self._size
-
-
-CHUNK_POLICIES = ("fixed", "geometric")
-
 
 def parse_chunk_policy(text: str):
     """Parse a ``--chunk-policy`` spec string into a policy object.
 
-    Accepted forms::
-
-        fixed                fixed:128
-        geometric            geometric:initial=8,factor=2,max=1024
+    Accepted forms: ``fixed`` (the sharded default, :data:`SHARD_CHUNK`
+    trials) and ``fixed:SIZE``.
 
     Raises :class:`ValueError` on unknown names, malformed arguments, or
-    out-of-range values (delegated to the policy constructors).
+    out-of-range values (delegated to the policy constructor).
     """
     head, sep, rest = text.strip().partition(":")
     head = head.strip()
     if head == "fixed":
         if not sep:
-            return FixedChunkPolicy()
+            return FixedChunkPolicy(SHARD_CHUNK)
         try:
             size = int(rest)
         except ValueError:
@@ -171,32 +107,8 @@ def parse_chunk_policy(text: str):
                 f"fixed chunk policy takes an integer size, got {rest!r}"
             ) from None
         return FixedChunkPolicy(chunk_size=size)
-    if head == "geometric":
-        kwargs = {}
-        names = {"initial": int, "factor": float, "max": float}
-        if sep and rest.strip():
-            for item in rest.split(","):
-                key, eq, value = item.partition("=")
-                key = key.strip()
-                if not eq or key not in names:
-                    raise ValueError(
-                        f"geometric chunk policy takes initial=, factor=, max= "
-                        f"arguments, got {item.strip()!r}"
-                    )
-                try:
-                    parsed = names[key](value.strip())
-                except ValueError:
-                    raise ValueError(
-                        f"bad value for geometric chunk policy argument "
-                        f"{item.strip()!r}"
-                    ) from None
-                kwargs["max_chunk" if key == "max" else key] = (
-                    int(parsed) if key == "max" else parsed
-                )
-        return GeometricChunkPolicy(**kwargs)
     raise ValueError(
-        f"unknown chunk policy {head!r} (choose from fixed[:SIZE], "
-        f"geometric[:initial=I,factor=F,max=M])"
+        f"unknown chunk policy {head!r} (choose from fixed[:SIZE])"
     )
 
 
@@ -252,7 +164,7 @@ class CampaignAllocator:
         names: Sequence[str],
         global_budget: int,
         target_halfwidth: float,
-        min_installment: int = DEFAULT_CHUNK,
+        min_installment: int = SHARD_CHUNK,
         probe_trials: Optional[int] = None,
         need_margin: float = 1.25,
     ):

@@ -38,6 +38,14 @@ partial counts.  Exactly like the single-process Wilson exit, stopping
 changes *which trials run*, never any individual verdict — so a stopped
 run is still an unbiased estimate over the trials it reports.
 
+Unlike the single-process stop, which is exact to the trial, this stop is
+chunk-granular: the aggregator sees a shard's counts only at its chunk
+boundaries, so shards keep running up to a chunk past the point where the
+merged interval first got narrow enough.  That is why every sharded layer
+defaults to :data:`~repro.parallel.shards.SHARD_CHUNK` (64) trials per
+chunk rather than the engine's much larger
+:data:`~repro.engine.montecarlo.DEFAULT_CHUNK`.
+
 Determinism contract
 --------------------
 
@@ -60,7 +68,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.engine.montecarlo import (
-    DEFAULT_CHUNK,
+    MIN_STOP_TRIALS,
     FixedChunkPolicy,
     estimate_acceptance_fast,
     executed_path,
@@ -80,7 +88,7 @@ from repro.parallel.progress import (
     StopToken,
     StreamingAggregator,
 )
-from repro.parallel.shards import Shard, ShardPlanner
+from repro.parallel.shards import SHARD_CHUNK, Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import RetryPolicy, RunReport, ShardSupervisor
 from repro.simulation.metrics import AcceptanceEstimate
@@ -163,9 +171,6 @@ def _run_shard(
             shard.trials,
             seed=options["seed"],
             rng_mode=options["rng_mode"],
-            # The picklable policy rides in the options dict; each shard
-            # opens its own session engine-side (the session holds any
-            # mutable growth state).
             chunk_policy=options["chunk_policy"],
             first_trial=shard.start,
             should_stop=should_stop,
@@ -742,9 +747,9 @@ def estimate_acceptance_sharded(
     planner: Optional[ShardPlanner] = None,
     shard_count: Optional[int] = None,
     rng_mode: Optional[str] = None,
-    chunk_policy=FixedChunkPolicy(),
+    chunk_policy=FixedChunkPolicy(SHARD_CHUNK),
     stop_halfwidth: Optional[float] = None,
-    min_trials: int = 2 * DEFAULT_CHUNK,
+    min_trials: int = MIN_STOP_TRIALS,
     first_trial: int = 0,
     prior: Optional[Tuple[int, int]] = None,
     progress_observer: Optional[Callable[[int, int], None]] = None,
@@ -774,11 +779,10 @@ def estimate_acceptance_sharded(
 
     Adaptive-budget hooks (see :mod:`repro.parallel.controller`):
 
-    - ``chunk_policy`` is a picklable chunk policy shipped to every shard
-      through the payload options — each shard instantiates its own session
-      engine-side, so chunk growth is per-shard state.  Any policy is
-      per-trial verdict-identical to the fixed-chunk run (the chunk seam
-      only re-partitions the shard's fixed counter range).
+    - ``chunk_policy`` (a picklable
+      :class:`~repro.engine.montecarlo.FixedChunkPolicy`) rides to every
+      shard in the payload options and sets its trials per chunk, hence
+      how often it publishes partial counts; verdicts never depend on it.
     - ``first_trial`` shifts the whole sharded range: the call covers
       counters ``[first_trial, first_trial + trials)``, exactly as the
       engine-level hook does for a single shard.  An *installment* run

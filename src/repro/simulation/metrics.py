@@ -13,6 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
+try:  # numpy backs wilson_widths only; the scalar interval never needs it
+    import numpy as _np
+except ImportError:  # pragma: no cover - the image ships numpy
+    _np = None
+
 
 def wilson_interval(
     successes: int, trials: int, z: float = 1.96
@@ -38,6 +43,30 @@ def wilson_interval(
         / denominator
     )
     return max(0.0, center - margin), min(1.0, center + margin)
+
+
+def wilson_widths(successes, trials, z: float = 1.96):
+    """``high - low`` of :func:`wilson_interval`, elementwise over arrays.
+
+    The vectorised companion the estimator scans a chunk's prefix counts
+    with.  Same expression order and same ``[0, 1]`` clipping as the scalar
+    interval, so every entry equals ``high - low`` bit for bit (IEEE
+    arithmetic and ``sqrt`` are correctly rounded in both).  ``trials``
+    holds positive integers below ``2**53`` and ``0 <= successes <=
+    trials``; neither is checked.  Counts convert to ``float64``, which is
+    exact there and cannot overflow in ``4 * trials * trials``.
+    """
+    successes = _np.asarray(successes, dtype=_np.float64)
+    trials = _np.asarray(trials, dtype=_np.float64)
+    proportion = successes / trials
+    denominator = 1 + z * z / trials
+    center = (proportion + z * z / (2 * trials)) / denominator
+    margin = (
+        z
+        * _np.sqrt(proportion * (1 - proportion) / trials + z * z / (4 * trials * trials))
+        / denominator
+    )
+    return _np.minimum(1.0, center + margin) - _np.maximum(0.0, center - margin)
 
 
 @dataclass(frozen=True)

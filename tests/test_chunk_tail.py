@@ -8,10 +8,10 @@ silently depends on all of them:
 - the **final chunk** is truncated to the remaining trials — never padded,
   never overshot — for every (trials, chunk_size) shape, on both the scalar
   and vectorized kernels;
-- the **Wilson early exit** fires only at chunk boundaries, so the reported
-  trial count is always the exact prefix of the deterministic trial
-  sequence that executed (re-running with ``trials`` set to the reported
-  count reproduces the estimate bit for bit);
+- the **Wilson early exit** fires at the first eligible trial, wherever it
+  falls in a chunk, and the reported trial count is the exact prefix of the
+  deterministic trial sequence that counted (re-running with ``trials`` set
+  to the reported count reproduces the estimate bit for bit);
 - the **`first_trial` offset** shifts the counter range without changing
   any per-counter verdict, so a partition of ``[0, N)`` reproduces the
   whole — including when shard sizes collide with chunk tails.
@@ -25,12 +25,9 @@ import pytest
 
 from repro.core.seeding import derive_trial_seed
 from repro.engine import estimate_acceptance_fast
-from repro.parallel import (
-    FixedChunkPolicy,
-    GeometricChunkPolicy,
-    workload_spec,
-)
-from repro.simulation.metrics import AcceptanceEstimate
+from repro.engine.montecarlo import DEFAULT_CHUNK, executed_path
+from repro.parallel import FixedChunkPolicy, workload_spec
+from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +86,13 @@ def test_vectorized_tail_matches_oracle(vector_plan, trials, chunk_size):
 
 def test_early_exit_reports_the_exact_prefix(vector_plan):
     # All-accept workload + generous half-width: the stop rule fires at the
-    # first boundary past min_trials.  Chunks of 10, min_trials=25 -> the
-    # first eligible check happens at done=30.
+    # first eligible trial, min_trials=25, inside the third chunk of 10.
     estimate = estimate_acceptance_fast(
         vector_plan, 1000, seed=3,
         chunk_policy=FixedChunkPolicy(10), stop_halfwidth=0.2, min_trials=25
     )
-    assert estimate.trials == 30
-    assert estimate.accepted == oracle_counts(vector_plan, 3, 0, 30)
+    assert estimate.trials == 25
+    assert estimate.accepted == oracle_counts(vector_plan, 3, 0, 25)
 
 
 def test_early_exit_on_a_tail_chunk(noisy_plan):
@@ -191,13 +187,13 @@ def test_spec_scheme_partition_reproduces_whole(name):
     assert right.accepted == oracle_counts(plan, 7, split, trials)
 
 
-# Chunk schedules (PR 10): any policy only re-partitions a run's counter
-# range into differently-sized prefixes, so the per-trial verdicts — and
-# therefore the counts — must stay bit-identical to the fixed-chunk run.
+# Chunk sizes only re-partition a run's counter range into
+# differently-sized prefixes, so the per-trial verdicts — and therefore the
+# counts — must stay bit-identical to the 32-trial run.
 CHUNK_POLICY_ROWS = [
     FixedChunkPolicy(chunk_size=33),
-    GeometricChunkPolicy(initial=1, factor=2.0, max_chunk=64),
-    GeometricChunkPolicy(initial=7, factor=3.0, max_chunk=31),
+    FixedChunkPolicy(chunk_size=7),
+    FixedChunkPolicy(chunk_size=17),
 ]
 
 
@@ -232,7 +228,7 @@ def test_chunk_policy_partition_reproduces_whole(noisy_plan, policy):
 
 
 def test_chunk_policy_on_vector_kernel(vector_plan):
-    policy = GeometricChunkPolicy(initial=2, factor=2.0, max_chunk=32)
+    policy = FixedChunkPolicy(7)
     estimate = estimate_acceptance_fast(
         vector_plan, 100, seed=3, chunk_policy=policy, vectorize=True
     )
@@ -241,10 +237,10 @@ def test_chunk_policy_on_vector_kernel(vector_plan):
 
 
 def test_stopped_adaptive_run_is_an_exact_prefix(noisy_plan):
-    # A geometric-schedule run that stops early reports some prefix length;
-    # re-running that exact budget under a *different* chunking must land on
-    # identical counts — the stop decision never leaks into any verdict.
-    policy = GeometricChunkPolicy(initial=4, factor=2.0, max_chunk=128)
+    # A run that stops early reports some prefix length; re-running that
+    # exact budget under a *different* chunking must land on identical
+    # counts — the stop decision never leaks into any verdict.
+    policy = FixedChunkPolicy(7)
     stopped = estimate_acceptance_fast(
         noisy_plan, 5000, seed=9, chunk_policy=policy,
         stop_halfwidth=0.08, min_trials=16,
@@ -278,3 +274,76 @@ def test_constant_verdict_short_circuit_still_reports_requested(vector_plan):
         plan, 77, seed=0, chunk_policy=FixedChunkPolicy(16)
     )
     assert (estimate.accepted, estimate.trials) == (0, 77)
+
+
+# The Wilson stop is exact to the trial on every path: the stopped
+# (accepted, trials) is the first prefix n >= min_trials whose interval is
+# narrow enough, found here by walking the per-trial oracle, whatever the
+# chunk size.  Each case has mixed verdicts and a stop that no tested chunk
+# size divides, so a chunk-granular stop would land elsewhere.
+def _noisy_generic_plan():
+    from repro.core.noise import NoisyChannelRPLS
+    from repro.engine import VerificationPlan
+    from repro.graphs.generators import uniform_configuration
+    from repro.schemes.uniformity import DirectUnifRPLS
+
+    return VerificationPlan.compile(
+        NoisyChannelRPLS(DirectUnifRPLS(), 0.01),
+        uniform_configuration(8, 6, equal=True, seed=24),
+    )
+
+
+def _matrix_plan(name, rng_mode):
+    from spec_matrix import matrix_plan
+
+    return matrix_plan(name, "proof-fault", rng_mode)
+
+
+STOP_CASES = {
+    # case: (plan builder, the path the estimate runs)
+    "table": (lambda: _matrix_plan("coloring", "vector"), "table"),
+    "parity": (lambda: _matrix_plan("shared-coins", "vector"), "parity"),
+    "scalar-vector": (
+        lambda: workload_spec(
+            "noisy-spanning-tree", rng_mode="vector", node_count=16, flip_milli=5
+        ).resolve(),
+        "scalar",
+    ),
+    "scalar-compat": (lambda: _matrix_plan("coloring", "compat"), "scalar"),
+    "generic-compat": (_noisy_generic_plan, "generic"),
+}
+STOP_HALFWIDTH = 0.04
+STOP_MIN_TRIALS = 16
+
+
+def oracle_stop(plan, seed, halfwidth, min_trials):
+    """(accepted, trials) at the first n >= min_trials with a narrow interval."""
+    accepted = 0
+    for n in range(1, 100_000):
+        accepted += plan.run_trial(derive_trial_seed(seed, n - 1))
+        if n >= min_trials:
+            low, high = wilson_interval(accepted, n)
+            if high - low <= 2 * halfwidth:
+                return accepted, n
+    raise AssertionError("the stop never fired")
+
+
+@pytest.fixture(scope="module", params=sorted(STOP_CASES))
+def stop_case(request):
+    build, path = STOP_CASES[request.param]
+    plan = build()
+    assert executed_path(plan) == path
+    accepted, trials = oracle_stop(plan, 3, STOP_HALFWIDTH, STOP_MIN_TRIALS)
+    assert 0 < accepted < trials
+    assert all(trials % size for size in (7, 64, DEFAULT_CHUNK))
+    return plan, (accepted, trials)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 64, DEFAULT_CHUNK])
+def test_wilson_stop_is_exact_to_the_trial(stop_case, chunk_size):
+    plan, expected = stop_case
+    estimate = estimate_acceptance_fast(
+        plan, 100_000, seed=3, chunk_policy=FixedChunkPolicy(chunk_size),
+        stop_halfwidth=STOP_HALFWIDTH, min_trials=STOP_MIN_TRIALS,
+    )
+    assert (estimate.accepted, estimate.trials) == expected

@@ -27,9 +27,8 @@ from repro.parallel import (
     Campaign,
     CampaignAllocator,
     Cell,
-    DEFAULT_CHUNK,
+    SHARD_CHUNK,
     FixedChunkPolicy,
-    GeometricChunkPolicy,
     JsonlSink,
     MemorySink,
     ShardPlanner,
@@ -66,22 +65,13 @@ def noisy_spec():
 
 class TestChunkPolicies:
     def test_parse_fixed(self):
-        assert parse_chunk_policy("fixed") == FixedChunkPolicy()
-        assert parse_chunk_policy("fixed").chunk_size == DEFAULT_CHUNK
+        assert parse_chunk_policy("fixed") == FixedChunkPolicy(SHARD_CHUNK)
+        assert parse_chunk_policy("fixed").chunk_size == SHARD_CHUNK
         assert parse_chunk_policy("fixed:128") == FixedChunkPolicy(chunk_size=128)
-
-    def test_parse_geometric(self):
-        assert parse_chunk_policy("geometric") == GeometricChunkPolicy()
-        policy = parse_chunk_policy("geometric:initial=4,factor=3,max=64")
-        assert policy == GeometricChunkPolicy(initial=4, factor=3.0, max_chunk=64)
 
     @pytest.mark.parametrize(
         "policy",
-        [
-            FixedChunkPolicy(chunk_size=33),
-            GeometricChunkPolicy(),
-            GeometricChunkPolicy(initial=7, factor=3.0, max_chunk=31),
-        ],
+        [FixedChunkPolicy(chunk_size=33), FixedChunkPolicy()],
     )
     def test_describe_round_trips(self, policy):
         assert parse_chunk_policy(policy.describe()) == policy
@@ -92,42 +82,13 @@ class TestChunkPolicies:
             "bogus",
             "fixed:x",
             "fixed:0",
-            "geometric:speed=9",
-            "geometric:initial=zero",
-            "geometric:initial=0",
-            "geometric:factor=0.5",
-            "geometric:initial=16,max=8",
+            "geometric",
+            "geometric:initial=8",
         ],
     )
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_chunk_policy(text)
-
-    def test_fixed_session_is_constant(self):
-        session = FixedChunkPolicy(chunk_size=48).session()
-        assert [session(0, 0, 10**6), session(9, 48, 100), session(9, 96, 4)] == [
-            48, 48, 48,
-        ]
-
-    def test_geometric_growth_is_monotone_and_capped(self):
-        policy = GeometricChunkPolicy(initial=4, factor=2.0, max_chunk=64)
-        session = policy.session()
-        sizes = []
-        done = 0
-        for _ in range(12):
-            # Halfwidth shrinks as done grows (p=0.5 worst case), so every
-            # round tightens the interval and the size grows.
-            sizes.append(session(done // 2, done, 10**6))
-            done += 1000
-        assert sizes[0] == 4
-        assert sizes == sorted(sizes)
-        assert sizes[-1] == 64
-
-    def test_geometric_holds_when_interval_does_not_tighten(self):
-        session = GeometricChunkPolicy(initial=8, factor=2.0).session()
-        first = session(50, 100, 10**6)
-        # Same counts again: halfwidth identical, not tighter -> size holds.
-        assert session(50, 100, 10**6) == first
 
     def test_engine_clamps_oversized_chunks(self):
         spec = noisy_spec()
@@ -140,7 +101,7 @@ class TestChunkPolicies:
 
     @pytest.mark.parametrize(
         "policy",
-        [FixedChunkPolicy(chunk_size=17), GeometricChunkPolicy(initial=2)],
+        [FixedChunkPolicy(chunk_size=17)],
     )
     def test_policies_pickle(self, policy):
         assert pickle.loads(pickle.dumps(policy)) == policy
@@ -536,12 +497,12 @@ class TestAdaptiveCampaign:
         # counters 64.. and 256.. (shard 1's start) disagree in acceptance.
         plan = cell.spec.resolve()
         for chunks in range(1, 5):
-            trials = chunks * DEFAULT_CHUNK
+            trials = chunks * SHARD_CHUNK
             at_prefix, at_shard_1 = (
                 estimate_acceptance_fast(
                     plan, trials, seed=NON_PREFIX_SEED, first_trial=first
                 ).accepted
-                for first in (DEFAULT_CHUNK, 256)
+                for first in (SHARD_CHUNK, 256)
             )
             assert at_prefix != at_shard_1, (chunks, at_prefix)
         with _StaggeredExecutor() as executor:
@@ -554,7 +515,7 @@ class TestAdaptiveCampaign:
                 min_installment=512,
             )
         first = record["allocation"]["installments"][0]
-        assert (first["granted"], first["trials"]) == (1024, DEFAULT_CHUNK)
+        assert (first["granted"], first["trials"]) == (1024, SHARD_CHUNK)
         assert_contiguous(record["allocation"])
         replay = estimate_acceptance_fast(
             cell.spec.resolve(), record["trials"], seed=cell.seed
@@ -625,7 +586,7 @@ class TestAdaptiveCampaign:
             sink=MemorySink(),
             global_budget=3000,
             target_halfwidth=0.05,
-            chunk_policy=GeometricChunkPolicy(initial=8, factor=2.0, max_chunk=256),
+            chunk_policy=FixedChunkPolicy(17),
         )
         assert {record["status"] for record in records} == {"ok"}
         for record in records:
@@ -646,7 +607,7 @@ class TestCliAdaptive:
                 "--trials", "64", "--size", "node_count=12",
                 "--out", str(tmp_path / "cli.jsonl"),
                 "--global-budget", "2000", "--target-halfwidth", "0.05",
-                "--chunk-policy", "geometric",
+                "--chunk-policy", "fixed:17",
             ]
         )
         assert code == 0
@@ -658,7 +619,7 @@ class TestCliAdaptive:
         code = cli_main(
             [
                 "estimate", "--workload", "spanning-tree", "--trials", "96",
-                "--size", "node_count=12", "--chunk-policy", "geometric:initial=4",
+                "--size", "node_count=12", "--chunk-policy", "fixed:7",
             ]
         )
         assert code == 0
@@ -739,4 +700,4 @@ class TestCliAdaptive:
         ]
         assert cli_main(base) == 0
         assert cli_main(base + ["--chunk-policy", "fixed:32"]) == 0
-        assert seen == [FixedChunkPolicy(), FixedChunkPolicy(chunk_size=32)]
+        assert seen == [FixedChunkPolicy(SHARD_CHUNK), FixedChunkPolicy(chunk_size=32)]

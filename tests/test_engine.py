@@ -1070,11 +1070,12 @@ class TestAgreementTable:
         assert state.dirty_pairs == 0
         assert run_chunk(plan, seeds).all()
         # Still a kernel-level constant: the Wilson stop lands where it
-        # did when every pair was checked, not at the full budget.
+        # does when every pair is checked (the first all-accept prefix
+        # narrow enough), not at the full budget.
         estimate = estimate_acceptance_fast(
             plan, 5000, seed=3, stop_halfwidth=0.01, vectorize=True
         )
-        assert (estimate.accepted, estimate.trials) == (192, 192)
+        assert (estimate.accepted, estimate.trials) == (189, 189)
 
     def _three_receiver_forgery(self):
         """Two-bit replica flips at three nodes: three dirty pairs, each

@@ -1,5 +1,7 @@
 """Tests for the simulation harness: adversaries, runner, metrics."""
 
+import random
+
 import pytest
 
 from repro.core.bitstrings import BitString
@@ -21,7 +23,12 @@ from repro.simulation.adversary import (
     perturb_labels,
     random_labels,
 )
-from repro.simulation.metrics import AcceptanceEstimate, doubling_ratio, wilson_interval
+from repro.simulation.metrics import (
+    AcceptanceEstimate,
+    doubling_ratio,
+    wilson_interval,
+    wilson_widths,
+)
 from repro.simulation.runner import (
     BoostingRow,
     boosting_sweep,
@@ -94,6 +101,22 @@ class TestMetrics:
             wilson_interval(1, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
+
+    def test_wilson_widths_are_bit_identical_to_the_interval(self):
+        rng = random.Random(5)
+        cells = []
+        for n in (1, 2, 3, 7, 127, 128, 129, 4096, 10**5, 10**6, 9_999_999, 10**7):
+            for a in {0, 1, n // 3, n // 2, n - 1, n, rng.randrange(n + 1)}:
+                if 0 <= a <= n:
+                    cells.append((a, n))
+        for _ in range(200):
+            n = rng.randrange(1, 10**7 + 1)
+            cells.append((rng.randrange(n + 1), n))
+        successes, trials = zip(*cells)
+        widths = wilson_widths(list(successes), list(trials))
+        for (a, n), width in zip(cells, widths.tolist()):
+            low, high = wilson_interval(a, n)
+            assert width == high - low, (a, n)
 
     def test_acceptance_estimate(self):
         estimate = AcceptanceEstimate(accepted=45, trials=50)

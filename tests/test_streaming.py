@@ -95,9 +95,9 @@ class SlowPlan:
         self._plan.prepare()
         return self
 
-    def run_trials(self, seeds, **kwargs):
+    def trial_verdicts(self, seeds, *args, **kwargs):
         time.sleep(self._delay)
-        return self._plan.run_trials(seeds, **kwargs)
+        return self._plan.trial_verdicts(seeds, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
