@@ -37,8 +37,10 @@ stop_halfwidth`` wide.  The rule is checked per trial: the kernel path
 scans a chunk's prefix counts with
 :func:`~repro.simulation.metrics.wilson_widths` (bit-identical to
 :func:`~repro.simulation.metrics.wilson_interval`), the scalar paths check
-after each trial.  Chunk size therefore only affects throughput.  Two
-guarantees make this safe to use in experiments:
+after each trial.  Chunk size therefore only affects throughput.  The
+sharded layers book the same trial from their shards' per-trial verdicts
+(:mod:`repro.parallel.executors`).  Two guarantees make this safe to use in
+experiments:
 
 - early exit changes *which prefix* of the deterministic trial sequence is
   consumed, never any individual decision — re-running with ``trials`` set
@@ -53,14 +55,15 @@ Constant-False short-circuit
 A plan whose hook contexts contain an unparseable label has a compile-time
 verdict (``plan.constant_verdict is False``): the node that cannot parse its
 own label rejects every trial.  The estimator returns the exact degenerate
-estimate (``0.0`` over the requested trials) without running any — the same
-decisions the trial loop would have produced, minus the loop.
+estimate (``0.0`` over the requested trials, or over the prefix the Wilson
+stop keeps) without running any — the same decisions the trial loop would
+have produced, minus the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.bitstrings import BitString
 from repro.core.configuration import Configuration
@@ -73,6 +76,11 @@ from repro.graphs.port_graph import Node
 #: Trials per chunk: a kernel chunk costs about 0.1 ms of fixed overhead
 #: plus 20-70 ns per trial, and the per-trial cost stops falling near 3000.
 DEFAULT_CHUNK = 4096
+#: Most trials a scalar path runs between ``should_stop`` polls and
+#: ``progress`` updates.  A scalar trial costs about 1000 times a kernel
+#: one (0.9 ms on the noisy plan), so a 4096-trial scalar chunk would go
+#: seconds without a heartbeat.
+SCALAR_CHUNK = 64
 #: Trials before the Wilson stop may fire, in every estimator.
 MIN_STOP_TRIALS = 128
 
@@ -102,8 +110,9 @@ class FixedChunkPolicy:
     """Trials per chunk, the one ``chunk_policy`` of every estimator.
 
     Frozen, hence picklable: it rides to process-pool workers inside the
-    shard options dict.  The sharded layers default to
-    ``FixedChunkPolicy(SHARD_CHUNK)`` (:mod:`repro.parallel.shards`).
+    shard options dict.  ``FixedChunkPolicy()`` is the default of every
+    layer, sharded or not.  The size applies to kernel chunks; the scalar
+    paths cap their chunks at :data:`SCALAR_CHUNK`.
     """
 
     chunk_size: int = DEFAULT_CHUNK
@@ -128,11 +137,13 @@ def estimate_acceptance_fast(
     first_trial: int = 0,
     should_stop: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
+    on_verdicts: Optional[Callable[[Sequence[bool]], None]] = None,
 ) -> "AcceptanceEstimate":
     """Estimate ``Pr[verifier accepts]`` by running ``trials`` plan rounds.
 
     Trials run in chunks of ``chunk_policy.chunk_size`` (the last one
-    truncated to the budget).  When ``stop_halfwidth`` is given, the
+    truncated to the budget); the scalar paths cap a chunk at
+    :data:`SCALAR_CHUNK` trials.  When ``stop_halfwidth`` is given, the
     estimator stops at the first trial ``n >= min_trials`` whose Wilson
     score interval is at most ``2 * stop_halfwidth`` wide and reports
     exactly those ``n`` trials, so the stopped estimate equals the
@@ -151,7 +162,7 @@ def estimate_acceptance_fast(
     forces the scalar path.  The kernel never changes decisions, only
     throughput.
 
-    The two shard hooks (see :mod:`repro.parallel`):
+    The shard hooks (see :mod:`repro.parallel`):
 
     - ``first_trial`` offsets the trial counter — the call covers the
       counter range ``[first_trial, first_trial + trials)``, deriving
@@ -162,24 +173,32 @@ def estimate_acceptance_fast(
       the call returns the partial estimate of the chunks already run
       (possibly the empty zero-trial estimate).  Like the Wilson exit, a
       cooperative stop changes *which prefix* of the shard's deterministic
-      trial sequence is consumed, never any individual decision.
+      trial sequence is consumed, never any individual decision;
+    - ``on_verdicts`` receives, after every chunk, the per-trial verdicts
+      the chunk counted, in trial order (a bool array on the kernel and
+      constant paths, a list on the scalar ones).  Concatenated, they are
+      the verdicts of the reported prefix — what a sharded run scans for
+      the trial-exact stop.
 
     ``progress`` is the streaming channel (see :mod:`repro.parallel.progress`):
     after every chunk it receives the *cumulative* ``(accepted, done)``
     counts of this call so far.  Each update is a valid estimate of the same
     acceptance probability over the prefix already consumed — publishing it
-    mid-run is what lets a sharded aggregator apply the Wilson stop rule at
-    chunk granularity across all workers.  The channel is observational
-    only: it never changes which trials run or what they decide, so a run
-    with ``progress`` set is count-identical to the same run without it.
-    The supervisor of :mod:`repro.parallel.supervision` also reads these
+    mid-run is what lets a sharded aggregator stop the compute of every
+    worker between chunks.  The channel is observational only: it never
+    changes which trials run or what they decide, so a run with
+    ``progress`` set is count-identical to the same run without it.  The
+    supervisor of :mod:`repro.parallel.supervision` also reads these
     updates as the shard's heartbeats.
 
-    Plans with a compile-time verdict (``plan.constant_verdict``) return the
-    exact degenerate estimate immediately, with no trials executed (one
-    ``progress`` update reports the degenerate counts).
+    Plans with a compile-time verdict (``plan.constant_verdict``) run no
+    trials: without a stop or ``on_verdicts`` they return the exact
+    degenerate estimate over the requested trials (one ``progress`` update
+    reports it); otherwise they walk the chunk loop on constant verdict
+    arrays, so the stop keeps the same prefix and the hooks see the same
+    chunks as for any other plan.
     """
-    from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
+    from repro.simulation.metrics import AcceptanceEstimate, wilson_stop_holds
 
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -188,14 +207,17 @@ def estimate_acceptance_fast(
     if rng_mode is None:
         rng_mode = plan.rng_mode
     use_vector = _vectorizes(plan, rng_mode, vectorize)
+    constant = plan.constant_verdict
 
-    if plan.constant_verdict is not None:
-        accepted = trials if plan.constant_verdict else 0
+    if constant is not None and stop_halfwidth is None and on_verdicts is None:
+        accepted = trials if constant else 0
         if progress is not None:
             progress(accepted, trials)
         return AcceptanceEstimate(accepted=accepted, trials=trials)
 
     stop_width = None if stop_halfwidth is None else 2 * stop_halfwidth
+    batched = use_vector or constant is not None
+    size = chunk_policy.chunk_size if batched else min(chunk_policy.chunk_size, SCALAR_CHUNK)
     accepted = 0
     done = 0
     stopped = False
@@ -205,31 +227,49 @@ def estimate_acceptance_fast(
         # The final chunk is exactly the remaining trials, so the reported
         # count is the prefix actually consumed (pinned by the chunk-tail
         # regression tests).
-        chunk = min(chunk_policy.chunk_size, trials - done)
+        chunk = min(size, trials - done)
         start = first_trial + done
-        if use_vector:
-            verdicts = plan.trial_verdicts(
-                derive_trial_seed_array(seed, start, start + chunk), rng_mode, vectorize=True
-            )
+        if batched:
+            if constant is not None:
+                verdicts = _constant_verdicts(constant, chunk)
+            else:
+                verdicts = plan.trial_verdicts(
+                    derive_trial_seed_array(seed, start, start + chunk), rng_mode, vectorize=True
+                )
             kept, ran, stopped = _kernel_prefix(verdicts, accepted, done, stop_width, min_trials)
             accepted += kept
             done += ran
+            counted = verdicts[:ran]
         else:
+            counted = []
             for verdict in plan.trial_verdicts(trial_seed_slice(seed, start, start + chunk), rng_mode):
+                counted.append(verdict)
                 accepted += verdict
                 done += 1
-                if stop_width is not None and done >= min_trials:
-                    low, high = wilson_interval(accepted, done)
-                    if high - low <= stop_width:
-                        stopped = True
-                        break
+                if stop_halfwidth is not None and wilson_stop_holds(
+                    accepted, done, stop_halfwidth, min_trials
+                ):
+                    stopped = True
+                    break
+        if on_verdicts is not None:
+            on_verdicts(counted)
         if progress is not None:
             progress(accepted, done)
     return AcceptanceEstimate(accepted=accepted, trials=done)
 
 
+def _constant_verdicts(verdict: bool, count: int):
+    import numpy as np
+
+    return np.full(count, bool(verdict))
+
+
 def _kernel_prefix(verdicts, accepted: int, done: int, stop_width, min_trials: int):
-    """``(accepts, trials, stopped)`` of the part of a kernel chunk to count.
+    """``(accepts, trials, stopped)`` of the part of a verdict array to count.
+
+    ``verdicts`` follows ``done`` trials with ``accepted`` accepts: a
+    kernel chunk here, a window of a shard's verdicts in the sharded
+    stop's scan (:mod:`repro.parallel.executors`).
 
     The whole chunk, unless some prefix ends at a trial ``n >= min_trials``
     whose Wilson width, over the counts so far plus that prefix, is ``<=

@@ -80,7 +80,7 @@ from repro.parallel.progress import (
     StopToken,
     StreamingAggregator,
 )
-from repro.parallel.shards import SHARD_CHUNK, Shard, ShardPlanner
+from repro.parallel.shards import Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import (
     QuarantinedShard,
@@ -92,7 +92,6 @@ from repro.parallel.supervision import (
 
 __all__ = [
     "EXECUTORS",
-    "SHARD_CHUNK",
     "WORKLOADS",
     "Campaign",
     "CampaignAllocator",

@@ -21,15 +21,19 @@ Cell identity covers the spec value, the trial budget, the master seed,
 and the stop rule — not the executor backend, worker count, or shard
 layout.  For **exhaustive** cells (no ``stop_halfwidth``) that is the full
 result-determining set: rerunning with more workers resumes cleanly and
-would produce bit-identical counts for the cells it reruns.  For
-**early-exit** cells the recorded counts additionally depend on *where the
-stop fired*, which varies with backend, worker count, and (on the
-thread/process backends) shard completion order — every such record is
-still an unbiased estimate over the trials it reports, with its Wilson
-interval attached, so resumed records are statistically comparable but not
-bit-reproducible.  The execution provenance (``executor``, ``workers``,
-``shards``, ``stopped_early``) is stored in each record for exactly this
-reason.
+would produce bit-identical counts for the cells it reruns.  **Early-exit**
+records are reproducible across backends and layouts as well: every run
+books the trial-exact prefix of the single-process Wilson stop
+(:attr:`~repro.parallel.executors.ShardedEstimate.prefix`), and a run
+whose prefix the merged stop cut short of the rule is continued from its
+end (the next installment of an adaptive campaign, the next run of a
+fixed-budget stop cell).  A converged record therefore equals
+``estimate_acceptance_fast(plan, budget, seed, stop_halfwidth=target)`` on
+every backend, worker count, shard layout and ``cell_parallelism``; only a
+quarantined shard or an exhausted budget leaves a shorter prefix.  The
+execution provenance (``executor``, ``workers``, ``shards``,
+``stopped_early``, and the ``kernel_path`` the shards ran) is stored in
+each record.
 """
 
 from __future__ import annotations
@@ -54,8 +58,10 @@ from typing import (
     Union,
 )
 
+from repro.engine.montecarlo import MIN_STOP_TRIALS
 from repro.obs.runtime import get_recorder
 from repro.parallel.controller import (
+    MIN_INSTALLMENT,
     CampaignAllocator,
     FixedChunkPolicy,
     validate_halfwidth,
@@ -66,9 +72,8 @@ from repro.parallel.executors import (
     resolve_executor,
 )
 from repro.parallel.factories import workload_spec
-from repro.parallel.shards import SHARD_CHUNK
 from repro.parallel.spec import PlanSpec
-from repro.simulation.metrics import AcceptanceEstimate
+from repro.simulation.metrics import AcceptanceEstimate, wilson_stop_holds
 
 
 @dataclass(frozen=True)
@@ -90,12 +95,10 @@ class Cell:
     def key(self) -> str:
         """The stable resume key of the cell.
 
-        Exactly the cell's *statistical* identity: for exhaustive cells it
-        pins the result bit for bit; for ``stop_halfwidth`` cells the
-        recorded counts also depend on where the cooperative stop fired
-        (see the module docstring), so a resumed record answers the same
-        estimation question without necessarily repeating the same trial
-        count.
+        Exactly the cell's *statistical* identity.  For exhaustive cells it
+        pins the result bit for bit, and so it does for early-exit cells,
+        whose converged records equal the single-process Wilson stop on
+        every backend and layout (see the module docstring).
         """
         return json.dumps(
             {
@@ -274,9 +277,14 @@ def _ok_record(
     stopped_early: bool,
     shards: int,
     elapsed: float,
+    kernel_path: Optional[str],
     **fields,
 ) -> Dict:
     """A ``status="ok"`` record: the estimate, its interval, and provenance.
+
+    ``kernel_path`` is the path the cell's shards report they ran
+    (:attr:`~repro.parallel.executors.ShardResult.executed_path`; ``None``
+    when no shard ran).
 
     Zero-trial estimates report nan probability/interval directly (a
     pre-satisfied stop can legitimately produce them); no guards needed.
@@ -296,6 +304,7 @@ def _ok_record(
         executor=getattr(instance, "name", "?"),
         workers=getattr(instance, "workers", 1),
         elapsed_sec=round(elapsed, 6),
+        kernel_path=kernel_path,
         **fields,
     )
 
@@ -427,11 +436,63 @@ def _run_round(
         yield from team.map(run, installments)
 
 
-def _fixed_record(
-    campaign: Campaign, cell: Cell, instance, sharded, elapsed: float
-) -> Dict:
-    """The record of a fixed-budget cell, with its run's supervision ledger."""
+def _run_to_stop(installment: _Installment, run: Callable) -> Tuple:
+    """A fixed-budget cell's runs: ``(runs, None)`` or ``(None, error)``.
+
+    ``run`` is :func:`_run_installment` bound to the campaign.  A cell
+    without a stop rule runs once.  A stop cell books each run's
+    :attr:`~repro.parallel.executors.ShardedEstimate.prefix`; when the
+    merged stop cut that prefix short of the rule (shard 0 stopped while
+    later shards ran on), the next run continues the same counters from
+    the prefix's end with its counts as ``prior`` — what an adaptive
+    installment does — until the rule holds, the budget is spent, or a
+    run executes nothing or quarantines a shard.  (A run can book nothing
+    while others ran: shard 0 started after the merged stop had fired.
+    The next run then repeats the same counters.)  The booked counts
+    therefore end where ``estimate_acceptance_fast(..., stop_halfwidth=h)``
+    stops.
+    """
+    runs = []
+    while True:
+        outcome, error = run(installment)
+        if error is not None:
+            return None, error
+        runs.append(outcome)
+        cell, trials, stop_halfwidth, (accepted, done) = installment
+        sharded = outcome[0]
+        booked = sharded.prefix
+        accepted += booked.accepted
+        done += booked.trials
+        if (
+            stop_halfwidth is None
+            or not sharded.report.ok
+            or sharded.estimate.trials == 0
+            or booked.trials == trials
+            or wilson_stop_holds(accepted, done, stop_halfwidth, MIN_STOP_TRIALS)
+        ):
+            return runs, None
+        installment = _Installment(
+            cell, trials - booked.trials, stop_halfwidth, (accepted, done)
+        )
+
+
+def _fixed_record(campaign: Campaign, cell: Cell, instance, runs) -> Dict:
+    """The record of a fixed-budget cell, with its runs' supervision ledger.
+
+    ``runs`` is :func:`_run_to_stop`'s list of ``(sharded, elapsed)``.  A
+    stop cell records the booked prefixes of its runs; a cell without one
+    records everything its single run executed.  ``supervision`` is the
+    last run's ledger, with the earlier runs' ledgers under
+    ``earlier_runs`` when the stop needed more than one run.
+    """
+    sharded = runs[-1][0]
+    if cell.stop_halfwidth is None:
+        booked = sharded.estimate
+    else:
+        booked = AcceptanceEstimate.merge(run.prefix for run, _ in runs)
     supervision = sharded.report.as_dict()
+    if len(runs) > 1:
+        supervision["earlier_runs"] = [run.report.as_dict() for run, _ in runs[:-1]]
     # Executor-lifetime router drop/leak counters (process backend; see
     # ProgressRouter.stats) — recorded, not warning-only.
     stats = getattr(instance, "progress_stats", None)
@@ -446,10 +507,11 @@ def _fixed_record(
         campaign,
         cell,
         instance,
-        sharded.estimate,
+        booked,
         sharded.stopped_early,
-        sharded.shards,
-        elapsed,
+        sum(run.shards for run, _ in runs),
+        sum(elapsed for _, elapsed in runs),
+        next((run.kernel_path for run, _ in reversed(runs) if run.kernel_path), None),
         supervision=supervision,
     )
 
@@ -460,7 +522,7 @@ def run_campaign(
     workers: Optional[int] = None,
     sink=None,
     planner: Optional[ShardPlanner] = None,
-    chunk_policy=FixedChunkPolicy(SHARD_CHUNK),
+    chunk_policy=FixedChunkPolicy(),
     cell_parallelism: int = 1,
     on_cell_error: str = "raise",
     cell_retries: int = 1,
@@ -468,7 +530,7 @@ def run_campaign(
     max_retries: int = 0,
     global_budget: Optional[int] = None,
     target_halfwidth: Optional[float] = None,
-    min_installment: int = SHARD_CHUNK,
+    min_installment: int = MIN_INSTALLMENT,
 ) -> List[Dict]:
     """Run every (not yet completed) cell; returns the new records.
 
@@ -479,15 +541,18 @@ def run_campaign(
 
     ``campaign, cell, cell_key, factory, args, kwargs, randomness,
     rng_mode, requested_trials, trials, accepted, probability, wilson_low,
-    wilson_high, stopped_early, shards, executor, workers, elapsed_sec``
+    wilson_high, stopped_early, shards, executor, workers, elapsed_sec,
+    kernel_path``
 
     plus the run's ``supervision`` ledger (fixed budgets) or the cell's
     ``allocation`` history (adaptive budgets).
 
     Cells run as *installments* in *rounds*.  A fixed-budget campaign is a
     single round in which every cell is granted its own ``trials`` and
-    ``stop_halfwidth``; its records are written as their ordered outcomes
-    arrive.  ``cell_parallelism`` > 1 runs that many installments of a
+    ``stop_halfwidth`` (a stop cell whose booked prefix the merged stop cut
+    short continues its counters in further runs, see
+    :func:`_run_to_stop`); its records are written as their ordered
+    outcomes arrive.  ``cell_parallelism`` > 1 runs that many installments of a
     round concurrently over the *same* executor pool — the round scheduler
     keeps the pool saturated when individual cells are too small to fill
     it.  Ordering and resume semantics are unchanged: records reach the
@@ -579,18 +644,15 @@ def run_campaign(
         "max_retries": max_retries,
     }
 
-    def run_round(installments: List[_Installment]):
-        """The round's ordered outcomes, closed on every exit path."""
-        return closing(
-            _run_round(
-                installments,
-                cell_parallelism,
-                lambda installment: _run_installment(
-                    campaign, installment, options, on_cell_error,
-                    cell_retries, campaign_span.span_id,
-                ),
-            )
+    def run_installment(installment: _Installment):
+        return _run_installment(
+            campaign, installment, options, on_cell_error, cell_retries,
+            campaign_span.span_id,
         )
+
+    def run_round(installments: List[_Installment], run: Callable = run_installment):
+        """The round's ordered outcomes, closed on every exit path."""
+        return closing(_run_round(installments, cell_parallelism, run))
 
     def write(record: Dict) -> None:
         sink.write(record)
@@ -604,10 +666,11 @@ def run_campaign(
                 _Installment(cell, cell.trials, cell.stop_halfwidth)
                 for cell in pending
             ]
-            with run_round(installments) as outcomes:
-                for cell, (outcome, error) in zip(pending, outcomes):
+            run = lambda installment: _run_to_stop(installment, run_installment)  # noqa: E731
+            with run_round(installments, run) as outcomes:
+                for cell, (runs, error) in zip(pending, outcomes):
                     write(
-                        _fixed_record(campaign, cell, instance, *outcome)
+                        _fixed_record(campaign, cell, instance, runs)
                         if error is None
                         else _failure_record(campaign, cell, error)
                     )
@@ -646,12 +709,15 @@ def _run_adaptive_campaign(
     the consumed prefix, ``prior`` = the prefix's counts, so the Wilson
     stop applies to the cell's *cumulative* interval and fires as soon as
     the target halfwidth is reached mid-installment).  Only the
-    installment's contiguous counter prefix
-    (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`) is booked:
-    a stop can leave later shards further along than an earlier one, and
-    those trials are dropped rather than booked as if they were the next
-    counters.  A converged installment's unspent grant implicitly returns
-    to the pool.
+    installment's booked prefix
+    (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`) counts: its
+    contiguous counter prefix, cut at the first trial where the Wilson rule
+    holds on the cumulative counts.  A stop can leave later shards further
+    along than an earlier one, and those trials are dropped rather than
+    booked as if they were the next counters; when that leaves the prefix
+    short of the rule, the next round continues from its end.  A converged
+    record therefore equals the single-process Wilson stop, and a
+    converged installment's unspent grant implicitly returns to the pool.
 
     Records are written after the budget is spent, one per cell in
     declaration order, each carrying the cell's full ``allocation``
@@ -668,6 +734,7 @@ def _run_adaptive_campaign(
     cells = {cell.name: cell for cell in pending}
     elapsed = {cell.name: 0.0 for cell in pending}
     shard_totals = {cell.name: 0 for cell in pending}
+    paths: Dict[str, Optional[str]] = {cell.name: None for cell in pending}
     errors: Dict[str, Exception] = {}
 
     while True:
@@ -698,12 +765,15 @@ def _run_adaptive_campaign(
                 )
                 elapsed[name] += spent
                 shard_totals[name] += sharded.shards
-                if prefix.trials > 0:
+                paths[name] = sharded.kernel_path or paths[name]
+                if prefix.trials > 0 or (sharded.report.ok and sharded.estimate.trials > 0):
                     progressed = True
         if not progressed:
-            # A full round granted budget and nothing ran (wedged pool,
+            # A full round granted budget and booked nothing (wedged pool,
             # every shard quarantined, ...): stop granting instead of
-            # spinning — the records below document the shortfall.
+            # spinning — the records below document the shortfall.  An
+            # unfaulted run that ran trials but booked none (shard 0
+            # started after the merged stop) is regranted the same counters.
             break
 
     for cell in pending:
@@ -721,6 +791,7 @@ def _run_adaptive_campaign(
                     history["converged"],
                     shard_totals[cell.name],
                     elapsed[cell.name],
+                    paths[cell.name],
                     allocation=history,
                 )
             )

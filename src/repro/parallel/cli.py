@@ -20,10 +20,12 @@ factory does not take are skipped with a warning, not a crash), and a
 --size k-flow:k=3``.
 
 ``--cell-parallelism N`` runs N campaign cells concurrently over the one
-worker pool.  Workers stream partial shard counts, so Wilson stops fire at
-chunk granularity (see ``docs/parallel.md``).
+worker pool.  Workers stream partial shard counts, so Wilson stops halt the
+compute at chunk granularity, and the booked counts end exactly where the
+single-process stop would (see ``docs/parallel.md``).
 
-``--chunk-policy fixed:N`` sets the trials per shard chunk (default 64).
+``--chunk-policy fixed:N`` sets the trials per kernel chunk (default 4096;
+the scalar paths run at most 64 between stop checks).
 
 Adaptive budgets (see docs/parallel.md "Adaptive budgets"): ``campaign
 --global-budget 20000 --target-halfwidth 0.03`` replaces per-cell budgets
@@ -39,6 +41,7 @@ import sys
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.montecarlo import SCALAR_CHUNK
 from repro.engine.plan import RNG_MODES
 from repro.obs.runtime import tracing
 from repro.parallel.campaign import Campaign, JsonlSink, MemorySink, run_campaign
@@ -49,7 +52,7 @@ from repro.parallel.executors import (
     estimate_acceptance_sharded,
 )
 from repro.parallel.factories import WORKLOADS, workload_spec
-from repro.parallel.shards import SHARD_CHUNK, ShardPlanner
+from repro.parallel.shards import ShardPlanner
 
 
 def _parse_sizes(
@@ -196,10 +199,11 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chunk-policy",
         type=_chunk_policy_flag,
-        default=FixedChunkPolicy(SHARD_CHUNK),
+        default=FixedChunkPolicy(),
         metavar="SPEC",
-        help="trials per shard chunk between stop-rule checks: "
-        f"'fixed[:SIZE]' (default: fixed:{SHARD_CHUNK})",
+        help="trials per kernel chunk between compute-stop checks (scalar "
+        f"paths check at least every {SCALAR_CHUNK} trials; the booked stop "
+        f"is exact at any size): 'fixed[:SIZE]' (default: {FixedChunkPolicy().describe()})",
     )
     parser.add_argument(
         "--stop-halfwidth",

@@ -10,9 +10,10 @@ module turns both into policy objects:
   ``chunk_policy`` seam of
   :func:`~repro.engine.montecarlo.estimate_acceptance_fast`, which asks it
   for the size of every chunk.  :func:`parse_chunk_policy` reads the CLI
-  spelling.  The sharded layers default to
-  :data:`~repro.parallel.shards.SHARD_CHUNK` trials, because their streamed
-  stop is checked between chunks.
+  spelling.  Every layer defaults to ``FixedChunkPolicy()``: the sharded
+  stop books the Wilson-minimal prefix from per-trial shard verdicts (see
+  :mod:`repro.parallel.executors`), so no layer needs small chunks to keep
+  its answer exact.
 - **The campaign allocator** (:class:`CampaignAllocator`) manages one
   *global* trial budget across all cells of a campaign.  It grants budget in
   rounds: a cheap probe round first, then need-proportional rounds where
@@ -20,7 +21,12 @@ module turns both into policy objects:
   remaining pool and cells that reached the target halfwidth are starved
   entirely.  Grants a converged cell did not consume flow back into the
   pool automatically — the campaign layer only ever subtracts *consumed*
-  trials.
+  trials.  Each installment books the single-process Wilson stop's prefix
+  (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`), and a cell
+  converges on the same rule (:func:`~repro.simulation.metrics.wilson_stop_holds`
+  with :data:`~repro.engine.montecarlo.MIN_STOP_TRIALS`), so a converged
+  cell's counts equal ``estimate_acceptance_fast(plan, budget, seed,
+  stop_halfwidth=target)`` on every backend and shard layout.
 
 Decision-validity contract
 --------------------------
@@ -35,6 +41,8 @@ installment ``[consumed, consumed + grant)``.  Policies therefore change
 any chunk policy is per-trial bit-identical to the fixed-chunk run over the
 same counter range, and a retried shard (supervision) re-executes its
 original range untouched because its payload was fixed at dispatch time.
+Grants decide only how far each installment may run; the booked stop
+lands on the same trial whatever they are.
 The chunk-tail and controller test suites pin this contract.
 
 Observability
@@ -54,10 +62,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.montecarlo import FixedChunkPolicy
+from repro.engine.montecarlo import MIN_STOP_TRIALS, FixedChunkPolicy
 from repro.obs.runtime import get_metrics, record_event
-from repro.parallel.shards import SHARD_CHUNK
-from repro.simulation.metrics import wilson_interval
+from repro.simulation.metrics import wilson_interval, wilson_stop_holds
+
+#: The allocator's smallest installment; the probe round grants twice it.
+MIN_INSTALLMENT = 64
 
 
 def observed_halfwidth(accepted: int, trials: int) -> float:
@@ -85,12 +95,11 @@ def validate_halfwidth(value: float, name: str = "halfwidth") -> float:
 # ---------------------------------------------------------------------------
 
 
-
 def parse_chunk_policy(text: str):
     """Parse a ``--chunk-policy`` spec string into a policy object.
 
-    Accepted forms: ``fixed`` (the sharded default, :data:`SHARD_CHUNK`
-    trials) and ``fixed:SIZE``.
+    Accepted forms: ``fixed`` (the default of every layer,
+    ``FixedChunkPolicy()``) and ``fixed:SIZE``.
 
     Raises :class:`ValueError` on unknown names, malformed arguments, or
     out-of-range values (delegated to the policy constructor).
@@ -99,7 +108,7 @@ def parse_chunk_policy(text: str):
     head = head.strip()
     if head == "fixed":
         if not sep:
-            return FixedChunkPolicy(SHARD_CHUNK)
+            return FixedChunkPolicy()
         try:
             size = int(rest)
         except ValueError:
@@ -164,7 +173,7 @@ class CampaignAllocator:
         names: Sequence[str],
         global_budget: int,
         target_halfwidth: float,
-        min_installment: int = SHARD_CHUNK,
+        min_installment: int = MIN_INSTALLMENT,
         probe_trials: Optional[int] = None,
         need_margin: float = 1.25,
     ):
@@ -293,8 +302,10 @@ class CampaignAllocator:
 
         ``first_trial`` must equal the cell's consumed prefix — installments
         extend the counter range contiguously, never rewrite it.  ``trials``
-        may be short of ``granted`` (the streamed stop fired); only the
-        consumed part is charged, the rest stays in the pool.
+        may be short of ``granted`` (the stop fired); only the consumed part
+        is charged, the rest stays in the pool.  The cell converges when the
+        Wilson stop rule holds on its cumulative counts, ``MIN_STOP_TRIALS``
+        gate included — the rule every other stop site applies.
         """
         cell = self.cells[name]
         if first_trial != cell.consumed:
@@ -320,7 +331,9 @@ class CampaignAllocator:
         metrics.counter("controller.consumed_trials").inc(trials)
         if granted > trials:
             metrics.counter("controller.returned_trials").inc(granted - trials)
-        if not cell.converged and cell.halfwidth <= self.target_halfwidth:
+        if not cell.converged and wilson_stop_holds(
+            cell.accepted, cell.consumed, self.target_halfwidth, MIN_STOP_TRIALS
+        ):
             cell.converged = True
             metrics.counter("controller.converged_cells").inc()
             record_event(

@@ -30,21 +30,29 @@ backend-appropriate conduit (direct callback in-process, a
 ``multiprocessing`` queue plus parent-side router for the process pool),
 and one :class:`~repro.parallel.progress.StreamingAggregator` applies the
 Wilson rule to the merged partials.  Once the interval is narrow enough it
-stops the run at chunk granularity across all workers: shards not yet
-started are skipped, and running shards observe the flag between chunks
-(the ``should_stop`` hook of
+stops the run's *compute* at chunk granularity across all workers: shards
+not yet started are skipped, and running shards observe the flag between
+chunks (the ``should_stop`` hook of
 :func:`~repro.engine.montecarlo.estimate_acceptance_fast`) and return their
 partial counts.  Exactly like the single-process Wilson exit, stopping
-changes *which trials run*, never any individual verdict — so a stopped
-run is still an unbiased estimate over the trials it reports.
+changes *which trials run*, never any individual verdict.
 
-Unlike the single-process stop, which is exact to the trial, this stop is
-chunk-granular: the aggregator sees a shard's counts only at its chunk
-boundaries, so shards keep running up to a chunk past the point where the
-merged interval first got narrow enough.  That is why every sharded layer
-defaults to :data:`~repro.parallel.shards.SHARD_CHUNK` (64) trials per
-chunk rather than the engine's much larger
-:data:`~repro.engine.montecarlo.DEFAULT_CHUNK`.
+The *booking* is exact to the trial.  With a stop rule, the run's
+contiguous counter prefix is scanned with the single-process rule,
+starting from ``prior``: shard 0, which follows ``prior`` directly, scans
+its own verdicts in the worker and reports where the rule first holds;
+every later shard returns the per-trial verdicts of the chunks it ran
+(bit-packed, in :class:`ShardResult`) for the parent to scan.
+:attr:`ShardedEstimate.prefix` ends at the first trial where the rule
+holds, so it equals what
+:func:`~repro.engine.montecarlo.estimate_acceptance_fast` with the same
+``stop_halfwidth`` reports, whatever the chunk size, backend or shard
+layout.  Shards run past that trial until the stop reaches them; those
+trials count in :attr:`ShardedEstimate.estimate` (everything that ran) but
+are never booked.  Every layer therefore runs the engine's
+:data:`~repro.engine.montecarlo.DEFAULT_CHUNK` on the kernels; the scalar
+paths publish at least every
+:data:`~repro.engine.montecarlo.SCALAR_CHUNK` trials.
 
 Determinism contract
 --------------------
@@ -68,8 +76,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.engine.montecarlo import (
+    DEFAULT_CHUNK,
     MIN_STOP_TRIALS,
     FixedChunkPolicy,
+    _kernel_prefix,
     estimate_acceptance_fast,
     executed_path,
 )
@@ -88,7 +98,7 @@ from repro.parallel.progress import (
     StopToken,
     StreamingAggregator,
 )
-from repro.parallel.shards import SHARD_CHUNK, Shard, ShardPlanner
+from repro.parallel.shards import Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import RetryPolicy, RunReport, ShardSupervisor
 from repro.simulation.metrics import AcceptanceEstimate
@@ -108,15 +118,95 @@ class ShardResult:
 
     ``trials`` may be short of ``shard.trials`` when a cooperative stop
     fired mid-shard (always a whole number of chunks, possibly zero).
+    ``executed_path`` names the path the worker ran the trials on
+    (:func:`~repro.engine.montecarlo.executed_path`).
+
+    When the run has a stop rule, the result carries the input of the
+    trial-exact prefix scan (see :func:`_book_prefix`).  Shard 0 is
+    scanned in its worker: ``stop_at`` is the ``(accepted, trials)`` of
+    its prefix that ends at the first trial where the rule holds over the
+    run's ``prior`` plus that prefix, or ``None`` when no trial does.
+    Every later shard carries ``verdicts``: its ``trials`` per-trial
+    verdicts, ``numpy.packbits``-packed as they arrive (one bit per
+    trial), for the parent to scan a window at a time.
     """
 
     shard: Shard
     accepted: int
     trials: int
+    executed_path: Optional[str] = None
+    verdicts: Optional[bytes] = None
+    stop_at: Optional[Tuple[int, int]] = None
 
     @property
     def estimate(self) -> AcceptanceEstimate:
         return AcceptanceEstimate(accepted=self.accepted, trials=self.trials)
+
+    def verdict_windows(self) -> Iterator:
+        """The unpacked verdicts, as bool arrays of ``DEFAULT_CHUNK`` trials."""
+        import numpy as np
+
+        packed = np.frombuffer(self.verdicts, dtype=np.uint8)
+        for start in range(0, self.trials, DEFAULT_CHUNK):
+            count = min(DEFAULT_CHUNK, self.trials - start)
+            window = packed[start // 8 : (start + count + 7) // 8]
+            yield np.unpackbits(window, count=count).view(bool)
+
+
+class _StopScan:
+    """The single-process Wilson stop, fed a run's verdicts in counter order.
+
+    The verdicts follow the ``prior`` counts; ``accepted`` / ``trials``
+    count the ones the rule keeps, which end at the first trial where it
+    holds (``stopped``).  Each window is scanned with
+    :func:`~repro.engine.montecarlo._kernel_prefix`, the rule the
+    single-process estimator applies to its kernel chunks.
+    """
+
+    def __init__(self, prior: Tuple[int, int], stop_halfwidth: float, min_trials: int):
+        self.prior = prior
+        self.width = 2 * stop_halfwidth
+        self.min_trials = min_trials
+        self.accepted = self.trials = 0
+        self.stopped = False
+
+    def feed(self, verdicts) -> None:
+        if self.stopped or not len(verdicts):
+            return
+        import numpy as np
+
+        kept, ran, self.stopped = _kernel_prefix(
+            np.asarray(verdicts, dtype=bool),
+            self.prior[0] + self.accepted,
+            self.prior[1] + self.trials,
+            self.width,
+            self.min_trials,
+        )
+        self.accepted += kept
+        self.trials += ran
+
+
+class _VerdictPacker:
+    """A shard's verdicts, bit-packed chunk by chunk as they arrive."""
+
+    def __init__(self):
+        self.packed = bytearray()
+        self.carry = ()  # the last chunk's bits past a whole byte
+
+    def feed(self, verdicts) -> None:
+        import numpy as np
+
+        bits = np.concatenate(
+            [np.asarray(self.carry, dtype=bool), np.asarray(verdicts, dtype=bool)]
+        )
+        whole = len(bits) - len(bits) % 8
+        self.packed += np.packbits(bits[:whole]).tobytes()
+        self.carry = bits[whole:]
+
+    def result(self) -> bytes:
+        import numpy as np
+
+        return bytes(self.packed) + np.packbits(np.asarray(self.carry, dtype=bool)).tobytes()
 
 
 def _run_shard(
@@ -129,7 +219,11 @@ def _run_shard(
     ``publish``, when set, receives the shard's cumulative
     ``(shard_index, accepted, trials)`` after every chunk — the progress
     conduit of :mod:`repro.parallel.progress`, which the supervisor also
-    reads as the shard's heartbeat.
+    reads as the shard's heartbeat.  With ``options["stop"]`` set (the
+    run's ``(prior, stop_halfwidth, min_trials)``), the estimator's
+    ``on_verdicts`` hook hands over the verdicts of every chunk: shard 0
+    scans them as they arrive, later shards pack them
+    (:class:`ShardResult`).
 
     Tracing (``options["trace"]``, a picklable
     :class:`~repro.obs.trace.TraceSpec` parented on the run span) wraps
@@ -148,6 +242,13 @@ def _run_shard(
         progress = lambda accepted, trials: publish(  # noqa: E731
             shard.index, accepted, trials
         )
+    stop = options.get("stop")
+    sink = None
+    if stop is not None:
+        # Shard 0 follows the run's prior counts, so it can scan here, off
+        # the parent's critical path.
+        sink = _StopScan(*stop) if shard.index == 0 else _VerdictPacker()
+    path = executed_path(plan, options["rng_mode"])
     spec = options.get("trace")
     recorder = spec.recorder() if spec is not None else NULL_RECORDER
     attrs = None
@@ -158,7 +259,7 @@ def _run_shard(
             "first_trial": shard.start,
             "planned_trials": shard.trials,
             "rng_mode": options["rng_mode"],
-            "kernel_path": executed_path(plan, options["rng_mode"]),
+            "kernel_path": path,
         }
         start_mono = time.monotonic()
     with recorder.span(
@@ -175,6 +276,7 @@ def _run_shard(
             first_trial=shard.start,
             should_stop=should_stop,
             progress=progress,
+            on_verdicts=None if sink is None else sink.feed,
         )
         span.set("accepted", estimate.accepted)
         span.set("trials", estimate.trials)
@@ -182,11 +284,23 @@ def _run_shard(
         metrics = get_metrics()
         metrics.counter("worker.shards").inc()
         metrics.counter("worker.trials").inc(estimate.trials)
-        metrics.counter(f"engine.path.{attrs['kernel_path']}").inc()
+        metrics.counter(f"engine.path.{path}").inc()
         metrics.histogram("worker.shard_seconds").observe(
             time.monotonic() - start_mono
         )
-    return ShardResult(shard=shard, accepted=estimate.accepted, trials=estimate.trials)
+    packed = stop_at = None
+    if isinstance(sink, _StopScan):
+        stop_at = (sink.accepted, sink.trials) if sink.stopped else None
+    elif sink is not None:
+        packed = sink.result()
+    return ShardResult(
+        shard=shard,
+        accepted=estimate.accepted,
+        trials=estimate.trials,
+        executed_path=path,
+        verdicts=packed,
+        stop_at=stop_at,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +807,12 @@ class ShardedEstimate:
     completed — still exact over those counter ranges, but short of the
     requested budget; check ``report.ok``.  ``progress_updates`` counts the
     partial-count updates the streaming aggregator folded in — provenance
-    for the chunk-granular stop, never part of the estimate itself.
+    for the chunk-granular compute stop, never part of the estimate itself.
+
+    ``estimate`` merges everything that ran; ``prefix`` is what the run
+    books (see :func:`_book_prefix`): exactly a single-process run over the
+    first ``prefix.trials`` counters of the range, cut at the first trial
+    where the stop rule holds.
     """
 
     estimate: AcceptanceEstimate
@@ -703,6 +822,7 @@ class ShardedEstimate:
     workers: int
     stopped_early: bool
     report: RunReport
+    prefix: AcceptanceEstimate
     progress_updates: int = 0
 
     @property
@@ -710,30 +830,16 @@ class ShardedEstimate:
         return len(self.shard_results)
 
     @property
-    def prefix(self) -> AcceptanceEstimate:
-        """The counts over the run's contiguous counter prefix.
-
-        A stop or a quarantine can leave gaps: shard 1 cut short while
-        shard 2 ran on, or shard 1 missing altogether.  ``estimate`` merges
-        everything that ran; ``prefix`` keeps the full shards in index
-        order up to the first short or missing one, plus that shard's
-        partial — exactly a single-process run over the first
-        ``prefix.trials`` counters of the range.
-        """
-        accepted = trials = 0
-        for index, result in enumerate(self.shard_results):
-            if result.shard.index != index:
-                break
-            accepted += result.accepted
-            trials += result.trials
-            if result.trials < result.shard.trials:
-                break
-        return AcceptanceEstimate(accepted=accepted, trials=trials)
+    def kernel_path(self) -> Optional[str]:
+        """The path the shards ran on (``None`` when no shard ran)."""
+        return self.shard_results[0].executed_path if self.shard_results else None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         tag = " (stopped early)" if self.stopped_early else ""
+        if self.estimate != self.prefix:
+            tag += f", {self.estimate.trials} trials ran"
         return (
-            f"{self.estimate} over {self.shards} shards "
+            f"{self.prefix} over {self.shards} shards "
             f"[{self.executor} x{self.workers}]{tag}"
         )
 
@@ -747,7 +853,7 @@ def estimate_acceptance_sharded(
     planner: Optional[ShardPlanner] = None,
     shard_count: Optional[int] = None,
     rng_mode: Optional[str] = None,
-    chunk_policy=FixedChunkPolicy(SHARD_CHUNK),
+    chunk_policy=FixedChunkPolicy(),
     stop_halfwidth: Optional[float] = None,
     min_trials: int = MIN_STOP_TRIALS,
     first_trial: int = 0,
@@ -773,16 +879,19 @@ def estimate_acceptance_sharded(
     chunk, and with ``stop_halfwidth`` set one
     :class:`~repro.parallel.progress.StreamingAggregator` applies the
     Wilson stop rule to the merged partials, stopping every in-flight shard
-    at chunk granularity.  Without it, the result is exactly the
-    single-process estimate — see the module docstring's determinism
-    contract; the progress channel is observational.
+    at chunk granularity; ``prefix`` then books exactly the trials the
+    single-process stop would (see the module docstring).  Without it, the
+    result is exactly the single-process estimate — see the module
+    docstring's determinism contract; the progress channel is
+    observational.
 
     Adaptive-budget hooks (see :mod:`repro.parallel.controller`):
 
     - ``chunk_policy`` (a picklable
       :class:`~repro.engine.montecarlo.FixedChunkPolicy`) rides to every
-      shard in the payload options and sets its trials per chunk, hence
-      how often it publishes partial counts; verdicts never depend on it.
+      shard in the payload options and sets its trials per kernel chunk,
+      hence how often it publishes partial counts; neither verdicts nor
+      the booked ``prefix`` depend on it.
     - ``first_trial`` shifts the whole sharded range: the call covers
       counters ``[first_trial, first_trial + trials)``, exactly as the
       engine-level hook does for a single shard.  An *installment* run
@@ -790,7 +899,8 @@ def estimate_acceptance_sharded(
     - ``prior`` seeds the stop rule with cumulative ``(accepted, trials)``
       counts from the already-consumed prefix, so ``stop_halfwidth`` (and
       ``min_trials``) apply to the *cumulative* estimate across
-      installments.  The returned estimate still reports only this call's
+      installments, both to the streamed compute stop and to the booked
+      ``prefix``.  The returned estimate still reports only this call's
       counts — the caller owns the cumulative ledger.
     - ``progress_observer`` receives the merged cumulative totals (prior
       included) after every update; observational only.
@@ -876,6 +986,9 @@ def estimate_acceptance_sharded(
             "seed": seed,
             "rng_mode": rng_mode,
             "chunk_policy": chunk_policy,
+            "stop": None
+            if stop_halfwidth is None
+            else (prior or (0, 0), stop_halfwidth, min_trials),
         }
         if recorder.enabled:
             run_span.set("rng_mode", rng_mode)
@@ -911,6 +1024,7 @@ def estimate_acceptance_sharded(
 
     results = sorted(result_map.values(), key=lambda result: result.shard.index)
     merged = AcceptanceEstimate.merge(result.estimate for result in results)
+    prefix = _book_prefix(results, prior or (0, 0), stop_halfwidth, min_trials)
     stopped_early = aggregator.satisfied or merged.trials < trials
     run_span.set("trials_run", merged.trials)
     run_span.set("accepted", merged.accepted)
@@ -924,5 +1038,44 @@ def estimate_acceptance_sharded(
         workers=instance.workers,
         stopped_early=stopped_early,
         report=report,
+        prefix=prefix,
         progress_updates=aggregator.updates,
     )
+
+
+def _book_prefix(
+    results, prior: Tuple[int, int], stop_halfwidth: Optional[float], min_trials: int
+) -> AcceptanceEstimate:
+    """The counts a run books: its contiguous counter prefix, cut at the stop.
+
+    A stop or a quarantine can leave gaps: shard 1 cut short while shard 2
+    ran on, or shard 1 missing altogether.  The prefix keeps the full
+    shards in index order up to the first short or missing one, plus that
+    shard's partial.  With a stop rule, the prefix's per-trial verdicts
+    are scanned from the ``prior`` counts with the single-process rule
+    (:class:`_StopScan`; shard 0's worker already scanned its own, see
+    :class:`ShardResult`), and the prefix ends at the first trial where
+    it holds.  When the merged stop cut shard 0 short before the rule held
+    on the prefix, the whole contiguous prefix is booked, unconverged.
+    """
+    kept = []
+    for index, result in enumerate(results):
+        if result.shard.index != index:
+            break
+        kept.append(result)
+        if result.trials < result.shard.trials:
+            break
+    if stop_halfwidth is None:
+        return AcceptanceEstimate.merge(result.estimate for result in kept)
+    scan = _StopScan(prior, stop_halfwidth, min_trials)
+    for result in kept:
+        if result.shard.index == 0:
+            if result.stop_at is not None:
+                return AcceptanceEstimate(*result.stop_at)
+            scan.accepted, scan.trials = result.accepted, result.trials
+            continue
+        for window in result.verdict_windows():
+            scan.feed(window)
+            if scan.stopped:
+                return AcceptanceEstimate(scan.accepted, scan.trials)
+    return AcceptanceEstimate(scan.accepted, scan.trials)

@@ -53,7 +53,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsFlush, MetricsRegistry
 from repro.obs.runtime import get_metrics
-from repro.simulation.metrics import wilson_interval
+from repro.simulation.metrics import wilson_stop_holds
 
 
 class StopToken:
@@ -171,8 +171,11 @@ class StreamingAggregator:
     ``min_trials`` trials and their Wilson interval is narrower than
     ``2 * stop_halfwidth``, the aggregator fires the stop callback bound
     via :meth:`bind_stop` (exactly once; updates that arrive before the
-    binding latch the decision and fire on bind).  Without a stop rule the
-    aggregator only observes — streaming never changes results.
+    binding latch the decision and fire on bind).  That stop halts the
+    compute only: what the run books is the trial-exact prefix the parent
+    scans from the shards' verdicts (see :mod:`repro.parallel.executors`).
+    Without a stop rule the aggregator only observes — streaming never
+    changes results.
 
     ``baseline`` seeds the running totals with cumulative ``(accepted,
     trials)`` counts from *earlier* runs over the same trial sequence — the
@@ -211,14 +214,10 @@ class StreamingAggregator:
         self.accepted = base_accepted
         self.trials = base_trials
         self.updates = 0
-        if (
-            stop_halfwidth is not None
-            and base_trials > 0
-            and base_trials >= min_trials
+        if stop_halfwidth is not None and wilson_stop_holds(
+            base_accepted, base_trials, stop_halfwidth, min_trials
         ):
-            low, high = wilson_interval(base_accepted, base_trials)
-            if high - low <= 2 * stop_halfwidth:
-                self._satisfied = True
+            self._satisfied = True
 
     @property
     def satisfied(self) -> bool:
@@ -250,15 +249,14 @@ class StreamingAggregator:
             if (
                 not self._satisfied
                 and self._stop_halfwidth is not None
-                and self.trials >= self._min_trials
-                and self.trials > 0
+                and wilson_stop_holds(
+                    self.accepted, self.trials, self._stop_halfwidth, self._min_trials
+                )
             ):
-                low, high = wilson_interval(self.accepted, self.trials)
-                if high - low <= 2 * self._stop_halfwidth:
-                    self._satisfied = True
-                    if self._stop_cb is not None and not self._fired:
-                        self._fired = True
-                        fire = self._stop_cb
+                self._satisfied = True
+                if self._stop_cb is not None and not self._fired:
+                    self._fired = True
+                    fire = self._stop_cb
             observed = (self.accepted, self.trials)
         if fire is not None:
             fire()

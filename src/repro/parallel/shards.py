@@ -21,12 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-#: Trials per shard chunk, the chunk default of every sharded layer.  The
-#: streamed stop sees a shard's counts only between chunks (see
-#: :mod:`repro.parallel.executors`), so bigger chunks would run past it.
-SHARD_CHUNK = 64
-
-
 @dataclass(frozen=True)
 class Shard:
     """One contiguous trial-counter range ``[start, stop)`` of a run."""

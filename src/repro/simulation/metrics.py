@@ -45,6 +45,23 @@ def wilson_interval(
     return max(0.0, center - margin), min(1.0, center + margin)
 
 
+def wilson_stop_holds(
+    successes: int, trials: int, halfwidth: float, min_trials: int = 0
+) -> bool:
+    """The Wilson stop rule, the one predicate every stop site applies.
+
+    True when at least ``max(1, min_trials)`` trials ran and the Wilson
+    interval over them is at most ``2 * halfwidth`` wide.
+
+    >>> wilson_stop_holds(0, 100, 0.02), wilson_stop_holds(0, 100, 0.02, 128)
+    (True, False)
+    """
+    if trials <= 0 or trials < min_trials:
+        return False
+    low, high = wilson_interval(successes, trials)
+    return high - low <= 2 * halfwidth
+
+
 def wilson_widths(successes, trials, z: float = 1.96):
     """``high - low`` of :func:`wilson_interval`, elementwise over arrays.
 

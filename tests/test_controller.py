@@ -23,11 +23,11 @@ import time
 import pytest
 
 from repro.engine import estimate_acceptance_fast
+from repro.engine.montecarlo import DEFAULT_CHUNK, SCALAR_CHUNK as SHARD_CHUNK
 from repro.parallel import (
     Campaign,
     CampaignAllocator,
     Cell,
-    SHARD_CHUNK,
     FixedChunkPolicy,
     JsonlSink,
     MemorySink,
@@ -65,8 +65,8 @@ def noisy_spec():
 
 class TestChunkPolicies:
     def test_parse_fixed(self):
-        assert parse_chunk_policy("fixed") == FixedChunkPolicy(SHARD_CHUNK)
-        assert parse_chunk_policy("fixed").chunk_size == SHARD_CHUNK
+        assert parse_chunk_policy("fixed") == FixedChunkPolicy()
+        assert parse_chunk_policy("fixed").chunk_size == DEFAULT_CHUNK
         assert parse_chunk_policy("fixed:128") == FixedChunkPolicy(chunk_size=128)
 
     @pytest.mark.parametrize(
@@ -314,23 +314,23 @@ class TestAllocator:
     def test_history_records_the_counter_prefix(self):
         allocator = self.make()
         allocator.grants()
-        allocator.settle("a", first_trial=0, granted=128, accepted=100, trials=100)
+        allocator.settle("a", first_trial=0, granted=256, accepted=200, trials=200)
         history = allocator.history("a")
         assert history["global_budget"] == 1000
         assert history["target_halfwidth"] == 0.05
-        assert history["consumed"] == 100
+        assert history["consumed"] == 200
         assert history["converged"] is True
         assert history["installments"] == [
             {
                 "round": 1,
                 "first_trial": 0,
-                "granted": 128,
-                "trials": 100,
-                "accepted": 100,
+                "granted": 256,
+                "trials": 200,
+                "accepted": 200,
             }
         ]
         summary = allocator.summary()
-        assert summary["consumed"] == 100 and summary["converged_cells"] == 1
+        assert summary["consumed"] == 200 and summary["converged_cells"] == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -700,4 +700,4 @@ class TestCliAdaptive:
         ]
         assert cli_main(base) == 0
         assert cli_main(base + ["--chunk-policy", "fixed:32"]) == 0
-        assert seen == [FixedChunkPolicy(SHARD_CHUNK), FixedChunkPolicy(chunk_size=32)]
+        assert seen == [FixedChunkPolicy(), FixedChunkPolicy(chunk_size=32)]
