@@ -22,16 +22,19 @@ test:
 test-specs:
 	$(PYTHON) -m pytest tests/test_verdict_specs.py -q
 
-# The parallel tier: the sharded executor / campaign suites with the
-# process-executor tests forced on even where cpu_count() < 2, plus the
-# workload-pattern and chunk-tail regression suites.
+# The parallel tier: the sharded executor / campaign suites and the
+# sharded-stop contract (booked counts equal the single-process Wilson
+# stop) with the process-executor tests forced on even where
+# cpu_count() < 2, plus the workload-pattern and chunk-tail regression
+# suites.
 test-parallel:
 	REPRO_FORCE_PARALLEL_PROC=1 $(PYTHON) -m pytest \
-		tests/test_parallel.py tests/test_chunk_tail.py \
+		tests/test_parallel.py tests/test_sharded_stop.py tests/test_chunk_tail.py \
 		tests/test_workload_patterns.py -q
 
-# The streaming tier: progressive shard-progress + concurrent-cell suites
-# with the process-backend streaming tests forced on (mirrors test-parallel).
+# The streaming tier: the per-chunk progress channel (the supervisor's
+# heartbeats) + concurrent-cell suites, with the process-backend streaming
+# tests forced on (mirrors test-parallel).
 test-stream:
 	REPRO_FORCE_PARALLEL_PROC=1 $(PYTHON) -m pytest \
 		tests/test_streaming.py tests/test_parallel.py -q
@@ -62,7 +65,7 @@ test-obs:
 		tests/test_obs.py tests/test_obs_identity.py -q
 
 # The full statistical harness: RNG-quality chi-square / serial-correlation
-# sweeps and the deep cross-mode (compat/fast/vector) decision-consistency
+# sweeps and the deep cross-mode (compat/vector) decision-consistency
 # comparisons, plus the engine wiring smoke run.
 test-stats:
 	$(PYTHON) -m pytest tests/test_rng_quality.py tests/test_cross_mode_consistency.py --slow-stats -q

@@ -37,10 +37,11 @@ stop_halfwidth`` wide.  The rule is checked per trial: the kernel path
 scans a chunk's prefix counts with
 :func:`~repro.simulation.metrics.wilson_widths` (bit-identical to
 :func:`~repro.simulation.metrics.wilson_interval`), the scalar paths check
-after each trial.  Chunk size therefore only affects throughput.  The
-sharded layers book the same trial from their shards' per-trial verdicts
-(:mod:`repro.parallel.executors`).  Two guarantees make this safe to use in
-experiments:
+after each trial.  Chunk size therefore only affects throughput.  A
+sharded run stops on the same trial: shard 0 runs this rule with the
+run's ``prior`` counts, and the parent scans later shards' per-trial
+verdicts with it (:mod:`repro.parallel.executors`).  Two guarantees make
+this safe to use in experiments:
 
 - early exit changes *which prefix* of the deterministic trial sequence is
   consumed, never any individual decision — re-running with ``trials`` set
@@ -63,7 +64,7 @@ have produced, minus the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.bitstrings import BitString
 from repro.core.configuration import Configuration
@@ -138,6 +139,7 @@ def estimate_acceptance_fast(
     should_stop: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     on_verdicts: Optional[Callable[[Sequence[bool]], None]] = None,
+    prior: Tuple[int, int] = (0, 0),
 ) -> "AcceptanceEstimate":
     """Estimate ``Pr[verifier accepts]`` by running ``trials`` plan rounds.
 
@@ -178,18 +180,20 @@ def estimate_acceptance_fast(
       the chunk counted, in trial order (a bool array on the kernel and
       constant paths, a list on the scalar ones).  Concatenated, they are
       the verdicts of the reported prefix — what a sharded run scans for
-      the trial-exact stop.
+      the trial-exact stop;
+    - ``prior`` is the ``(accepted, trials)`` of the counters before
+      ``first_trial``: the stop rule applies to ``prior`` plus this call's
+      counts, so a shard that follows them stops on the trial the whole
+      run would.  A ``prior`` that already satisfies the rule runs no
+      trial.  The returned estimate counts this call's trials only.
 
     ``progress`` is the streaming channel (see :mod:`repro.parallel.progress`):
     after every chunk it receives the *cumulative* ``(accepted, done)``
-    counts of this call so far.  Each update is a valid estimate of the same
-    acceptance probability over the prefix already consumed — publishing it
-    mid-run is what lets a sharded aggregator stop the compute of every
-    worker between chunks.  The channel is observational only: it never
-    changes which trials run or what they decide, so a run with
+    counts of this call so far.  The channel is observational only: it
+    never changes which trials run or what they decide, so a run with
     ``progress`` set is count-identical to the same run without it.  The
-    supervisor of :mod:`repro.parallel.supervision` also reads these
-    updates as the shard's heartbeats.
+    supervisor of :mod:`repro.parallel.supervision` reads these updates as
+    the shard's heartbeats.
 
     Plans with a compile-time verdict (``plan.constant_verdict``) run no
     trials: without a stop or ``on_verdicts`` they return the exact
@@ -204,10 +208,12 @@ def estimate_acceptance_fast(
         raise ValueError("trials must be positive")
     if first_trial < 0:
         raise ValueError("first_trial must be non-negative")
+    check_prior(prior)
     if rng_mode is None:
         rng_mode = plan.rng_mode
     use_vector = _vectorizes(plan, rng_mode, vectorize)
     constant = plan.constant_verdict
+    prior_accepted, prior_trials = prior
 
     if constant is not None and stop_halfwidth is None and on_verdicts is None:
         accepted = trials if constant else 0
@@ -220,7 +226,9 @@ def estimate_acceptance_fast(
     size = chunk_policy.chunk_size if batched else min(chunk_policy.chunk_size, SCALAR_CHUNK)
     accepted = 0
     done = 0
-    stopped = False
+    stopped = stop_halfwidth is not None and wilson_stop_holds(
+        prior_accepted, prior_trials, stop_halfwidth, min_trials
+    )
     while done < trials and not stopped:
         if should_stop is not None and should_stop():
             break
@@ -236,7 +244,9 @@ def estimate_acceptance_fast(
                 verdicts = plan.trial_verdicts(
                     derive_trial_seed_array(seed, start, start + chunk), rng_mode, vectorize=True
                 )
-            kept, ran, stopped = _kernel_prefix(verdicts, accepted, done, stop_width, min_trials)
+            kept, ran, stopped = _kernel_prefix(
+                verdicts, prior_accepted + accepted, prior_trials + done, stop_width, min_trials
+            )
             accepted += kept
             done += ran
             counted = verdicts[:ran]
@@ -247,7 +257,7 @@ def estimate_acceptance_fast(
                 accepted += verdict
                 done += 1
                 if stop_halfwidth is not None and wilson_stop_holds(
-                    accepted, done, stop_halfwidth, min_trials
+                    prior_accepted + accepted, prior_trials + done, stop_halfwidth, min_trials
                 ):
                     stopped = True
                     break
@@ -256,6 +266,13 @@ def estimate_acceptance_fast(
         if progress is not None:
             progress(accepted, done)
     return AcceptanceEstimate(accepted=accepted, trials=done)
+
+
+def check_prior(prior: Tuple[int, int]) -> None:
+    """Reject ``(accepted, trials)`` counts that no run can produce."""
+    accepted, trials = prior
+    if not 0 <= accepted <= trials:
+        raise ValueError("prior must be valid (accepted, trials) counts")
 
 
 def _constant_verdicts(verdict: bool, count: int):
@@ -268,7 +285,7 @@ def _kernel_prefix(verdicts, accepted: int, done: int, stop_width, min_trials: i
     """``(accepts, trials, stopped)`` of the part of a verdict array to count.
 
     ``verdicts`` follows ``done`` trials with ``accepted`` accepts: a
-    kernel chunk here, a window of a shard's verdicts in the sharded
+    kernel chunk here, a window of a later shard's verdicts in the sharded
     stop's scan (:mod:`repro.parallel.executors`).
 
     The whole chunk, unless some prefix ends at a trial ``n >= min_trials``

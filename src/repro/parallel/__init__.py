@@ -74,12 +74,7 @@ from repro.parallel.executors import (
     resolve_executor,
 )
 from repro.parallel.factories import WORKLOADS, workload_spec
-from repro.parallel.progress import (
-    ProgressRouter,
-    RunHandle,
-    StopToken,
-    StreamingAggregator,
-)
+from repro.parallel.progress import ProgressRouter, RunHandle, StopToken
 from repro.parallel.shards import Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import (
@@ -120,7 +115,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardedEstimate",
     "StopToken",
-    "StreamingAggregator",
     "ThreadExecutor",
     "available_cpus",
     "estimate_acceptance_sharded",

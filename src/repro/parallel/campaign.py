@@ -23,17 +23,15 @@ layout.  For **exhaustive** cells (no ``stop_halfwidth``) that is the full
 result-determining set: rerunning with more workers resumes cleanly and
 would produce bit-identical counts for the cells it reruns.  **Early-exit**
 records are reproducible across backends and layouts as well: every run
-books the trial-exact prefix of the single-process Wilson stop
-(:attr:`~repro.parallel.executors.ShardedEstimate.prefix`), and a run
-whose prefix the merged stop cut short of the rule is continued from its
-end (the next installment of an adaptive campaign, the next run of a
-fixed-budget stop cell).  A converged record therefore equals
-``estimate_acceptance_fast(plan, budget, seed, stop_halfwidth=target)`` on
-every backend, worker count, shard layout and ``cell_parallelism``; only a
-quarantined shard or an exhausted budget leaves a shorter prefix.  The
-execution provenance (``executor``, ``workers``, ``shards``,
-``stopped_early``, and the ``kernel_path`` the shards ran) is stored in
-each record.
+stops when its counter prefix satisfies the rule and books exactly that
+prefix (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`), the
+trial-exact single-process Wilson stop.  A converged record therefore
+equals ``estimate_acceptance_fast(plan, budget, seed,
+stop_halfwidth=target)`` on every backend, worker count, shard layout and
+``cell_parallelism``; only a quarantined shard or an exhausted budget
+leaves a shorter prefix.  The execution provenance (``executor``,
+``workers``, ``shards``, ``stopped_early``, and the ``kernel_path`` the
+shards ran) is stored in each record.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from typing import (
     Union,
 )
 
-from repro.engine.montecarlo import MIN_STOP_TRIALS
 from repro.obs.runtime import get_recorder
 from repro.parallel.controller import (
     MIN_INSTALLMENT,
@@ -73,7 +70,7 @@ from repro.parallel.executors import (
 )
 from repro.parallel.factories import workload_spec
 from repro.parallel.spec import PlanSpec
-from repro.simulation.metrics import AcceptanceEstimate, wilson_stop_holds
+from repro.simulation.metrics import AcceptanceEstimate
 
 
 @dataclass(frozen=True)
@@ -436,63 +433,15 @@ def _run_round(
         yield from team.map(run, installments)
 
 
-def _run_to_stop(installment: _Installment, run: Callable) -> Tuple:
-    """A fixed-budget cell's runs: ``(runs, None)`` or ``(None, error)``.
+def _fixed_record(campaign: Campaign, cell: Cell, instance, sharded, elapsed: float) -> Dict:
+    """The record of a fixed-budget cell, with its run's supervision ledger.
 
-    ``run`` is :func:`_run_installment` bound to the campaign.  A cell
-    without a stop rule runs once.  A stop cell books each run's
-    :attr:`~repro.parallel.executors.ShardedEstimate.prefix`; when the
-    merged stop cut that prefix short of the rule (shard 0 stopped while
-    later shards ran on), the next run continues the same counters from
-    the prefix's end with its counts as ``prior`` — what an adaptive
-    installment does — until the rule holds, the budget is spent, or a
-    run executes nothing or quarantines a shard.  (A run can book nothing
-    while others ran: shard 0 started after the merged stop had fired.
-    The next run then repeats the same counters.)  The booked counts
-    therefore end where ``estimate_acceptance_fast(..., stop_halfwidth=h)``
-    stops.
+    A stop cell records the run's booked
+    :attr:`~repro.parallel.executors.ShardedEstimate.prefix`; a cell
+    without one records everything the run executed.
     """
-    runs = []
-    while True:
-        outcome, error = run(installment)
-        if error is not None:
-            return None, error
-        runs.append(outcome)
-        cell, trials, stop_halfwidth, (accepted, done) = installment
-        sharded = outcome[0]
-        booked = sharded.prefix
-        accepted += booked.accepted
-        done += booked.trials
-        if (
-            stop_halfwidth is None
-            or not sharded.report.ok
-            or sharded.estimate.trials == 0
-            or booked.trials == trials
-            or wilson_stop_holds(accepted, done, stop_halfwidth, MIN_STOP_TRIALS)
-        ):
-            return runs, None
-        installment = _Installment(
-            cell, trials - booked.trials, stop_halfwidth, (accepted, done)
-        )
-
-
-def _fixed_record(campaign: Campaign, cell: Cell, instance, runs) -> Dict:
-    """The record of a fixed-budget cell, with its runs' supervision ledger.
-
-    ``runs`` is :func:`_run_to_stop`'s list of ``(sharded, elapsed)``.  A
-    stop cell records the booked prefixes of its runs; a cell without one
-    records everything its single run executed.  ``supervision`` is the
-    last run's ledger, with the earlier runs' ledgers under
-    ``earlier_runs`` when the stop needed more than one run.
-    """
-    sharded = runs[-1][0]
-    if cell.stop_halfwidth is None:
-        booked = sharded.estimate
-    else:
-        booked = AcceptanceEstimate.merge(run.prefix for run, _ in runs)
+    booked = sharded.estimate if cell.stop_halfwidth is None else sharded.prefix
     supervision = sharded.report.as_dict()
-    if len(runs) > 1:
-        supervision["earlier_runs"] = [run.report.as_dict() for run, _ in runs[:-1]]
     # Executor-lifetime router drop/leak counters (process backend; see
     # ProgressRouter.stats) — recorded, not warning-only.
     stats = getattr(instance, "progress_stats", None)
@@ -509,9 +458,9 @@ def _fixed_record(campaign: Campaign, cell: Cell, instance, runs) -> Dict:
         instance,
         booked,
         sharded.stopped_early,
-        sum(run.shards for run, _ in runs),
-        sum(elapsed for _, elapsed in runs),
-        next((run.kernel_path for run, _ in reversed(runs) if run.kernel_path), None),
+        sharded.shards,
+        elapsed,
+        sharded.kernel_path,
         supervision=supervision,
     )
 
@@ -549,10 +498,8 @@ def run_campaign(
 
     Cells run as *installments* in *rounds*.  A fixed-budget campaign is a
     single round in which every cell is granted its own ``trials`` and
-    ``stop_halfwidth`` (a stop cell whose booked prefix the merged stop cut
-    short continues its counters in further runs, see
-    :func:`_run_to_stop`); its records are written as their ordered
-    outcomes arrive.  ``cell_parallelism`` > 1 runs that many installments of a
+    ``stop_halfwidth``; its records are written as their ordered outcomes
+    arrive.  ``cell_parallelism`` > 1 runs that many installments of a
     round concurrently over the *same* executor pool — the round scheduler
     keeps the pool saturated when individual cells are too small to fill
     it.  Ordering and resume semantics are unchanged: records reach the
@@ -650,9 +597,9 @@ def run_campaign(
             campaign_span.span_id,
         )
 
-    def run_round(installments: List[_Installment], run: Callable = run_installment):
+    def run_round(installments: List[_Installment]):
         """The round's ordered outcomes, closed on every exit path."""
-        return closing(_run_round(installments, cell_parallelism, run))
+        return closing(_run_round(installments, cell_parallelism, run_installment))
 
     def write(record: Dict) -> None:
         sink.write(record)
@@ -666,11 +613,10 @@ def run_campaign(
                 _Installment(cell, cell.trials, cell.stop_halfwidth)
                 for cell in pending
             ]
-            run = lambda installment: _run_to_stop(installment, run_installment)  # noqa: E731
-            with run_round(installments, run) as outcomes:
-                for cell, (runs, error) in zip(pending, outcomes):
+            with run_round(installments) as outcomes:
+                for cell, (outcome, error) in zip(pending, outcomes):
                     write(
-                        _fixed_record(campaign, cell, instance, runs)
+                        _fixed_record(campaign, cell, instance, *outcome)
                         if error is None
                         else _failure_record(campaign, cell, error)
                     )
@@ -712,12 +658,11 @@ def _run_adaptive_campaign(
     installment's booked prefix
     (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`) counts: its
     contiguous counter prefix, cut at the first trial where the Wilson rule
-    holds on the cumulative counts.  A stop can leave later shards further
-    along than an earlier one, and those trials are dropped rather than
-    booked as if they were the next counters; when that leaves the prefix
-    short of the rule, the next round continues from its end.  A converged
-    record therefore equals the single-process Wilson stop, and a
-    converged installment's unspent grant implicitly returns to the pool.
+    holds on the cumulative counts.  Trials later shards ran past that
+    trial are dropped rather than booked as if they were the next
+    counters.  A converged record therefore equals the single-process
+    Wilson stop, and a converged installment's unspent grant implicitly
+    returns to the pool.
 
     Records are written after the budget is spent, one per cell in
     declaration order, each carrying the cell's full ``allocation``
@@ -766,14 +711,12 @@ def _run_adaptive_campaign(
                 elapsed[name] += spent
                 shard_totals[name] += sharded.shards
                 paths[name] = sharded.kernel_path or paths[name]
-                if prefix.trials > 0 or (sharded.report.ok and sharded.estimate.trials > 0):
+                if prefix.trials > 0:
                     progressed = True
         if not progressed:
             # A full round granted budget and booked nothing (wedged pool,
             # every shard quarantined, ...): stop granting instead of
-            # spinning — the records below document the shortfall.  An
-            # unfaulted run that ran trials but booked none (shard 0
-            # started after the merged stop) is regranted the same counters.
+            # spinning — the records below document the shortfall.
             break
 
     for cell in pending:

@@ -40,7 +40,7 @@ Fault kinds
     The worker emits a torn/garbage progress message before running
     normally: a regressive partial through the publish channel and (on the
     process backend) a malformed item straight onto the progress queue —
-    the router and aggregator must shrug both off.
+    the router and the supervisor must shrug both off.
 
 All rates are per *attempt*, so a retried shard redraws its fate — a crash
 schedule with rate < 1 terminates with probability 1 under retry, and the
@@ -228,8 +228,8 @@ def _chaos_body(wrapped, should_stop, publish=None):
     if kind == "torn":
         shard_index = params.get("shard_index", 0)
         if publish is not None:
-            # A regressive partial: cumulative trials going backwards.  The
-            # aggregator's never-regress rule must drop it.
+            # A regressive partial: cumulative trials going backwards.  It
+            # reaches the supervisor as a heartbeat, never the counts.
             publish(shard_index, 0, -1)
         from repro.parallel import executors as _executors
 

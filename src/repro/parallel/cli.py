@@ -20,8 +20,8 @@ factory does not take are skipped with a warning, not a crash), and a
 --size k-flow:k=3``.
 
 ``--cell-parallelism N`` runs N campaign cells concurrently over the one
-worker pool.  Workers stream partial shard counts, so Wilson stops halt the
-compute at chunk granularity, and the booked counts end exactly where the
+worker pool.  A Wilson stop halts a run's shards the moment its booked
+prefix converges, and the booked counts end exactly where the
 single-process stop would (see ``docs/parallel.md``).
 
 ``--chunk-policy fixed:N`` sets the trials per kernel chunk (default 4096;

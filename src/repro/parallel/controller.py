@@ -162,7 +162,7 @@ class CampaignAllocator:
     estimate exceeds it.  Converged (and failed) cells receive nothing.
 
     The allocator only ever books *consumed* trials against the budget:
-    an installment that converges mid-flight (the cooperative streamed stop)
+    an installment that converges mid-flight (the sharded Wilson stop)
     returns its unspent grant to the pool implicitly.  ``grants()`` returns
     an empty table when the pool is exhausted or no live cell remains —
     the campaign loop's termination condition.

@@ -28,30 +28,26 @@ shard under a :class:`~repro.parallel.supervision.ShardSupervisor`; workers
 publish partial cumulative counts after every chunk through a
 backend-appropriate conduit (direct callback in-process, a
 ``multiprocessing`` queue plus parent-side router for the process pool),
-and one :class:`~repro.parallel.progress.StreamingAggregator` applies the
-Wilson rule to the merged partials.  Once the interval is narrow enough it
-stops the run's *compute* at chunk granularity across all workers: shards
-not yet started are skipped, and running shards observe the flag between
-chunks (the ``should_stop`` hook of
-:func:`~repro.engine.montecarlo.estimate_acceptance_fast`) and return their
-partial counts.  Exactly like the single-process Wilson exit, stopping
-changes *which trials run*, never any individual verdict.
+which the supervisor reads as heartbeats.
 
-The *booking* is exact to the trial.  With a stop rule, the run's
-contiguous counter prefix is scanned with the single-process rule,
-starting from ``prior``: shard 0, which follows ``prior`` directly, scans
-its own verdicts in the worker and reports where the rule first holds;
-every later shard returns the per-trial verdicts of the chunks it ran
-(bit-packed, in :class:`ShardResult`) for the parent to scan.
-:attr:`ShardedEstimate.prefix` ends at the first trial where the rule
-holds, so it equals what
+A stop rule has one trigger: the run's booked prefix converging.  Shard 0,
+which follows the run's ``prior`` counts directly, runs the single-process
+stop (:func:`~repro.engine.montecarlo.estimate_acceptance_fast` with
+``stop_halfwidth`` and ``prior``) and ends in its worker on the first
+trial where the rule holds.  Every later shard runs its range without a
+rule and returns its per-trial verdicts, bit-packed (:class:`ShardResult`).
+The parent scans each shard's verdicts once, as the shard joins the
+contiguous counter prefix, and stops the run the moment the rule holds:
+shards not yet started are skipped, running ones observe the stop between
+chunks (the ``should_stop`` hook) and return their partial counts.
+:attr:`ShardedEstimate.prefix` therefore equals what
 :func:`~repro.engine.montecarlo.estimate_acceptance_fast` with the same
 ``stop_halfwidth`` reports, whatever the chunk size, backend or shard
-layout.  Shards run past that trial until the stop reaches them; those
-trials count in :attr:`ShardedEstimate.estimate` (everything that ran) but
-are never booked.  Every layer therefore runs the engine's
-:data:`~repro.engine.montecarlo.DEFAULT_CHUNK` on the kernels; the scalar
-paths publish at least every
+layout.  Later shards that ran past that trial count in
+:attr:`ShardedEstimate.estimate` (everything that ran) but are never
+booked.  Chunk size only sets how often shards publish and poll, so every
+layer runs the engine's :data:`~repro.engine.montecarlo.DEFAULT_CHUNK` on
+the kernels; the scalar paths publish at least every
 :data:`~repro.engine.montecarlo.SCALAR_CHUNK` trials.
 
 Determinism contract
@@ -73,13 +69,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.engine.montecarlo import (
     DEFAULT_CHUNK,
     MIN_STOP_TRIALS,
     FixedChunkPolicy,
     _kernel_prefix,
+    check_prior,
     estimate_acceptance_fast,
     executed_path,
 )
@@ -92,16 +89,11 @@ from repro.obs.runtime import (
     take_metrics_flush,
 )
 from repro.obs.trace import ChunkProgress, NULL_RECORDER
-from repro.parallel.progress import (
-    ProgressRouter,
-    RunHandle,
-    StopToken,
-    StreamingAggregator,
-)
+from repro.parallel.progress import ProgressRouter, RunHandle, StopToken
 from repro.parallel.shards import Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import RetryPolicy, RunReport, ShardSupervisor
-from repro.simulation.metrics import AcceptanceEstimate
+from repro.simulation.metrics import AcceptanceEstimate, wilson_stop_holds
 
 
 def available_cpus() -> int:
@@ -117,18 +109,16 @@ class ShardResult:
     """What one shard reports back: its range and the counts it ran.
 
     ``trials`` may be short of ``shard.trials`` when a cooperative stop
-    fired mid-shard (always a whole number of chunks, possibly zero).
-    ``executed_path`` names the path the worker ran the trials on
+    fired mid-shard (always a whole number of chunks, possibly zero), or
+    when shard 0 stopped on the run's rule: then ``converged`` is set, and
+    the counts end on the first trial where the rule holds over the run's
+    ``prior`` plus this shard's trials.  ``executed_path`` names the path
+    the worker ran the trials on
     (:func:`~repro.engine.montecarlo.executed_path`).
 
-    When the run has a stop rule, the result carries the input of the
-    trial-exact prefix scan (see :func:`_book_prefix`).  Shard 0 is
-    scanned in its worker: ``stop_at`` is the ``(accepted, trials)`` of
-    its prefix that ends at the first trial where the rule holds over the
-    run's ``prior`` plus that prefix, or ``None`` when no trial does.
-    Every later shard carries ``verdicts``: its ``trials`` per-trial
-    verdicts, ``numpy.packbits``-packed as they arrive (one bit per
-    trial), for the parent to scan a window at a time.
+    When the run has a stop rule, every later shard carries ``verdicts``:
+    its ``trials`` per-trial verdicts, ``numpy.packbits``-packed as they
+    arrive (one bit per trial), for the parent to scan a window at a time.
     """
 
     shard: Shard
@@ -136,7 +126,7 @@ class ShardResult:
     trials: int
     executed_path: Optional[str] = None
     verdicts: Optional[bytes] = None
-    stop_at: Optional[Tuple[int, int]] = None
+    converged: bool = False
 
     @property
     def estimate(self) -> AcceptanceEstimate:
@@ -151,39 +141,6 @@ class ShardResult:
             count = min(DEFAULT_CHUNK, self.trials - start)
             window = packed[start // 8 : (start + count + 7) // 8]
             yield np.unpackbits(window, count=count).view(bool)
-
-
-class _StopScan:
-    """The single-process Wilson stop, fed a run's verdicts in counter order.
-
-    The verdicts follow the ``prior`` counts; ``accepted`` / ``trials``
-    count the ones the rule keeps, which end at the first trial where it
-    holds (``stopped``).  Each window is scanned with
-    :func:`~repro.engine.montecarlo._kernel_prefix`, the rule the
-    single-process estimator applies to its kernel chunks.
-    """
-
-    def __init__(self, prior: Tuple[int, int], stop_halfwidth: float, min_trials: int):
-        self.prior = prior
-        self.width = 2 * stop_halfwidth
-        self.min_trials = min_trials
-        self.accepted = self.trials = 0
-        self.stopped = False
-
-    def feed(self, verdicts) -> None:
-        if self.stopped or not len(verdicts):
-            return
-        import numpy as np
-
-        kept, ran, self.stopped = _kernel_prefix(
-            np.asarray(verdicts, dtype=bool),
-            self.prior[0] + self.accepted,
-            self.prior[1] + self.trials,
-            self.width,
-            self.min_trials,
-        )
-        self.accepted += kept
-        self.trials += ran
 
 
 class _VerdictPacker:
@@ -218,11 +175,11 @@ def _run_shard(
 
     ``publish``, when set, receives the shard's cumulative
     ``(shard_index, accepted, trials)`` after every chunk — the progress
-    conduit of :mod:`repro.parallel.progress`, which the supervisor also
+    conduit of :mod:`repro.parallel.progress`, which the supervisor
     reads as the shard's heartbeat.  With ``options["stop"]`` set (the
-    run's ``(prior, stop_halfwidth, min_trials)``), the estimator's
-    ``on_verdicts`` hook hands over the verdicts of every chunk: shard 0
-    scans them as they arrive, later shards pack them
+    run's ``(prior, stop_halfwidth, min_trials)``), shard 0 runs the
+    estimator's own stop from ``prior``, and later shards pack the
+    verdicts the ``on_verdicts`` hook hands over after every chunk
     (:class:`ShardResult`).
 
     Tracing (``options["trace"]``, a picklable
@@ -243,11 +200,13 @@ def _run_shard(
             shard.index, accepted, trials
         )
     stop = options.get("stop")
-    sink = None
-    if stop is not None:
-        # Shard 0 follows the run's prior counts, so it can scan here, off
-        # the parent's critical path.
-        sink = _StopScan(*stop) if shard.index == 0 else _VerdictPacker()
+    rule = {}
+    packer = None
+    if stop is not None and shard.index == 0:
+        prior, stop_halfwidth, min_trials = stop
+        rule = {"prior": prior, "stop_halfwidth": stop_halfwidth, "min_trials": min_trials}
+    elif stop is not None:
+        packer = _VerdictPacker()
     path = executed_path(plan, options["rng_mode"])
     spec = options.get("trace")
     recorder = spec.recorder() if spec is not None else NULL_RECORDER
@@ -276,7 +235,8 @@ def _run_shard(
             first_trial=shard.start,
             should_stop=should_stop,
             progress=progress,
-            on_verdicts=None if sink is None else sink.feed,
+            on_verdicts=None if packer is None else packer.feed,
+            **rule,
         )
         span.set("accepted", estimate.accepted)
         span.set("trials", estimate.trials)
@@ -288,18 +248,16 @@ def _run_shard(
         metrics.histogram("worker.shard_seconds").observe(
             time.monotonic() - start_mono
         )
-    packed = stop_at = None
-    if isinstance(sink, _StopScan):
-        stop_at = (sink.accepted, sink.trials) if sink.stopped else None
-    elif sink is not None:
-        packed = sink.result()
+    converged = bool(rule) and wilson_stop_holds(
+        prior[0] + estimate.accepted, prior[1] + estimate.trials, stop_halfwidth, min_trials
+    )
     return ShardResult(
         shard=shard,
         accepted=estimate.accepted,
         trials=estimate.trials,
         executed_path=path,
-        verdicts=packed,
-        stop_at=stop_at,
+        verdicts=None if packer is None else packer.result(),
+        converged=converged,
     )
 
 
@@ -806,13 +764,15 @@ class ShardedEstimate:
     quarantined shards means the estimate merges only the shards that
     completed — still exact over those counter ranges, but short of the
     requested budget; check ``report.ok``.  ``progress_updates`` counts the
-    partial-count updates the streaming aggregator folded in — provenance
-    for the chunk-granular compute stop, never part of the estimate itself.
+    partial-count updates the supervisor received as heartbeats, plus one
+    final update per shard result (on the process pool the last partials
+    can arrive after the result) — provenance, never part of the estimate
+    itself.
 
     ``estimate`` merges everything that ran; ``prefix`` is what the run
-    books (see :func:`_book_prefix`): exactly a single-process run over the
-    first ``prefix.trials`` counters of the range, cut at the first trial
-    where the stop rule holds.
+    books (see :class:`_PrefixBook`): exactly a single-process run over
+    the first ``prefix.trials`` counters of the range, cut at the first
+    trial where the stop rule holds.
     """
 
     estimate: AcceptanceEstimate
@@ -857,8 +817,7 @@ def estimate_acceptance_sharded(
     stop_halfwidth: Optional[float] = None,
     min_trials: int = MIN_STOP_TRIALS,
     first_trial: int = 0,
-    prior: Optional[Tuple[int, int]] = None,
-    progress_observer: Optional[Callable[[int, int], None]] = None,
+    prior: Tuple[int, int] = (0, 0),
     shard_timeout: Optional[float] = None,
     max_retries: int = 0,
     retry_policy: Optional[RetryPolicy] = None,
@@ -875,23 +834,19 @@ def estimate_acceptance_sharded(
 
     ``target`` may be a compiled plan (serial/thread backends) or a
     :class:`~repro.parallel.spec.PlanSpec` (any backend; required for
-    processes).  Workers publish partial cumulative counts after every
-    chunk, and with ``stop_halfwidth`` set one
-    :class:`~repro.parallel.progress.StreamingAggregator` applies the
-    Wilson stop rule to the merged partials, stopping every in-flight shard
-    at chunk granularity; ``prefix`` then books exactly the trials the
-    single-process stop would (see the module docstring).  Without it, the
-    result is exactly the single-process estimate — see the module
-    docstring's determinism contract; the progress channel is
-    observational.
+    processes).  With ``stop_halfwidth`` set, the run stops the moment its
+    contiguous counter prefix satisfies the Wilson rule, and ``prefix``
+    books exactly the trials the single-process stop would (see the module
+    docstring).  Without it, the result is exactly the single-process
+    estimate — see the module docstring's determinism contract.
 
     Adaptive-budget hooks (see :mod:`repro.parallel.controller`):
 
     - ``chunk_policy`` (a picklable
       :class:`~repro.engine.montecarlo.FixedChunkPolicy`) rides to every
       shard in the payload options and sets its trials per kernel chunk,
-      hence how often it publishes partial counts; neither verdicts nor
-      the booked ``prefix`` depend on it.
+      hence how often it publishes partial counts and polls the stop;
+      neither verdicts nor the booked ``prefix`` depend on it.
     - ``first_trial`` shifts the whole sharded range: the call covers
       counters ``[first_trial, first_trial + trials)``, exactly as the
       engine-level hook does for a single shard.  An *installment* run
@@ -899,11 +854,10 @@ def estimate_acceptance_sharded(
     - ``prior`` seeds the stop rule with cumulative ``(accepted, trials)``
       counts from the already-consumed prefix, so ``stop_halfwidth`` (and
       ``min_trials``) apply to the *cumulative* estimate across
-      installments, both to the streamed compute stop and to the booked
-      ``prefix``.  The returned estimate still reports only this call's
-      counts — the caller owns the cumulative ledger.
-    - ``progress_observer`` receives the merged cumulative totals (prior
-      included) after every update; observational only.
+      installments.  A ``prior`` that already satisfies the rule
+      dispatches no shard and books nothing.  The returned estimate still
+      reports only this call's counts — the caller owns the cumulative
+      ledger.
 
     Every run goes through a
     :class:`~repro.parallel.supervision.ShardSupervisor`, configured by
@@ -921,6 +875,7 @@ def estimate_acceptance_sharded(
         raise ValueError("trials must be positive")
     if first_trial < 0:
         raise ValueError("first_trial must be non-negative")
+    check_prior(prior)
     if planner is not None and shard_count is not None:
         raise ValueError("pass either planner or shard_count, not both")
     if planner is None:
@@ -931,14 +886,7 @@ def estimate_acceptance_sharded(
         raise ValueError(
             "pass either retry_policy or shard_timeout/max_retries, not both"
         )
-    # Stop decisions act on the cumulative counts: the prior prefix plus
-    # whatever this call's shards have published so far.
-    aggregator = StreamingAggregator(
-        stop_halfwidth=stop_halfwidth,
-        min_trials=min_trials,
-        baseline=prior if prior is not None else (0, 0),
-        observer=progress_observer,
-    )
+    book = _PrefixBook(prior, stop_halfwidth, min_trials)
 
     instance, owned = resolve_executor(executor, workers)
     recorder = get_recorder()
@@ -969,7 +917,7 @@ def estimate_acceptance_sharded(
                 rng_mode = target.rng_mode
             shard_target = target.prepare()
 
-        shards = planner.plan(trials, instance.workers)
+        shards = () if book.converged else planner.plan(trials, instance.workers)
         if first_trial:
             # Installment runs extend an earlier consumed prefix: shift the
             # whole planned range so shard provenance records the *global*
@@ -986,9 +934,7 @@ def estimate_acceptance_sharded(
             "seed": seed,
             "rng_mode": rng_mode,
             "chunk_policy": chunk_policy,
-            "stop": None
-            if stop_halfwidth is None
-            else (prior or (0, 0), stop_halfwidth, min_trials),
+            "stop": None if stop_halfwidth is None else (prior, stop_halfwidth, min_trials),
         }
         if recorder.enabled:
             run_span.set("rng_mode", rng_mode)
@@ -998,20 +944,13 @@ def estimate_acceptance_sharded(
             options["trace"] = recorder.spec(parent=run_span.span_id)
         payloads = [(shard_target, shard, options) for shard in shards]
 
+        def on_result(result: ShardResult) -> None:
+            if book.add(result):
+                supervisor.request_stop()
+
         supervisor = ShardSupervisor(
-            instance,
-            _run_shard,
-            payloads,
-            policy=retry_policy,
-            on_progress=aggregator.update,
-            # A completed shard folds in through the same path as its
-            # partials (idempotent: its final counts equal its last
-            # published update), so the stop never waits on queue latency.
-            on_result=lambda result: aggregator.update(
-                result.shard.index, result.accepted, result.trials
-            ),
+            instance, _run_shard, payloads, policy=retry_policy, on_result=on_result
         )
-        aggregator.bind_stop(supervisor.request_stop)
         result_map, report = supervisor.run()
     except BaseException as exc:
         # Close the run span on the error path (status="error"); the
@@ -1024,8 +963,7 @@ def estimate_acceptance_sharded(
 
     results = sorted(result_map.values(), key=lambda result: result.shard.index)
     merged = AcceptanceEstimate.merge(result.estimate for result in results)
-    prefix = _book_prefix(results, prior or (0, 0), stop_halfwidth, min_trials)
-    stopped_early = aggregator.satisfied or merged.trials < trials
+    stopped_early = book.converged or merged.trials < trials
     run_span.set("trials_run", merged.trials)
     run_span.set("accepted", merged.accepted)
     run_span.set("stopped_early", stopped_early)
@@ -1038,44 +976,61 @@ def estimate_acceptance_sharded(
         workers=instance.workers,
         stopped_early=stopped_early,
         report=report,
-        prefix=prefix,
-        progress_updates=aggregator.updates,
+        prefix=AcceptanceEstimate(accepted=book.accepted, trials=book.trials),
+        progress_updates=supervisor.progress_updates + len(results),
     )
 
 
-def _book_prefix(
-    results, prior: Tuple[int, int], stop_halfwidth: Optional[float], min_trials: int
-) -> AcceptanceEstimate:
-    """The counts a run books: its contiguous counter prefix, cut at the stop.
+class _PrefixBook:
+    """What a run books: its contiguous counter prefix, cut at the stop.
 
-    A stop or a quarantine can leave gaps: shard 1 cut short while shard 2
-    ran on, or shard 1 missing altogether.  The prefix keeps the full
-    shards in index order up to the first short or missing one, plus that
-    shard's partial.  With a stop rule, the prefix's per-trial verdicts
-    are scanned from the ``prior`` counts with the single-process rule
-    (:class:`_StopScan`; shard 0's worker already scanned its own, see
-    :class:`ShardResult`), and the prefix ends at the first trial where
-    it holds.  When the merged stop cut shard 0 short before the rule held
-    on the prefix, the whole contiguous prefix is booked, unconverged.
+    Shard results arrive in any order.  :meth:`add` holds each one until
+    every earlier shard has joined the prefix, then books it once: shard 0
+    by its counts (its worker already ran the rule from ``prior``), a later
+    shard by scanning its verdicts a window at a time with the
+    single-process rule, from ``prior`` plus the counts booked so far.
+    The prefix closes at the first trial where the rule holds
+    (``converged``), or at a shard that ran short of its range: a stop
+    from outside the rule, with a quarantined or cut shard leaving a gap.
+    Without a stop rule every joining shard books its counts.
     """
-    kept = []
-    for index, result in enumerate(results):
-        if result.shard.index != index:
-            break
-        kept.append(result)
-        if result.trials < result.shard.trials:
-            break
-    if stop_halfwidth is None:
-        return AcceptanceEstimate.merge(result.estimate for result in kept)
-    scan = _StopScan(prior, stop_halfwidth, min_trials)
-    for result in kept:
-        if result.shard.index == 0:
-            if result.stop_at is not None:
-                return AcceptanceEstimate(*result.stop_at)
-            scan.accepted, scan.trials = result.accepted, result.trials
-            continue
-        for window in result.verdict_windows():
-            scan.feed(window)
-            if scan.stopped:
-                return AcceptanceEstimate(scan.accepted, scan.trials)
-    return AcceptanceEstimate(scan.accepted, scan.trials)
+
+    def __init__(self, prior: Tuple[int, int], stop_halfwidth: Optional[float], min_trials: int):
+        self.prior = prior
+        self.width = None if stop_halfwidth is None else 2 * stop_halfwidth
+        self.min_trials = min_trials
+        self.accepted = self.trials = 0
+        self.converged = stop_halfwidth is not None and wilson_stop_holds(
+            *prior, stop_halfwidth, min_trials
+        )
+        self._closed = self.converged
+        self._next = 0  # the shard index that joins the prefix next
+        self._waiting: Dict[int, ShardResult] = {}
+
+    def add(self, result: ShardResult) -> bool:
+        """Book what ``result`` adds to the prefix; true when that converges it."""
+        if self._closed:
+            return False
+        self._waiting[result.shard.index] = result
+        while not self._closed and self._next in self._waiting:
+            result = self._waiting.pop(self._next)
+            self._next += 1
+            if result.shard.index == 0 or self.width is None:
+                self.accepted += result.accepted
+                self.trials += result.trials
+                self.converged = result.converged
+            else:
+                for window in result.verdict_windows():
+                    kept, ran, self.converged = _kernel_prefix(
+                        window,
+                        self.prior[0] + self.accepted,
+                        self.prior[1] + self.trials,
+                        self.width,
+                        self.min_trials,
+                    )
+                    self.accepted += kept
+                    self.trials += ran
+                    if self.converged:
+                        break
+            self._closed = self.converged or result.trials < result.shard.trials
+        return self.converged

@@ -1,59 +1,34 @@
-"""Progressive shard-result streaming: conduits, tokens, and the aggregator.
+"""Shard-progress streaming: stop tokens, run handles, the process-pool router.
 
-The PR 4 sharded estimator only learned a shard's counts when the *whole
-shard* finished, so its cooperative Wilson stop acted at shard granularity —
-on an 8-shard run that can waste most of a shard's budget after the merged
-interval is already tight enough.  This module is the streaming layer that
-closes the gap: workers publish *partial* cumulative counts after every
-chunk (the ``progress`` hook of
-:func:`~repro.engine.montecarlo.estimate_acceptance_fast`), and a
-:class:`StreamingAggregator` in the parent merges the partials into the
-running Wilson interval, firing the stop at **chunk granularity across all
-workers**.
-
-Why merging partials preserves unbiasedness
--------------------------------------------
-
-A partial update ``(accepted, trials)`` from shard ``i`` is the exact count
-over the prefix of shard ``i``'s deterministic trial sequence consumed so
-far — every trial's verdict is a pure function of its counter, so the
-partial is itself a valid (unbiased) estimate of the same acceptance
-probability, just over fewer trials.  Updates are *cumulative per shard*
-(each one supersedes the previous from the same shard), so the aggregator's
-running total is always an exact count over a union of disjoint counter
-prefixes — precisely the set of trials that have actually run.  Stopping on
-that total changes *which trials run*, never any verdict: the streamed stop
-has the same statistical justification as the single-process Wilson exit,
-it just acts on fresher information.
-
-Determinism is untouched: the channel is observational.  With no stop rule
+Workers publish *partial* cumulative ``(accepted, trials)`` counts after
+every chunk (the ``progress`` hook of
+:func:`~repro.engine.montecarlo.estimate_acceptance_fast`).  The updates are
+the shards' heartbeats under :mod:`repro.parallel.supervision`; they never
+reach an estimate or a stop decision (a sharded run stops when its booked
+prefix converges, see :mod:`repro.parallel.executors`).  With no stop rule
 every shard runs to completion and the merged result equals the
-single-process estimate bit for bit.  The same updates are the shards'
-heartbeats under :mod:`repro.parallel.supervision`.
+single-process estimate bit for bit.
 
 Conduits per backend
 --------------------
 
 - **Serial / Thread** — the publish callback is invoked in-process (from
-  worker threads, on the thread backend), so the aggregator takes a lock
-  per update.
+  worker threads, on the thread backend).
 - **Process** — workers put ``(run_id, shard_index, accepted, trials)``
   tuples on a ``multiprocessing`` queue installed by the pool initializer;
   a single parent-side :class:`ProgressRouter` thread drains the queue and
-  dispatches to the subscribed aggregator(s) by run id, so several
-  concurrent runs (campaign cells) can stream over one pool without
-  crosstalk.
+  dispatches to each run's subscriber by run id, so several concurrent
+  runs (campaign cells) can stream over one pool without crosstalk.
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.obs.metrics import MetricsFlush, MetricsRegistry
 from repro.obs.runtime import get_metrics
-from repro.simulation.metrics import wilson_stop_holds
 
 
 class StopToken:
@@ -156,114 +131,6 @@ class RunHandle:
         self.close()
 
 
-class StreamingAggregator:
-    """Merge per-shard partial counts into a running Wilson stop decision.
-
-    Thread-safe: updates arrive from worker threads (thread backend) or the
-    :class:`ProgressRouter` drain thread (process backend).  Each shard's
-    updates are cumulative, so the aggregator keeps the latest partial per
-    shard and maintains exact running totals by delta; a completed shard's
-    final :class:`~repro.parallel.executors.ShardResult` goes through
-    :meth:`update` too (idempotent — it carries the same counts as the
-    shard's last partial).
-
-    With ``stop_halfwidth`` set, once the running totals cover at least
-    ``min_trials`` trials and their Wilson interval is narrower than
-    ``2 * stop_halfwidth``, the aggregator fires the stop callback bound
-    via :meth:`bind_stop` (exactly once; updates that arrive before the
-    binding latch the decision and fire on bind).  That stop halts the
-    compute only: what the run books is the trial-exact prefix the parent
-    scans from the shards' verdicts (see :mod:`repro.parallel.executors`).
-    Without a stop rule the aggregator only observes — streaming never
-    changes results.
-
-    ``baseline`` seeds the running totals with cumulative ``(accepted,
-    trials)`` counts from *earlier* runs over the same trial sequence — the
-    installment mechanism of :mod:`repro.parallel.controller`: a follow-up
-    run covering ``[consumed, consumed + grant)`` passes the counts of the
-    already-consumed prefix, so the stop rule acts on the cell's cumulative
-    Wilson interval rather than the installment's own.  A baseline that
-    already satisfies the stop rule latches it at construction (the bound
-    stop fires immediately).
-
-    ``observer``, when set, receives the merged cumulative ``(accepted,
-    trials)`` totals after every folded update — the live feed a
-    :class:`~repro.parallel.controller.CampaignAllocator` (or any other
-    monitor) consumes.  Observational only: called outside the aggregator
-    lock, after the stop decision for that update is made.
-    """
-
-    def __init__(
-        self,
-        stop_halfwidth: Optional[float] = None,
-        min_trials: int = 0,
-        baseline: Tuple[int, int] = (0, 0),
-        observer: Optional[Callable[[int, int], None]] = None,
-    ):
-        base_accepted, base_trials = baseline
-        if base_accepted < 0 or base_trials < 0 or base_accepted > base_trials:
-            raise ValueError("baseline must be valid (accepted, trials) counts")
-        self._partials: Dict[int, Tuple[int, int]] = {}
-        self._lock = threading.Lock()
-        self._stop_halfwidth = stop_halfwidth
-        self._min_trials = min_trials
-        self._stop_cb: Optional[Callable[[], None]] = None
-        self._satisfied = False
-        self._fired = False
-        self._observer = observer
-        self.accepted = base_accepted
-        self.trials = base_trials
-        self.updates = 0
-        if stop_halfwidth is not None and wilson_stop_holds(
-            base_accepted, base_trials, stop_halfwidth, min_trials
-        ):
-            self._satisfied = True
-
-    @property
-    def satisfied(self) -> bool:
-        """Whether the stop rule has been met by the merged partials."""
-        return self._satisfied
-
-    def bind_stop(self, callback: Callable[[], None]) -> None:
-        """Attach the run's ``request_stop``; fires now if already satisfied."""
-        fire = False
-        with self._lock:
-            self._stop_cb = callback
-            if self._satisfied and not self._fired:
-                self._fired = True
-                fire = True
-        if fire:
-            callback()
-
-    def update(self, shard_index: int, accepted: int, trials: int) -> None:
-        """Fold in a shard's latest cumulative ``(accepted, trials)`` counts."""
-        fire = None
-        with self._lock:
-            prev_accepted, prev_trials = self._partials.get(shard_index, (0, 0))
-            if trials < prev_trials:
-                return  # stale (queued behind a fresher update); never regress
-            self._partials[shard_index] = (accepted, trials)
-            self.accepted += accepted - prev_accepted
-            self.trials += trials - prev_trials
-            self.updates += 1
-            if (
-                not self._satisfied
-                and self._stop_halfwidth is not None
-                and wilson_stop_holds(
-                    self.accepted, self.trials, self._stop_halfwidth, self._min_trials
-                )
-            ):
-                self._satisfied = True
-                if self._stop_cb is not None and not self._fired:
-                    self._fired = True
-                    fire = self._stop_cb
-            observed = (self.accepted, self.trials)
-        if fire is not None:
-            fire()
-        if self._observer is not None:
-            self._observer(*observed)
-
-
 _ROUTER_SENTINEL = None
 
 
@@ -271,7 +138,7 @@ class ProgressRouter:
     """Parent-side dispatcher for a process pool's progress queue.
 
     One router (and one drain thread) per :class:`ProcessExecutor`; runs
-    subscribe their aggregator under a fresh run id, worker updates arrive
+    subscribe a callback under a fresh run id, worker updates arrive
     as ``(run_id, shard_index, accepted, trials)`` tuples, and the router
     forwards each to its run's subscriber.  Updates for finished
     (unsubscribed) runs are dropped — late partials carry no information
@@ -381,8 +248,8 @@ class ProgressRouter:
             # Dispatch *under* the lock: unsubscribe() (same lock) then
             # cannot return while a dispatch for that run is in flight, so
             # a released run's slot can never be poked by a late update.
-            # The callbacks (StreamingAggregator.update, stop tokens) take
-            # no lock that could reach back here.
+            # The callbacks (supervisor heartbeats) take no lock that could
+            # reach back here.
             with self._lock:
                 try:
                     callback = self._subscribers.get(run_id)
@@ -394,8 +261,7 @@ class ProgressRouter:
                     continue
                 # Stale accounting: a cumulative partial whose trial count
                 # regressed was superseded in transit (or torn by chaos).
-                # Still dispatched — the aggregator's never-regress rule is
-                # the authority; the router only observes.
+                # Still dispatched: it is a heartbeat all the same.
                 try:
                     per_shard = self._last_trials.setdefault(run_id, {})
                     if trials < per_shard.get(shard_index, 0):

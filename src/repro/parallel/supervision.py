@@ -18,12 +18,11 @@ or waits forever.  This module adds the layer that makes shard execution
 - **Deterministic retry.** A failed shard is re-dispatched with exponential
   backoff, up to ``max_retries`` times.  Because a shard is a counter range
   and every trial verdict is a pure function of ``(master seed, trial
-  counter)``, the retried shard re-executes *bit-identically*: its partial
-  updates repeat the original's cumulative ``(accepted, trials)`` prefix
-  values exactly, so the never-regress rule of
-  :class:`~repro.parallel.progress.StreamingAggregator` deduplicates them
-  for free and the merged :class:`~repro.simulation.metrics.AcceptanceEstimate`
-  is provably unchanged by any crash/retry schedule.
+  counter)``, the retried shard re-executes *bit-identically*.  Partial
+  updates are heartbeats only, and one accepted result per shard reaches
+  the merge, so the merged
+  :class:`~repro.simulation.metrics.AcceptanceEstimate` is provably
+  unchanged by any crash/retry schedule.
 
 - **Quarantine.** A shard that fails ``max_retries + 1`` attempts is
   quarantined — execution continues for its siblings, and the structured
@@ -215,12 +214,13 @@ class ShardSupervisor:
     onto an internal queue; the supervisor's main loop dispatches, applies
     deadlines, schedules retries, and quarantines.
 
-    ``on_progress`` (the streaming aggregator's ``update``) receives every
-    partial, and the supervisor treats each one as that shard's heartbeat.
-    ``on_result`` fires on the supervisor thread for each accepted shard
-    result.  ``request_stop`` is safe from any thread (the aggregator calls
-    it from a drain/worker thread) and synchronous: every in-flight
-    dispatch is asked to stop before it returns, and nothing new starts.
+    Every partial a shard publishes is that shard's heartbeat
+    (``progress_updates`` counts them).  ``on_result`` fires on the supervisor thread for each
+    accepted shard result: a complete one, one that stopped on the run's
+    rule (``converged``), or a partial one once a stop was requested.
+    ``request_stop`` is safe from any thread and synchronous: every
+    in-flight dispatch is asked to stop before it returns, and nothing new
+    starts.
     """
 
     def __init__(
@@ -229,7 +229,6 @@ class ShardSupervisor:
         fn: Callable,
         payloads,
         policy: Optional[RetryPolicy] = None,
-        on_progress: Optional[Callable[[int, int, int], None]] = None,
         on_result: Optional[Callable[[object], None]] = None,
         tick: float = DEFAULT_TICK,
         clock: Callable[[], float] = time.monotonic,
@@ -238,7 +237,6 @@ class ShardSupervisor:
         self._executor = executor
         self._fn = fn
         self._policy = policy if policy is not None else RetryPolicy()
-        self._user_progress = on_progress
         self._on_result = on_result
         self._tick = tick
         self._clock = clock
@@ -253,6 +251,7 @@ class ShardSupervisor:
         self._outcomes: "queue.Queue" = queue.Queue()
         self._beat_lock = threading.Lock()
         self._beats: Dict[int, float] = {}
+        self.progress_updates = 0
         self._stop_event = threading.Event()
         # In-flight dispatches; request_stop reads them from other threads.
         self._inflight_lock = threading.Lock()
@@ -276,14 +275,13 @@ class ShardSupervisor:
     def _beat(self, shard_index: int, accepted: int, trials: int) -> None:
         with self._beat_lock:
             self._beats[shard_index] = self._clock()
-        if self._user_progress is not None:
-            self._user_progress(shard_index, accepted, trials)
+            self.progress_updates += 1
 
     def _last_beat(self, shard_index: int) -> float:
         with self._beat_lock:
             return self._beats.get(shard_index, 0.0)
 
-    # -- external stop (Wilson rule) ------------------------------------------
+    # -- external stop ----------------------------------------------------------
 
     def request_stop(self) -> None:
         """Stop the whole run now; callable from any thread."""
@@ -384,9 +382,9 @@ class ShardSupervisor:
 
         Returns ``(results, report)`` where ``results`` maps shard index to
         the accepted :class:`~repro.parallel.executors.ShardResult` —
-        complete results always, partial results only once a global stop
-        was requested (cancelled shards report the prefix they ran and
-        never-started shards are skipped).  Under ``max_retries=0`` the
+        complete or converged results always, partial results only once a
+        global stop was requested (cancelled shards report the prefix they
+        ran and never-started shards are skipped).  Under ``max_retries=0`` the
         first shard or dispatch exception stops the run and is re-raised
         here once every in-flight dispatch has wound down.
         """
@@ -484,11 +482,12 @@ class ShardSupervisor:
                     # abandoned dispatches already charged a timeout failure
                 elif result is not None and (
                     result.trials == self._shards[index].trials
+                    or result.converged
                     or self._stop_event.is_set()
                 ):
-                    # Complete — or partial under a global stop.  A late
-                    # completion from an abandoned attempt is free
-                    # (bit-identical) work.
+                    # Complete, stopped on the rule, or partial under a
+                    # global stop.  A late completion from an abandoned
+                    # attempt is free (bit-identical) work.
                     quarantined.pop(index, None)
                     if index in pending:
                         pending.remove(index)

@@ -7,7 +7,8 @@ is asserted directly here (same policy twice, equal ``injected``
 schedules), alongside the individual fault kinds:
 
 - torn progress messages — regressive partials and garbage queue items —
-  are counted and dropped by the aggregator/router, never raised;
+  are shrugged off by the supervisor and counted and dropped by the router,
+  never raised;
 - sink write failures are deterministic and leave previously written
   records intact;
 - mid-file torn JSON-lines are skipped (with a warning and a count) on
@@ -210,7 +211,7 @@ class TestChaosExecutor:
 class TestTornProgress:
     def test_torn_partials_do_not_corrupt_streamed_counts(self):
         # Every first attempt emits a regressive partial before running
-        # normally; the aggregator's never-regress rule must drop them all.
+        # normally; they are heartbeats only and never reach the counts.
         policy = FaultPolicy(seed=1, torn_rate=1.0)
         chaos = ChaosExecutor(SerialExecutor(), policy)
         sharded = estimate_acceptance_sharded(

@@ -6,7 +6,6 @@ policy's per-trial verdicts are bit-identical to the fixed-chunk run over the
 same range.  Covers the four layers the controller threads through:
 
 - chunk-policy objects and their ``--chunk-policy`` spec grammar;
-- the :class:`StreamingAggregator` baseline/observer hooks (installments);
 - ``estimate_acceptance_sharded``'s ``first_trial``/``prior`` seam;
 - :class:`CampaignAllocator` rounds and the global-budget campaign loop,
   end to end through ``run_campaign`` and the CLI.
@@ -18,12 +17,11 @@ import math
 import multiprocessing
 import pickle
 import threading
-import time
 
 import pytest
 
 from repro.engine import estimate_acceptance_fast
-from repro.engine.montecarlo import DEFAULT_CHUNK, SCALAR_CHUNK as SHARD_CHUNK
+from repro.engine.montecarlo import DEFAULT_CHUNK, MIN_STOP_TRIALS
 from repro.parallel import (
     Campaign,
     CampaignAllocator,
@@ -32,7 +30,6 @@ from repro.parallel import (
     JsonlSink,
     MemorySink,
     ShardPlanner,
-    StreamingAggregator,
     ThreadExecutor,
     estimate_acceptance_sharded,
     parse_chunk_policy,
@@ -43,7 +40,7 @@ from repro.parallel.cli import main as cli_main
 from repro.parallel.controller import observed_halfwidth, validate_halfwidth
 from repro.parallel.factories import compiled_spanning_tree
 from repro.parallel.spec import PlanSpec
-from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
+from repro.simulation.metrics import AcceptanceEstimate, wilson_interval, wilson_stop_holds
 
 
 def easy_spec():
@@ -116,46 +113,6 @@ class TestChunkPolicies:
         low, high = wilson_interval(40, 100)
         assert observed_halfwidth(40, 100) == pytest.approx((high - low) / 2)
         assert observed_halfwidth(0, 0) == math.inf
-
-
-# ---------------------------------------------------------------------------
-# streaming baseline (the installment seam in StreamingAggregator)
-# ---------------------------------------------------------------------------
-
-
-class TestStreamingBaseline:
-    def test_baseline_seeds_running_totals(self):
-        aggregator = StreamingAggregator(baseline=(3, 10))
-        assert (aggregator.accepted, aggregator.trials) == (3, 10)
-        aggregator.update(0, 2, 5)
-        assert (aggregator.accepted, aggregator.trials) == (5, 15)
-
-    def test_satisfying_baseline_latches_at_construction(self):
-        aggregator = StreamingAggregator(stop_halfwidth=0.2, baseline=(200, 200))
-        assert aggregator.satisfied
-        fired = []
-        aggregator.bind_stop(lambda: fired.append(True))
-        assert fired == [True]
-
-    def test_baseline_respects_min_trials_gate(self):
-        aggregator = StreamingAggregator(
-            stop_halfwidth=0.2, min_trials=100, baseline=(50, 50)
-        )
-        assert not aggregator.satisfied
-
-    def test_observer_sees_cumulative_totals(self):
-        seen = []
-        aggregator = StreamingAggregator(
-            baseline=(3, 10), observer=lambda a, t: seen.append((a, t))
-        )
-        aggregator.update(0, 2, 5)
-        aggregator.update(1, 1, 4)
-        assert seen == [(5, 15), (6, 19)]
-
-    @pytest.mark.parametrize("baseline", [(5, 3), (-1, 0), (0, -2)])
-    def test_invalid_baseline_rejected(self, baseline):
-        with pytest.raises(ValueError):
-            StreamingAggregator(baseline=baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +246,7 @@ class TestAllocator:
     def test_unspent_grant_returns_to_the_pool(self):
         allocator = self.make()
         allocator.grants()
-        # The streamed stop fired 100 trials into a 128-trial grant: only
+        # The Wilson stop fired 100 trials into a 128-trial grant: only
         # the consumed part is charged.
         allocator.settle("a", first_trial=0, granted=128, accepted=100, trials=100)
         allocator.settle("b", first_trial=0, granted=128, accepted=64, trials=128)
@@ -373,18 +330,17 @@ def assert_contiguous(allocation):
     assert consumed == allocation["consumed"]
 
 
-#: A master seed whose counters 64.. and 256.. disagree in acceptance, so
-#: booking shard 1's counts as the next prefix would be caught.
-NON_PREFIX_SEED = 3
+#: A master seed whose shard 1 of the staggered campaigns below satisfies
+#: the stop rule on its own counts.
+STAGGER_SEED = 3
 
 
 class _StaggeredExecutor:
-    """A thread pool that forces a non-prefix stop on every shard's first run.
+    """A thread pool that holds shard 0 back until shard 1 has finished.
 
-    Shard 0 runs one chunk and then waits for the run's stop; shard 1
-    starts after that chunk and runs until the Wilson stop fires; shards 2
-    and 3 start after shard 1 returns, when the stop is already set.
-    Later dispatches of a shard index run unhindered.
+    Shard 1 (and any later shard) runs while no earlier counter has been
+    booked, so only a stop on merged, non-contiguous counts could cut it
+    short.  ``results`` keeps each shard index's last result.
     """
 
     name = "staggered"
@@ -393,36 +349,18 @@ class _StaggeredExecutor:
 
     def __init__(self):
         self._inner = ThreadExecutor(workers=4)
-        self._done = {index: threading.Event() for index in range(4)}
-        self._seen = set()
-        self._lock = threading.Lock()
+        self._shard_1_done = threading.Event()
+        self.results = {}
 
     def _body(self, fn, payload, should_stop, publish=None):
         index = payload[1].index
-        with self._lock:
-            first = index not in self._seen
-            self._seen.add(index)
-        if not first:
-            return fn(payload, should_stop, publish)
-        stop = should_stop
         if index == 0:
-            polls = []
-
-            def stop():  # noqa: F811 - one chunk, then wait for the run's stop
-                polls.append(None)
-                if len(polls) > 1:
-                    self._done[0].set()
-                    deadline = time.monotonic() + 10
-                    while not should_stop() and time.monotonic() < deadline:
-                        time.sleep(0.001)
-                return should_stop()
-
-        else:
-            assert self._done[index - 1].wait(10)
-        try:
-            return fn(payload, stop, publish)
-        finally:
-            self._done[index].set()
+            assert self._shard_1_done.wait(10)
+        result = fn(payload, should_stop, publish)
+        self.results[index] = result
+        if index == 1:
+            self._shard_1_done.set()
+        return result
 
     def start_run(self, fn, payloads, on_progress=None):
         return self._inner.start_run(
@@ -487,42 +425,32 @@ class TestAdaptiveCampaign:
             assert replay.estimate.accepted == record["accepted"]
             assert replay.estimate.trials == record["trials"]
 
-    def test_non_prefix_stop_books_only_the_contiguous_prefix(self):
-        # The staggered executor makes the first 4-shard installment stop
-        # with shard 0 one chunk in and shard 1 further along: the counts
-        # merged over both are not a counter prefix.  Only the prefix may
-        # be booked, so the record replays exactly from counter 0.
-        cell = Cell(name="hard", spec=noisy_spec(), trials=64, seed=NON_PREFIX_SEED)
-        # The seed's precondition: over every run length shard 1 can reach,
-        # counters 64.. and 256.. (shard 1's start) disagree in acceptance.
-        plan = cell.spec.resolve()
-        for chunks in range(1, 5):
-            trials = chunks * SHARD_CHUNK
-            at_prefix, at_shard_1 = (
-                estimate_acceptance_fast(
-                    plan, trials, seed=NON_PREFIX_SEED, first_trial=first
-                ).accepted
-                for first in (SHARD_CHUNK, 256)
-            )
-            assert at_prefix != at_shard_1, (chunks, at_prefix)
+    def test_a_later_shard_never_stops_the_run(self):
+        # The first 4-shard installment runs shard 1's whole range, whose
+        # counts alone satisfy the rule, before shard 0 starts.  Only the
+        # counter prefix may stop the run: the one installment books the
+        # single-process stop.
+        cell = Cell(name="hard", spec=noisy_spec(), trials=64, seed=STAGGER_SEED)
         with _StaggeredExecutor() as executor:
             (record,) = run_campaign(
-                Campaign(name="non-prefix", cells=(cell,)),
+                Campaign(name="staggered", cells=(cell,)),
                 executor=executor,
                 planner=ShardPlanner(shard_count=4),
                 global_budget=20000,
                 target_halfwidth=0.05,
                 min_installment=512,
             )
-        first = record["allocation"]["installments"][0]
-        assert (first["granted"], first["trials"]) == (1024, SHARD_CHUNK)
-        assert_contiguous(record["allocation"])
-        replay = estimate_acceptance_fast(
-            cell.spec.resolve(), record["trials"], seed=cell.seed
+        shard_1 = executor.results[1]
+        assert shard_1.trials == shard_1.shard.trials
+        assert wilson_stop_holds(shard_1.accepted, shard_1.trials, 0.05, MIN_STOP_TRIALS)
+        (installment,) = record["allocation"]["installments"]
+        assert installment["granted"] == 1024
+        expected = estimate_acceptance_fast(
+            cell.spec.resolve(), 20000, seed=cell.seed, stop_halfwidth=0.05
         )
-        assert (replay.accepted, replay.trials) == (
-            record["accepted"],
-            record["trials"],
+        assert (record["accepted"], record["trials"]) == (
+            expected.accepted,
+            expected.trials,
         )
 
     def test_adaptive_campaign_resumes_from_sink(self, tmp_path):

@@ -1,10 +1,12 @@
 """The trial-exact sharded stop: booked counts equal the single-process stop.
 
-A sharded run stops its *compute* between chunks, but it *books* exactly
-what :func:`~repro.engine.montecarlo.estimate_acceptance_fast` with the same
-``stop_halfwidth`` reports: the contiguous counter prefix is scanned with the
-single-process rule, shard 0 in its worker and later shards in the parent
-from the per-trial verdicts they return.
+A sharded run has one stop: its contiguous counter prefix satisfying the
+single-process rule.  Shard 0 runs
+:func:`~repro.engine.montecarlo.estimate_acceptance_fast` with the run's
+``stop_halfwidth`` and ``prior``; the parent scans each later shard's
+per-trial verdicts once, as the shard joins the prefix, and stops the run
+the moment the rule holds.  The run books exactly what the single-process
+estimator with the same ``stop_halfwidth`` reports.
 Pinned here:
 
 - the one stop predicate (``wilson_stop_holds``) and its ``min_trials``
@@ -12,13 +14,13 @@ Pinned here:
 - the layout-independence contract: a converged adaptive-campaign record
   equals the single-process Wilson stop on every backend, shard layout and
   cell parallelism, for table, parity, scalar ``vector`` and compat cells;
-- a standalone sharded stop books the single-process stop whenever the
-  rule held on its prefix, and otherwise a prefix no trial of which
-  satisfies the rule;
+- a standalone sharded stop within its budget books the single-process
+  stop on every backend and shard layout, with or without a ``prior``;
 - the scalar-path heartbeat under the default chunk policy;
 - the executed path on every campaign record.
 """
 
+import itertools
 import multiprocessing
 
 import numpy as np
@@ -43,13 +45,15 @@ from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
     ShardPlanner,
-    StreamingAggregator,
+    ShardResult,
     ThreadExecutor,
     estimate_acceptance_sharded,
     run_campaign,
     workload_spec,
 )
 from repro.parallel.cli import main as cli_main
+from repro.parallel.executors import _PrefixBook, _run_shard
+from repro.parallel.shards import Shard
 from repro.parallel.spec import clear_process_caches
 from repro.simulation.metrics import AcceptanceEstimate, wilson_stop_holds
 from spec_matrix import matrix_workload
@@ -116,20 +120,15 @@ class TestOneStopPredicate:
         assert wilson_stop_holds(0, 128, 0.02, min_trials=128)
         assert not wilson_stop_holds(0, 0, 0.4)
 
-    def test_settle_agrees_with_the_streamed_rule(self):
+    def test_settle_honours_the_min_trials_gate(self):
         # (0, 100) is narrow enough at 0.02, but below MIN_STOP_TRIALS no
         # stop rule accepts it: the allocator must not converge the cell.
         allocator = CampaignAllocator(["c"], 10_000, 0.02)
         allocator.grants()
         allocator.settle("c", 0, 128, 0, 100)
-        aggregator = StreamingAggregator(stop_halfwidth=0.02, min_trials=MIN_STOP_TRIALS)
-        aggregator.update(0, 0, 100)
         assert not allocator.cells["c"].converged
-        assert not aggregator.satisfied
         allocator.settle("c", 100, 28, 0, 28)
-        aggregator.update(0, 0, 128)
         assert allocator.cells["c"].converged
-        assert aggregator.satisfied
 
     def test_constant_plan_honours_the_stop(self):
         # A compile-time verdict runs no trials, but reports the prefix the
@@ -191,36 +190,44 @@ class TestLayoutIndependence:
 
 class TestStandaloneStop:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_prefix_is_the_single_process_stop_or_short_of_the_rule(self, backend):
-        fired = 0
+    def test_prefix_is_the_single_process_stop(self, backend):
+        # Every shard layout, the default planner included, and an
+        # installment that follows a prior prefix.
         with BACKENDS[backend]() as executor:
             for name, spec in CELLS[1:3]:
                 plan = spec.resolve()
                 for seed in range(2):
-                    single = single_stop(spec, seed, trials=4000)
-                    for shards in (1, 3, 8):
-                        sharded = estimate_acceptance_sharded(
-                            spec, 4000, seed=seed, executor=executor,
-                            shard_count=shards, stop_halfwidth=TARGET,
-                        )
-                        prefix = sharded.prefix
-                        case = (name, seed, shards)
-                        # Always a counter prefix, whatever ran past it.
-                        # It is empty when shard 0 started after the
-                        # merged stop had fired (process pool).
-                        if prefix.trials:
-                            assert prefix == estimate_acceptance_fast(
-                                plan, prefix.trials, seed=seed
+                    accepted, trials = single_stop(spec, seed, trials=4000)
+                    head = estimate_acceptance_fast(plan, trials // 2, seed=seed)
+                    for shards in (1, 3, 8, None):
+                        for prior in ((0, 0), (head.accepted, head.trials)):
+                            sharded = estimate_acceptance_sharded(
+                                spec, 4000 - prior[1], seed=seed, executor=executor,
+                                shard_count=shards, stop_halfwidth=TARGET,
+                                first_trial=prior[1], prior=prior,
+                            )
+                            case = (name, seed, shards, prior)
+                            assert sharded.stopped_early, case
+                            assert sharded.prefix == AcceptanceEstimate(
+                                accepted - prior[0], trials - prior[1]
                             ), case
-                        if wilson_stop_holds(
-                            prefix.accepted, prefix.trials, TARGET, MIN_STOP_TRIALS
-                        ):
-                            fired += 1
-                            assert (prefix.accepted, prefix.trials) == single, case
-                        else:
-                            # The first satisfying trial lies past the prefix.
-                            assert single[1] > prefix.trials, case
-        assert fired > 0
+
+    def test_satisfying_prior_dispatches_nothing(self):
+        # The prior prefix already meets the rule: no shard runs and the
+        # call books nothing, exactly like the single-process stop.
+        spec = CELLS[0][1]
+        plan = spec.resolve()
+        prior = single_stop(spec, 1, trials=4000)
+        assert estimate_acceptance_fast(
+            plan, 4000, seed=1, stop_halfwidth=TARGET, first_trial=prior[1], prior=prior
+        ) == AcceptanceEstimate(0, 0)
+        sharded = estimate_acceptance_sharded(
+            spec, 4000, seed=1, shard_count=4, stop_halfwidth=TARGET,
+            first_trial=prior[1], prior=prior,
+        )
+        assert sharded.shard_results == () and sharded.report.attempts == {}
+        assert sharded.prefix == sharded.estimate == AcceptanceEstimate(0, 0)
+        assert sharded.stopped_early
 
     def test_prior_scans_the_cumulative_counts(self):
         # An installment that starts after an unconverged prefix books the
@@ -237,17 +244,24 @@ class TestStandaloneStop:
         )
         assert sharded.prefix == AcceptanceEstimate(accepted - head.accepted, trials - first)
 
-    def test_scan_crosses_kernel_chunk_windows(self):
-        # A stop past the first DEFAULT_CHUNK trials of a shard: the scan
-        # walks the shard's verdicts window by window and still lands on
-        # the single-process trial.
-        spec, halfwidth = CELLS[0][1], 0.006
-        expected = single_stop(spec, 0, trials=20_000, halfwidth=halfwidth)
-        assert DEFAULT_CHUNK < expected[1] < 2 * DEFAULT_CHUNK
+    @pytest.mark.parametrize(
+        "shards, trials, halfwidth", [(1, 20_000, 0.006), (2, 12_000, 0.004)]
+    )
+    def test_scan_crosses_kernel_chunk_windows(self, shards, trials, halfwidth):
+        # A stop past the first DEFAULT_CHUNK trials of the shard it lies
+        # in: shard 0's estimator crosses a kernel chunk, or the parent's
+        # scan of shard 1 crosses a verdict window, and either lands on the
+        # single-process trial.  Shard 0 ends on that trial in its worker.
+        spec = CELLS[0][1]
+        expected = single_stop(spec, 0, trials=trials, halfwidth=halfwidth)
         sharded = estimate_acceptance_sharded(
-            spec, 20_000, seed=0, shard_count=1, stop_halfwidth=halfwidth
+            spec, trials, seed=0, shard_count=shards, stop_halfwidth=halfwidth
         )
-        assert sharded.shard_results[0].trials == 2 * DEFAULT_CHUNK
+        head, last = sharded.shard_results[0], sharded.shard_results[-1]
+        assert len(sharded.shard_results) == shards
+        assert DEFAULT_CHUNK < expected[1] - last.shard.start < 2 * DEFAULT_CHUNK
+        assert head.trials == min(expected[1], head.shard.trials)
+        assert head.converged == (shards == 1)
         assert (sharded.prefix.accepted, sharded.prefix.trials) == expected
 
     def test_no_stop_books_the_contiguous_prefix(self):
@@ -255,10 +269,10 @@ class TestStandaloneStop:
         sharded = estimate_acceptance_sharded(spec, 1000, seed=1, shard_count=4)
         assert sharded.prefix == sharded.estimate
         for result in sharded.shard_results:
-            assert result.verdicts is None and result.stop_at is None
+            assert result.verdicts is None and not result.converged
 
     def test_scan_inputs_ride_only_with_a_stop_rule(self):
-        # Shard 0 is scanned in its worker; later shards ship their
+        # Shard 0 runs the rule in its worker; later shards ship their
         # verdicts for the parent.  min_trials=300 keeps the rule from
         # holding before the end, so every shard runs and none stops.
         spec = CELLS[2][1]
@@ -266,7 +280,7 @@ class TestStandaloneStop:
             spec, 300, seed=1, shard_count=3, stop_halfwidth=0.45, min_trials=300
         )
         head, *tail = sharded.shard_results
-        assert head.verdicts is None and head.stop_at is None
+        assert head.verdicts is None and not head.converged
         for result in tail:
             verdicts = np.concatenate(list(result.verdict_windows()))
             assert len(verdicts) == result.trials
@@ -307,6 +321,76 @@ class TestStandaloneStop:
         assert np.concatenate(list(tail.verdict_windows())).tolist() == expected
 
 
+class TestEnginePrior:
+    @pytest.mark.parametrize("name, spec", CELLS)
+    def test_prior_stops_on_the_trial_of_the_whole_run(self, name, spec):
+        # A call that follows a prior prefix stops on the trial the whole
+        # run stops on, on every execution path.
+        plan = spec.resolve()
+        accepted, trials = single_stop(spec, 4, trials=4000)
+        assert wilson_stop_holds(accepted, trials, TARGET, MIN_STOP_TRIALS)
+        head = estimate_acceptance_fast(plan, trials // 2, seed=4)
+        tail = estimate_acceptance_fast(
+            plan, 4000 - head.trials, seed=4, stop_halfwidth=TARGET,
+            first_trial=head.trials, prior=(head.accepted, head.trials),
+        )
+        assert tail == AcceptanceEstimate(accepted - head.accepted, trials - head.trials)
+
+    @pytest.mark.parametrize("prior", [(5, 3), (-1, 0), (0, -2)])
+    def test_invalid_prior_rejected(self, prior):
+        with pytest.raises(ValueError):
+            estimate_acceptance_fast(CELLS[0][1].resolve(), 10, prior=prior)
+
+
+class TestPrefixBook:
+    def test_any_arrival_order_books_the_stop_reading_each_shard_once(self, monkeypatch):
+        # The stop lies in shard 2 of 4.  Whatever order the results
+        # arrive in, the book converges when shards 0-2 have all arrived,
+        # books the single-process stop, and unpacks shards 1 and 2 once.
+        spec, halfwidth = CELLS[0][1], 0.006
+        plan = spec.resolve()
+        expected = single_stop(spec, 0, trials=8000, halfwidth=halfwidth)
+        assert 4000 < expected[1] < 6000
+        options = {
+            "seed": 0, "rng_mode": spec.rng_mode, "chunk_policy": FixedChunkPolicy(),
+            "stop": ((0, 0), halfwidth, MIN_STOP_TRIALS),
+        }
+        results = [
+            _run_shard((plan, shard, options), lambda: False)
+            for shard in ShardPlanner(shard_count=4).plan(8000)
+        ]
+        assert not results[0].converged and results[0].trials == 2000
+        reads = []
+        windows = ShardResult.verdict_windows
+
+        def counted(result):
+            reads.append(result.shard.index)
+            return windows(result)
+
+        monkeypatch.setattr(ShardResult, "verdict_windows", counted)
+        for order in itertools.permutations(results):
+            reads.clear()
+            book = _PrefixBook((0, 0), halfwidth, MIN_STOP_TRIALS)
+            fired = [book.add(result) for result in order]
+            joined = max(order.index(result) for result in results[:3])
+            assert fired == [index == joined for index in range(4)], order
+            assert book.converged and (book.accepted, book.trials) == expected
+            assert sorted(reads) == [1, 2]
+
+    def test_a_short_shard_ends_the_prefix(self):
+        # Without a rule the prefix runs up to and through the first shard
+        # short of its range; shards past it are not booked.
+        shards = ShardPlanner(shard_count=3).plan(300)
+        book = _PrefixBook((0, 0), None, MIN_STOP_TRIALS)
+        for result in (
+            ShardResult(shard=shards[2], accepted=100, trials=100),
+            ShardResult(shard=shards[1], accepted=10, trials=50),
+            ShardResult(shard=shards[0], accepted=60, trials=100),
+        ):
+            assert not book.add(result)
+        assert (book.accepted, book.trials) == (70, 150) and not book.converged
+
+
 class TestFixedBudgetStop:
     """A fixed-budget stop cell records the single-process Wilson stop."""
 
@@ -333,25 +417,27 @@ class TestFixedBudgetStop:
                         assert got == expected[record["cell"]], (layout, record["cell"])
         assert multiprocessing.active_children() == []
 
-    def test_a_cut_prefix_continues_to_the_single_process_stop(self):
-        # The staggered executor stops the first run with shard 0 one chunk
-        # in and shard 1 further along: its prefix (64 trials) is short of
-        # the rule, so the cell runs on from counter 64.
-        from test_controller import NON_PREFIX_SEED, _StaggeredExecutor
+    def test_a_later_shard_never_stops_the_run(self):
+        # The staggered executor starts shard 0 only after shard 1 has run
+        # its whole range, whose counts alone satisfy the rule.  The run
+        # still stops on its counter prefix, in one run.
+        from test_controller import STAGGER_SEED, _StaggeredExecutor
 
         cell = Cell(
-            name="cut", spec=noisy_spec(), trials=20_000, seed=NON_PREFIX_SEED,
+            name="staggered", spec=noisy_spec(), trials=1024, seed=STAGGER_SEED,
             stop_halfwidth=0.05,
         )
         with _StaggeredExecutor() as executor:
             (record,) = run_campaign(
-                Campaign(name="cut", cells=(cell,)), executor=executor,
+                Campaign(name="staggered", cells=(cell,)), executor=executor,
                 planner=ShardPlanner(shard_count=4),
             )
-        earlier = record["supervision"]["earlier_runs"]
-        assert len(earlier) >= 1 and all(run["ok"] for run in earlier)
+        shard_1 = executor.results[1]
+        assert shard_1.trials == shard_1.shard.trials
+        assert wilson_stop_holds(shard_1.accepted, shard_1.trials, 0.05, MIN_STOP_TRIALS)
+        assert record["shards"] == 4 and record["supervision"]["ok"]
         assert (record["accepted"], record["trials"]) == single_stop(
-            cell.spec, NON_PREFIX_SEED, 20_000, 0.05
+            cell.spec, STAGGER_SEED, 1024, 0.05
         )
 
     def test_cli_estimate_prints_the_booked_stop(self, capsys):
@@ -376,9 +462,11 @@ class TestHeartbeat:
         spec = CELLS[2][1]
         assert spec.resolve().kernel_path == "scalar"
         totals = []
-        estimate_acceptance_sharded(
-            spec, 300, seed=0, shard_count=1,
-            progress_observer=lambda accepted, trials: totals.append(trials),
+        options = {"seed": 0, "rng_mode": spec.rng_mode, "chunk_policy": FixedChunkPolicy()}
+        _run_shard(
+            (spec, Shard(index=0, start=0, stop=300), options),
+            lambda: False,
+            lambda index, accepted, trials: totals.append(trials),
         )
         steps = [b - a for a, b in zip([0] + totals, totals)]
         assert totals[-1] == 300

@@ -6,13 +6,9 @@ The load-bearing properties:
   counts equal the single-process estimate bit for bit, for 1/2/8 shards on
   every backend and every rng mode: the progress channel never changes
   which trials run or what they decide.
-- **Chunk-granular stop** — with ``stop_halfwidth`` set, the streaming
-  aggregator stops after measurably fewer total trials than the PR 4
-  shard-granular stop on the same workload (deterministic on the serial
-  backend, where both stop points are pure functions of the inputs).
-- **Aggregator algebra** — per-shard updates are cumulative (replace, not
-  add), stale updates never regress totals, and a stop decision reached
-  before ``bind_stop`` fires on bind.
+- **Mid-shard stop** — with ``stop_halfwidth`` set, a run stops its
+  in-flight shards between chunks once its booked prefix converges, well
+  before the budget; every shard's counts stay an exact counter prefix.
 - **Concurrent cells** — a cell-parallel campaign writes records to the
   sink in campaign declaration order, identical (minus wall-clock) to the
   serial-cell run; errors propagate and never corrupt the ordered prefix.
@@ -39,7 +35,6 @@ from repro.parallel import (
     JsonlSink,
     PlanSpec,
     ProcessExecutor,
-    StreamingAggregator,
     estimate_acceptance_sharded,
     run_campaign,
     workload_spec,
@@ -140,64 +135,6 @@ class TestProgressHook:
         )
         assert updates == [(0, 50)]
         assert (estimate.accepted, estimate.trials) == (0, 50)
-
-
-# ---------------------------------------------------------------------------
-# streaming aggregator algebra
-# ---------------------------------------------------------------------------
-
-
-class TestStreamingAggregator:
-    def test_updates_are_cumulative_per_shard(self):
-        aggregator = StreamingAggregator()
-        aggregator.update(0, 1, 10)
-        aggregator.update(0, 5, 20)  # supersedes, not adds
-        aggregator.update(1, 3, 8)
-        assert (aggregator.accepted, aggregator.trials) == (8, 28)
-        assert aggregator.updates == 3
-
-    def test_stale_update_never_regresses(self):
-        aggregator = StreamingAggregator()
-        aggregator.update(0, 5, 20)
-        aggregator.update(0, 1, 10)  # late partial queued behind a fresher one
-        assert (aggregator.accepted, aggregator.trials) == (5, 20)
-
-    def test_stop_rule_respects_min_trials(self):
-        aggregator = StreamingAggregator(stop_halfwidth=0.5, min_trials=100)
-        aggregator.update(0, 50, 50)
-        assert not aggregator.satisfied
-        aggregator.update(0, 100, 100)
-        assert aggregator.satisfied
-
-    def test_stop_decision_before_bind_fires_on_bind(self):
-        aggregator = StreamingAggregator(stop_halfwidth=0.5, min_trials=10)
-        aggregator.update(0, 64, 64)  # satisfied while unbound
-        assert aggregator.satisfied
-        fired = []
-        aggregator.bind_stop(lambda: fired.append(True))
-        assert fired == [True]
-
-    def test_stop_fires_exactly_once(self):
-        fired = []
-        aggregator = StreamingAggregator(stop_halfwidth=0.5, min_trials=10)
-        aggregator.bind_stop(lambda: fired.append(True))
-        aggregator.update(0, 64, 64)
-        aggregator.update(1, 64, 64)
-        assert fired == [True]
-
-    def test_thread_safety_of_concurrent_updates(self):
-        aggregator = StreamingAggregator()
-
-        def feed(shard_index):
-            for done in range(1, 101):
-                aggregator.update(shard_index, done, done)
-
-        threads = [threading.Thread(target=feed, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert (aggregator.accepted, aggregator.trials) == (400, 400)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +240,15 @@ class TestProcessStreaming:
 
 
 # ---------------------------------------------------------------------------
-# chunk-granular stop beats shard-granular stop
+# the stop halts shards mid-range
 # ---------------------------------------------------------------------------
 
 
 class TestChunkGranularStop:
     def test_streamed_stop_saves_trials_on_serial(self):
-        # Serial is fully deterministic: the streamed stop acts on the first
-        # chunk whose merged Wilson interval is narrow enough, well before
-        # the first 1000-trial shard completes — a pure function of inputs.
+        # Serial is fully deterministic: shard 0 stops on the first trial
+        # whose Wilson interval is narrow enough, well before the first
+        # 1000-trial shard completes — a pure function of inputs.
         spec = small_spec()
         kwargs = dict(
             seed=SEED, executor="serial", shard_count=4,
@@ -320,9 +257,11 @@ class TestChunkGranularStop:
         streamed = estimate_acceptance_sharded(spec, 4000, **kwargs)
         assert streamed.stopped_early
         assert streamed.estimate.trials < 1000
-        # Chunk granularity: the streamed run consumed whole chunks only.
-        assert streamed.estimate.trials % 32 == 0
-        # Deterministic: the streamed stop point reproduces exactly.
+        # Trial-exact: the run is the single-process stop.
+        assert streamed.estimate == streamed.prefix == estimate_acceptance_fast(
+            spec.resolve(), 4000, seed=SEED, stop_halfwidth=0.05, min_trials=64
+        )
+        # Deterministic: the stop point reproduces exactly.
         again = estimate_acceptance_sharded(spec, 4000, **kwargs)
         assert again.estimate == streamed.estimate
 
@@ -343,8 +282,8 @@ class TestChunkGranularStop:
 
     def test_stop_under_thread_contention_keeps_counts_exact(self):
         # More workers than cores and a tiny switch interval: stops racing
-        # dispatches and partials must still merge exact per-shard prefixes
-        # whose total satisfies the stop rule the run claims.
+        # dispatches and partials must still merge exact per-shard prefixes,
+        # and the booked prefix satisfies the stop rule the run claims.
         spec = noisy_spec()
         plan = spec.resolve()
         interval = sys.getswitchinterval()
@@ -357,7 +296,7 @@ class TestChunkGranularStop:
                     stop_halfwidth=0.05, min_trials=64,
                 )
                 assert sharded.stopped_early and sharded.report.ok
-                low, high = sharded.estimate.interval
+                low, high = sharded.prefix.interval
                 assert high - low <= 2 * 0.05
                 for result in sharded.shard_results:
                     if result.trials:
@@ -737,10 +676,9 @@ class TestProcessHandleRelease:
         from repro.parallel.executors import STOP_SLOTS, _run_shard
 
         spec = small_spec()
-        aggregator = StreamingAggregator()
         with ProcessExecutor(workers=2) as executor:
             handle = executor.start_run(
-                _run_shard, self._payloads(spec), on_progress=aggregator.update
+                _run_shard, self._payloads(spec), on_progress=lambda *update: None
             )
             handle.close()  # abandoned: results() never called
             assert len(executor._free_slots) == STOP_SLOTS

@@ -5,8 +5,8 @@ The load-bearing properties:
 - **Crash identity** — under any injected crash/hang/retry schedule the
   supervised merged estimate is bit-identical to the undisturbed
   single-process run: shards are counter ranges, re-execution is pure, and
-  the aggregator's never-regress rule dedups repeated partials.  Pinned for
-  1/2/8 shards across rng modes against seeded chaos schedules.
+  one result per shard reaches the merge (partials are heartbeats only).
+  Pinned for 1/2/8 shards across rng modes against seeded chaos schedules.
 - **Deadlines** — a shard with no heartbeat within ``shard_timeout`` is
   declared failed (kind ``"timeout"``), its dispatch stopped, and a retry
   dispatched; a late completion from an abandoned attempt is accepted as
@@ -292,8 +292,9 @@ class TestCrashIdentity:
         assert any(f.kind == "timeout" for f in sharded.report.failures)
 
     def test_wilson_stop_still_satisfied_under_chaos(self):
-        # The streamed Wilson stop composes with supervision: the stopped
-        # estimate must satisfy the stop rule it claims, crashes and all.
+        # The Wilson stop composes with supervision: the stopped estimate
+        # must satisfy the stop rule it claims, crashes and all, and the
+        # booked prefix is the single-process stop.
         policy = FaultPolicy(seed=3, crash_rate=0.3)
         sharded, chaos = _chaos_run(
             small_spec(), policy, shard_count=8, trials=4000,
@@ -303,6 +304,9 @@ class TestCrashIdentity:
         assert sharded.estimate.trials < 4000
         low, high = sharded.estimate.interval
         assert high - low <= 2 * 0.05
+        assert sharded.prefix == estimate_acceptance_fast(
+            small_spec().resolve(), 4000, seed=SEED, stop_halfwidth=0.05, min_trials=64
+        )
 
     def test_zero_retries_propagates_crash_from_estimator(self):
         chaos = ChaosExecutor(SerialExecutor(), FaultPolicy(seed=1, crash_rate=1.0))
@@ -452,17 +456,31 @@ class TestShardSupervisor:
 
         def body(payload, should_stop, publish=None):
             _, shard, _ = payload
-            publish(shard.index, 1, 1)  # the progress callback stops the run
+            supervisor.request_stop()  # a stop while the shard runs
             seen.append(should_stop())  # no tick later: already stopped
             return ShardResult(shard=shard, accepted=1, trials=1)
 
-        supervisor = ShardSupervisor(
-            SerialExecutor(), body, _toy_payloads(shard_count=3),
-            on_progress=lambda *update: supervisor.request_stop(),
-        )
+        supervisor = ShardSupervisor(SerialExecutor(), body, _toy_payloads(shard_count=3))
         results, report = supervisor.run()
         assert seen == [True]  # later shards were never dispatched
         assert sorted(results) == [0] and report.ok
+
+    def test_converged_partial_result_is_accepted(self):
+        # Shard 0 that stopped on the run's rule is short of its range but
+        # complete: no failure, no retry.  Every publish is a heartbeat.
+        def body(payload, should_stop, publish=None):
+            _, shard, _ = payload
+            publish(shard.index, 1, 1)
+            publish(shard.index, 2, 2)
+            if shard.index == 0:
+                return ShardResult(shard=shard, accepted=2, trials=2, converged=True)
+            return _complete(shard)
+
+        supervisor = ShardSupervisor(SerialExecutor(), body, _toy_payloads(shard_count=3))
+        results, report = supervisor.run()
+        assert sorted(results) == [0, 1, 2] and results[0].trials == 2
+        assert report.ok and not report.failures and report.retries == 0
+        assert supervisor.progress_updates == 6
 
     def test_zero_retries_propagates_the_shard_exception(self):
         def body(payload, should_stop, publish=None):
