@@ -51,7 +51,11 @@ class FingerprintVectorSpec:
     tuples of highest-degree-first coefficients — ``own`` for the polynomial
     this node evaluates when *sending*, ``stored[q]`` for the replica it
     checks the port-``q`` message against; the kernel compares them as
-    tuples and converts only the dirty pairs' polynomials to int64 arrays.
+    tuples to find the dirty pairs, and tabulates a dirty pair over one
+    field from the difference of the receiver's ``stored[q]`` and the
+    sender's ``own`` (see :mod:`repro.engine.kernels`).  The plan computes
+    a context's spec once and keeps it in the node's compile slot, so a
+    spec must be a pure function of the context.
     ``draws`` is the number of ``randrange`` query points drawn per
     half-edge certificate call (``sub_points`` per sub-certificate, times
     the boosting factor for wrapped schemes), and ``certificate_bits`` the

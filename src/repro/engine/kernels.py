@@ -16,8 +16,15 @@ port) pair is a fixed boolean function of the drawn point ``x``:
   ``x in range(p_s)`` (the sender's field, where its points are drawn), as
   the *agree row* ``x < p_r and A_s(x) < p_r and Q_r(x) == A_s(x)``.
 
-Horner runs only while the agree rows are built (:meth:`_VectorState.prepare`,
-batched :func:`repro.substrates.gf.poly_eval_rows` passes over ``arange(p)``).
+When both ends use one field (every pair but a forged-kappa one), the row
+is ``D(x) == 0`` for the *difference polynomial* ``D = Q_r - A_s``,
+reduced mod ``p``.  Factoring ``D = x**j C`` with ``C(0) != 0`` settles
+``x = 0`` (agrees iff ``j > 0``) and leaves ``C`` for the other points;
+a single-bit forgery changes one coefficient, so ``C`` is a nonzero
+constant and the row needs no Horner at all.  Pairs over two fields keep
+the two-polynomial row above.  Horner runs only while the agree rows are
+built (:meth:`_VectorState.prepare`, :func:`repro.substrates.gf.poly_eval_rows`
+passes over ``arange(p)``), once per distinct dirty pair.
 A chunk is then three stages, touching only the dirty pairs:
 
 1. **draw** — the kernels run only ``rng_mode="vector"``, whose draws
@@ -47,14 +54,17 @@ popcount-parity pass (:func:`repro.substrates.gf.gf2_inner_parities`).
 
 Eligibility is decided once per plan (:func:`vector_state`): the scheme must
 expose the optional ``engine_vector_spec`` hook and every node context must
-produce a spec of one kind — :class:`~repro.core.fingerprint.FingerprintVectorSpec`
+produce a spec of one kind (read from the node's compile slot, where it is
+computed once per context — see "Incremental compile" in
+:mod:`repro.engine.plan`) — :class:`~repro.core.fingerprint.FingerprintVectorSpec`
 for the agreement-table kernel, :class:`~repro.core.shared.ParityVectorSpec`
 for the parity kernel — otherwise the plan runs the scalar hook path
 unchanged.  Trial-invariant rejections (a node whose residual verdict is
 False, a sender/receiver fingerprint-format mismatch, a shared-coins plan run
 without public coins) make every trial of the plan reject; the kernels fold
-them into a constant-False chunk without touching the arithmetic, mirroring
-the plan-level constant-False short-circuit for unparseable labels.
+them into a constant-False chunk without touching the arithmetic (a False
+residual verdict without even scanning the pairs), mirroring the
+plan-level constant-False short-circuit for unparseable labels.
 
 Arithmetic is exact: coefficients and query points live below the
 fingerprint prime, so every Horner step stays below ``p**2 + p``, far inside
@@ -169,14 +179,6 @@ def vector_state(plan):
     return state
 
 
-def _half_edge_owners(plan) -> List[int]:
-    """The owning node index of every flat half-edge."""
-    owner: List[int] = []
-    for i, degree in enumerate(plan.degrees):
-        owner.extend([i] * degree)
-    return owner
-
-
 def _build_vector_state(plan):
     if _np is None or not numpy_available():
         return None
@@ -186,10 +188,13 @@ def _build_vector_state(plan):
     if spec_hook is None:
         return None
     specs = []
-    for context in plan.contexts:
+    for slot, context in zip(plan._slots, plan.contexts):
         if context is None:
             return None  # plan.constant_verdict is False; nothing to run
-        spec = spec_hook(context)
+        if slot.context is context:
+            spec = slot.vector_spec(spec_hook)
+        else:  # a context swapped into the plan after compile
+            spec = spec_hook(context)
         if spec is None:
             return None
         specs.append(spec)
@@ -206,14 +211,15 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
         return None
     draw_count = draws.pop()
 
-    constant_false = any(not spec.accepts_when_checks_pass for spec in specs)
+    if not all(spec.accepts_when_checks_pass for spec in specs):
+        return _VectorState(draws=draw_count, constant_false=True)
 
     # Sender/receiver fingerprint-format mismatches (a forged label claiming
     # a different kappa) are trial-invariant: the scalar check_raw rejects on
     # packed width / point count before any arithmetic, every trial.
     # Otherwise a pair is dirty unless its receiver checks the sender's own
     # polynomial over the sender's own field.
-    owner = _half_edge_owners(plan)
+    owner = plan.half_edge_owners
     pairs: List[_DirtyPair] = []
     for i, incoming_ports in enumerate(plan.incoming):
         receiver = specs[i]
@@ -223,15 +229,15 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
                 sender.certificate_bits != receiver.certificate_bits
                 or sender.sub_points != receiver.sub_points
             ):
-                constant_false = True
+                return _VectorState(draws=draw_count, constant_false=True)
             stored = receiver.stored[port]
             if receiver.prime != sender.prime or stored != sender.own:
                 pairs.append(
                     _DirtyPair(source, sender.prime, sender.own, receiver.prime, stored)
                 )
 
-    if constant_false or not pairs:
-        return _VectorState(draws=draw_count, constant_false=constant_false)
+    if not pairs:
+        return _VectorState(draws=draw_count, constant_false=False)
 
     # Dirty pair k's draw d sits at position k * draws + d.  Under edge/node
     # randomness one stream feeds every half-edge in sequence (half-edge h's
@@ -259,34 +265,65 @@ def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
 def _agree_rows(pairs):
     """Every dirty pair's check tabulated over its sender's field, concatenated.
 
-    The only Horner evaluation of the kernel: each distinct (field,
-    polynomial) is converted to an int64 row and evaluated once over
-    ``arange(p_s)``, the sender's field (a sender-side fault dirties every
-    pair its polynomial reaches).
+    The only Horner evaluation of the kernel, once per distinct pair
+    (a sender-side fault dirties every pair its polynomial reaches, all
+    with the same row).
     """
-    evaluated: Dict[Tuple[int, int, Tuple[int, ...]], "object"] = {}
-
-    def values(coefficients, prime, points):
-        key = (prime, len(points), coefficients)
-        if key not in evaluated:
-            evaluated[key] = poly_eval_rows(
-                _np.asarray(coefficients, dtype=_np.int64).reshape(1, -1),
-                points.reshape(1, -1),
-                prime,
-            )[0]
-        return evaluated[key]
-
+    built: Dict[tuple, "object"] = {}
     rows = []
     for pair in pairs:
-        points = _np.arange(pair.sender_prime, dtype=_np.int64)
-        sent = values(pair.sent, pair.sender_prime, points)
-        checked = values(pair.stored, pair.receiver_prime, points)
-        rows.append(
-            (points < pair.receiver_prime)
-            & (sent < pair.receiver_prime)
-            & (checked == sent)
-        )
+        key = (pair.sender_prime, pair.receiver_prime, pair.sent, pair.stored)
+        row = built.get(key)
+        if row is None:
+            if pair.sender_prime == pair.receiver_prime:
+                row = _difference_row(pair.stored, pair.sent, pair.sender_prime)
+            else:
+                row = _mixed_prime_row(pair)
+            built[key] = row
+        rows.append(row)
     return _np.concatenate(rows)
+
+
+def _difference_row(stored, sent, prime):
+    """``Q_r(x) == A_s(x)`` over ``GF(prime)``, as ``D(x) == 0``, ``D = Q_r - A_s``.
+
+    ``D``'s coefficients (highest degree first, the shorter polynomial
+    padded with leading zeros) are reduced mod ``prime``; leading zeros are
+    dropped and trailing zeros factored out as ``x**j``, so ``D = x**j C``
+    with ``C(0) != 0``: ``x = 0`` agrees iff ``j > 0``, and any other ``x``
+    iff ``C(x) == 0``.  Horner runs on ``C`` only, and not at all when ``D``
+    is zero (every point agrees) or ``C`` a constant (only ``x = 0`` can).
+    """
+    width = max(len(stored), len(sent))
+    difference = _np.zeros(width, dtype=_np.int64)
+    difference[width - len(stored):] = stored
+    difference[width - len(sent):] -= _np.asarray(sent, dtype=_np.int64)
+    difference %= prime
+    nonzero = _np.flatnonzero(difference)
+    if not len(nonzero):
+        return _np.ones(prime, dtype=bool)
+    core = difference[nonzero[0]:nonzero[-1] + 1]
+    if len(core) == 1:
+        row = _np.zeros(prime, dtype=bool)
+    else:
+        points = _np.arange(prime, dtype=_np.int64)
+        row = poly_eval_rows(core.reshape(1, -1), points.reshape(1, -1), prime)[0] == 0
+    row[0] = nonzero[-1] < width - 1  # j > 0
+    return row
+
+
+def _mixed_prime_row(pair):
+    """``x < p_r and A_s(x) < p_r and Q_r(x) == A_s(x)`` for ``x`` in
+    ``range(p_s)``, each polynomial evaluated over its own field."""
+    points = _np.arange(pair.sender_prime, dtype=_np.int64).reshape(1, -1)
+    sent = poly_eval_rows(
+        _np.asarray(pair.sent, dtype=_np.int64).reshape(1, -1), points, pair.sender_prime
+    )[0]
+    checked = poly_eval_rows(
+        _np.asarray(pair.stored, dtype=_np.int64).reshape(1, -1), points, pair.receiver_prime
+    )[0]
+    points = points[0]
+    return (points < pair.receiver_prime) & (sent < pair.receiver_prime) & (checked == sent)
 
 
 def _build_parity_state(plan, specs) -> Optional[_ParityState]:
@@ -320,7 +357,7 @@ def _build_parity_state(plan, specs) -> Optional[_ParityState]:
             constant_false=True,
         )
 
-    owner = _half_edge_owners(plan)
+    owner = plan.half_edge_owners
     diffs: List[List[int]] = []
     for i, spec in enumerate(specs):
         for port, source in enumerate(plan.incoming[i]):

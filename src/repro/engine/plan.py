@@ -84,7 +84,9 @@ schemes whose certificates are pure polynomial fingerprints; when every
 context yields one, whole trial chunks execute through the numpy
 agreement-table kernel of :mod:`repro.engine.kernels` with per-trial decisions
 identical to the scalar hook path (``plan.vector_ready`` /
-``run_trials(..., vectorize=True)``).
+``run_trials(..., vectorize=True)``).  It must be a pure function of
+``ctx``: the plan calls it once per context and keeps the spec next to
+the context in the node's memo slot.
 
 Compile-time constant folding
 -----------------------------
@@ -108,19 +110,36 @@ Incremental compile (the node-context memo)
 
 Drivers that recompile one configuration under labels that differ in a
 node or two (a forgery search, a bit-flip ranking) pay only for the nodes
-whose view changed.  For each live ``(configuration, scheme)`` pair the
-compiler keeps one slot per node holding the ``(LabelView, context)`` of
-that node's last compile; a node reuses the slot's context iff its new
-view ``==`` the slot's view (frozen-dataclass value equality over node,
-state, degree, params and own label), and otherwise calls
-``engine_node_context`` and overwrites the slot — the unparseable outcome
-included.  Configurations are keyed weakly (the memo dies with its
-configuration) and schemes by identity, as in ``PlanCache``; an entry holds
-its scheme strongly, so the ``id`` cannot be recycled while it lives.
-Views whose state holds a mutable container (:meth:`NodeState.frozen
-<repro.core.configuration.NodeState.frozen>` is False) are never stored.
-Memory is at most one context per node per live (configuration, scheme),
-and nothing is added to plans.  Generic-path schemes build no entry.
+whose label changed.  The memo keeps, per live configuration, one
+*skeleton*: the label-independent half of a compile — ``params``,
+``nodes``, ``degrees``, the ``incoming`` wiring, ``half_edge_count``, the
+half-edge owner list and the node states — and, per scheme, one slot per
+node holding ``(state, own_label, context, spec)`` from that node's last
+compile.  A compile reuses the skeleton iff ``configuration.graph`` is the
+same object with an unmoved :attr:`~repro.graphs.port_graph.PortGraph.mutations`
+counter (every ``PortGraph`` mutator bumps it) and every node's state is
+the identical, frozen object; otherwise it rebuilds the skeleton, which
+keeps the old slots only if ``params``, ``nodes`` and ``degrees`` are
+unchanged.  A node then reuses its slot iff ``slot.state is state`` and
+``slot.own_label == label`` (the skeleton fixes node, degree and params),
+and otherwise calls ``engine_node_context`` on a fresh
+:class:`~repro.core.scheme.LabelView` and overwrites the slot — the
+unparseable outcome included.  The slot's ``spec`` is the context's
+``engine_vector_spec``, computed once, on the first
+:func:`~repro.engine.kernels.vector_state` that needs it.  A one-node
+relabel therefore parses one node and describes one node to the kernel;
+what is left per candidate is a few flat passes over the nodes' slots and,
+in ``vector_state``, one over the half-edges comparing coefficient tuples.
+
+Configurations are keyed weakly (the memo dies with its configuration) and
+schemes by identity, as in ``PlanCache``; a slot list holds its scheme
+strongly, so the ``id`` cannot be recycled while it lives.  A state that
+holds a mutable container (:meth:`NodeState.frozen
+<repro.core.configuration.NodeState.frozen>` is False) is never stored in a
+slot, and a skeleton over one is rebuilt on every compile.  Memory is one
+skeleton per live configuration plus at most one slot per node per scheme;
+plans share the skeleton's tuples.  Generic-path schemes use the skeleton
+but build no slots, and build ``plan.label_views`` on first use.
 """
 
 from __future__ import annotations
@@ -129,6 +148,7 @@ import random
 import threading
 import weakref
 from functools import cached_property
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bitstrings import BitString
@@ -178,51 +198,167 @@ def check_kernel_mode(rng_mode: RngMode) -> None:
 
 _EMPTY = BitString.empty()
 
-# The node-context memo: configuration -> {id(scheme): (scheme, slots)},
-# where slots[i] is node i's last (LabelView, context).  The lock covers
-# entry creation only; a slot is read and written as one tuple, so a reader
-# always sees a matching (view, context) pair, and two racing compiles of
-# equal views store one of two equal contexts.
-_CONTEXT_MEMO: "weakref.WeakKeyDictionary[Configuration, Dict[int, tuple]]" = (
+# The node-context memo: configuration -> its _Skeleton, whose ``slots``
+# map id(scheme) -> (scheme, per-node _Slot list).  The lock covers memo
+# and slot-list lookups only; a slot is immutable but for its lazily set
+# spec, and a slot list entry is replaced as one object, so a reader always
+# sees a matching (inputs, context) slot, and two racing compiles of equal
+# inputs store one of two equal contexts.
+_CONTEXT_MEMO: "weakref.WeakKeyDictionary[Configuration, _Skeleton]" = (
     weakref.WeakKeyDictionary()
 )
 _CONTEXT_MEMO_LOCK = threading.Lock()
+_NO_SPEC = object()
 
 
-def _context_slots(scheme: RandomizedScheme, configuration: Configuration, size: int) -> list:
+class _Slot:
+    """One node's compile under one scheme: its inputs and their context.
+
+    ``spec`` is the context's ``engine_vector_spec``, set on first use by
+    :func:`repro.engine.kernels.vector_state`.
+    """
+
+    __slots__ = ("state", "own_label", "context", "spec")
+
+    def __init__(self, state, own_label: BitString, context) -> None:
+        self.state = state
+        self.own_label = own_label
+        self.context = context
+        self.spec = _NO_SPEC
+
+    def vector_spec(self, spec_hook):
+        """``spec_hook(context)``, computed once per slot (racing first
+        callers may both compute it; the hook is pure, so both store equal
+        specs)."""
+        spec = self.spec
+        if spec is _NO_SPEC:
+            spec = self.spec = spec_hook(self.context)
+        return spec
+
+
+class _Skeleton:
+    """The label-independent half of a compile, built once per configuration.
+
+    Holds what every compile of one configuration computes alike — params,
+    node order, degrees, the resolved port wiring and the node states — plus
+    the per-scheme node slots.  A skeleton is reused while
+    :meth:`describes` the configuration.
+    """
+
+    __slots__ = (
+        "graph", "mutations", "states", "frozen", "params", "nodes", "degrees",
+        "incoming", "half_edge_count", "half_edge_owners", "slots",
+    )
+
+    def __init__(self, configuration: Configuration) -> None:
+        graph = configuration.graph
+        self.graph = graph
+        self.mutations = graph.mutations
+        self.params = SchemeParams.from_configuration(configuration)
+        self.nodes: Tuple[Node, ...] = tuple(graph.nodes)
+        self.states = tuple(configuration.state(node) for node in self.nodes)
+        self.frozen = all(state.frozen() for state in self.states)
+        node_index = {node: i for i, node in enumerate(self.nodes)}
+        self.degrees: Tuple[int, ...] = tuple(graph.degree(node) for node in self.nodes)
+
+        # Half-edge layout: certificates are generated in the same order the
+        # one-shot engine uses (nodes in graph order, ports ascending), and
+        # half-edge (node i, port q) lives at flat index offset[i] + q.
+        offsets: List[int] = []
+        owners: List[int] = []
+        total = 0
+        for i, degree in enumerate(self.degrees):
+            offsets.append(total)
+            owners.extend([i] * degree)
+            total += degree
+        self.half_edge_count = total
+        self.half_edge_owners: Tuple[int, ...] = tuple(owners)
+
+        # incoming[i][q] = flat index of the half-edge whose message arrives
+        # on port q of node i — the entire exchange_messages round resolved
+        # to index arithmetic.
+        incoming: List[List[int]] = [[0] * degree for degree in self.degrees]
+        for i, node in enumerate(self.nodes):
+            for port, neighbor, reverse_port in graph.ports(node):
+                incoming[node_index[neighbor]][reverse_port] = offsets[i] + port
+        self.incoming: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(ports) for ports in incoming
+        )
+        self.slots: Dict[int, tuple] = {}
+
+    def describes(self, configuration: Configuration) -> bool:
+        """True while the configuration is still the one this was built from:
+        the same graph object, unmutated, and the identical frozen state
+        object at every node.  A skeleton over a state that is not frozen
+        never describes anything (the state could have changed in place)."""
+        graph = configuration.graph
+        return (
+            self.frozen
+            and graph is self.graph
+            and graph.mutations == self.mutations
+            and all(map(is_, self.states, map(configuration.states.get, self.nodes)))
+        )
+
+    def keeps_slots_of(self, other: "_Skeleton") -> bool:
+        """True when ``other``'s slots are valid here: a context is a
+        function of node, degree, params, state and label, and the slots
+        check the last two themselves."""
+        return (
+            self.params == other.params
+            and self.nodes == other.nodes
+            and self.degrees == other.degrees
+        )
+
+    def node_slots(
+        self, scheme: RandomizedScheme, labels: Dict[Node, BitString]
+    ) -> Tuple[_Slot, ...]:
+        """Every node's slot for ``labels``, rebuilt only where the node's
+        state or label changed since its slot was stored."""
+        with _CONTEXT_MEMO_LOCK:
+            entry = self.slots.get(id(scheme))
+            if entry is None:
+                entry = self.slots[id(scheme)] = (scheme, [None] * len(self.nodes))
+        memo = entry[1]
+        engine_node_context = scheme.engine_node_context
+        slots: List[_Slot] = []
+        for i, state in enumerate(self.states):
+            node = self.nodes[i]
+            label = labels[node]
+            slot = memo[i]
+            if (
+                slot is None
+                or slot.state is not state
+                or (slot.own_label is not label and slot.own_label != label)
+            ):
+                try:
+                    context = engine_node_context(
+                        LabelView(node, state, self.degrees[i], self.params, label)
+                    )
+                except ValueError:
+                    # Unparseable (forged) label: certificates are malformed
+                    # and the node itself rejects — see run_trial.
+                    context = None
+                slot = _Slot(state, label, context)
+                if state.frozen():
+                    memo[i] = slot
+            slots.append(slot)
+        return tuple(slots)
+
+
+def _skeleton(configuration: Configuration) -> _Skeleton:
+    """The configuration's skeleton, rebuilt (and stored) unless it still
+    describes the configuration; a rebuilt skeleton keeps the old one's
+    slots when they stay valid."""
     with _CONTEXT_MEMO_LOCK:
-        by_scheme = _CONTEXT_MEMO.get(configuration)
-        if by_scheme is None:
-            by_scheme = _CONTEXT_MEMO[configuration] = {}
-        entry = by_scheme.get(id(scheme))
-        if entry is None or len(entry[1]) != size:
-            entry = by_scheme[id(scheme)] = (scheme, [None] * size)
-        return entry[1]
-
-
-def _node_contexts(
-    scheme: RandomizedScheme,
-    configuration: Configuration,
-    views: Sequence[LabelView],
-) -> Tuple[object, ...]:
-    """Every node's hook context, rebuilt only where the view changed."""
-    slots = _context_slots(scheme, configuration, len(views))
-    contexts: List[object] = []
-    for i, view in enumerate(views):
-        slot = slots[i]
-        if slot is not None and slot[0] == view:
-            contexts.append(slot[1])
-            continue
-        try:
-            context = scheme.engine_node_context(view)
-        except ValueError:
-            # Unparseable (forged) label: certificates are malformed and
-            # the node itself rejects — see run_trial.
-            context = None
-        if view.state.frozen():
-            slots[i] = (view, context)
-        contexts.append(context)
-    return tuple(contexts)
+        skeleton = _CONTEXT_MEMO.get(configuration)
+    if skeleton is not None and skeleton.describes(configuration):
+        return skeleton
+    fresh = _Skeleton(configuration)
+    if skeleton is not None and fresh.keeps_slots_of(skeleton):
+        fresh.slots = skeleton.slots
+    with _CONTEXT_MEMO_LOCK:
+        _CONTEXT_MEMO[configuration] = fresh
+    return fresh
 
 
 def _certificate(engine_certificate, context, port, rng):
@@ -264,51 +400,23 @@ class VerificationPlan:
         # plan's identity (PlanCache keys on it) so a plan compiled for
         # vector draws is never served to a compat caller.
         self.rng_mode = rng_mode
-        self.params = SchemeParams.from_configuration(configuration)
-
-        graph = configuration.graph
-        self.nodes: Tuple[Node, ...] = tuple(graph.nodes)
-        node_index = {node: i for i, node in enumerate(self.nodes)}
-        self.degrees: Tuple[int, ...] = tuple(graph.degree(node) for node in self.nodes)
-
-        self.label_views: Tuple[LabelView, ...] = tuple(
-            LabelView(
-                node=node,
-                state=configuration.state(node),
-                degree=self.degrees[i],
-                params=self.params,
-                own_label=labels[node],
-            )
-            for i, node in enumerate(self.nodes)
-        )
-
-        # Half-edge layout: certificates are generated in the same order the
-        # one-shot engine uses (nodes in graph order, ports ascending), and
-        # half-edge (node i, port q) lives at flat index offset[i] + q.
-        offsets: List[int] = []
-        total = 0
-        for degree in self.degrees:
-            offsets.append(total)
-            total += degree
-        self.half_edge_count = total
-
-        # incoming[i][q] = flat index of the half-edge whose message arrives
-        # on port q of node i — the entire exchange_messages round resolved
-        # to index arithmetic.
-        incoming: List[List[int]] = [[0] * degree for degree in self.degrees]
-        for i, node in enumerate(self.nodes):
-            for port, neighbor, reverse_port in graph.ports(node):
-                incoming[node_index[neighbor]][reverse_port] = offsets[i] + port
-        self.incoming: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(ports) for ports in incoming
-        )
+        skeleton = _skeleton(configuration)
+        self.params: SchemeParams = skeleton.params
+        self.nodes: Tuple[Node, ...] = skeleton.nodes
+        self.degrees: Tuple[int, ...] = skeleton.degrees
+        self.half_edge_count: int = skeleton.half_edge_count
+        self.half_edge_owners: Tuple[int, ...] = skeleton.half_edge_owners
+        self.incoming: Tuple[Tuple[int, ...], ...] = skeleton.incoming
+        self._states = skeleton.states
 
         # Scheme fast path: parse every label once (and, through the
-        # node-context memo, only the labels whose view changed since this
+        # node-context memo, only the labels that changed since this
         # configuration's last compile).
+        self._slots: Optional[Tuple[_Slot, ...]] = None
         self.contexts: Optional[Tuple[object, ...]] = None
         if engine_hooks_available(scheme):
-            self.contexts = _node_contexts(scheme, configuration, self.label_views)
+            self._slots = skeleton.node_slots(scheme, labels)
+            self.contexts = tuple(slot.context for slot in self._slots)
 
         # Compile-time constant folding: a node that cannot parse its own
         # label rejects every trial, so the whole plan's verdict is already
@@ -319,6 +427,22 @@ class VerificationPlan:
             context is None for context in self.contexts
         ):
             self.constant_verdict = False
+
+    @cached_property
+    def label_views(self) -> Tuple[LabelView, ...]:
+        """Every node's :class:`LabelView`, built on first use (the generic
+        path's input; the hook path builds views only for the nodes it
+        re-parses)."""
+        return tuple(
+            LabelView(
+                node=node,
+                state=state,
+                degree=degree,
+                params=self.params,
+                own_label=self.labels[node],
+            )
+            for node, state, degree in zip(self.nodes, self._states, self.degrees)
+        )
 
     # Compat-mode RNG seed strings: derive_rng seeds with the trial seed
     # followed by a per-stream suffix and re-hashes the whole string through

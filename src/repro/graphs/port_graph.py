@@ -44,6 +44,10 @@ class PortGraph:
     def __init__(self) -> None:
         # _ports[v][i] == (w, j)  <=>  port i of v is wired to port j of w.
         self._ports: Dict[Node, List[HalfEdge]] = {}
+        # Bumped by every mutator below, so a cache of derived structure
+        # (the plan compiler's per-configuration skeleton) can tell that the
+        # same graph object no longer has the same wiring.
+        self.mutations = 0
 
     # -- construction --------------------------------------------------------
 
@@ -51,6 +55,7 @@ class PortGraph:
         """Register an isolated node (idempotent)."""
         if node not in self._ports:
             self._ports[node] = []
+            self.mutations += 1
 
     def add_edge(self, u: Node, v: Node) -> Tuple[int, int]:
         """Wire a new edge using the next free port at each endpoint.
@@ -67,6 +72,7 @@ class PortGraph:
         port_v = len(self._ports[v])
         self._ports[u].append((v, port_v))
         self._ports[v].append((u, port_u))
+        self.mutations += 1
         return port_u, port_v
 
     @staticmethod
@@ -257,6 +263,7 @@ class PortGraph:
             raise ValueError(f"graft requires disjoint node sets; shared: {overlap}")
         for node, half_edges in other._ports.items():
             self._ports[node] = list(half_edges)
+        self.mutations += 1
 
     def rewire(self, node: Node, port: int, new_neighbor: Node, new_reverse_port: int) -> None:
         """Point ``(node, port)`` at ``(new_neighbor, new_reverse_port)``.
@@ -265,6 +272,7 @@ class PortGraph:
         the graph is used (``cross_edge_pairs`` always does).
         """
         self._ports[node][port] = (new_neighbor, new_reverse_port)
+        self.mutations += 1
 
     def induced_edges(self, nodes: Set[Node]) -> List[Tuple[Node, int, Node, int]]:
         """Edges with *both* endpoints inside ``nodes``."""

@@ -1236,23 +1236,22 @@ class TestAgreementTableSetUp:
 
     def test_prepare_builds_the_rows_exactly_once(self, monkeypatch):
         import repro.engine.kernels as kernels
-        from repro.substrates.gf import poly_eval_rows
 
         plan = self._symmetry_fault_plan()
         calls = []
+        agree_rows = kernels._agree_rows
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return poly_eval_rows(*args, **kwargs)
+            return agree_rows(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "poly_eval_rows", counting)
+        monkeypatch.setattr(kernels, "_agree_rows", counting)
         plan.prepare()
-        built = len(calls)
-        assert built > 0
+        assert len(calls) == 1
         agree = kernels.vector_state(plan).agree
         plan.prepare()
         accepted = kernels.run_chunk(plan, [derive_trial_seed(7, t) for t in range(64)])
-        assert len(calls) == built
+        assert len(calls) == 1
         assert kernels.vector_state(plan).agree is agree
         assert len(accepted) == 64
 
@@ -1297,6 +1296,153 @@ class TestAgreementTableSetUp:
                 assert results == [expected] * 6
         finally:
             sys.setswitchinterval(interval)
+
+
+def _two_polynomial_rows(pairs):
+    """The agree rows by definition: both polynomials tabulated, each over
+    its own field, and compared point by point.  The oracle the kernel's
+    difference rows must reproduce."""
+    import numpy as np
+
+    from repro.substrates.gf import poly_eval_rows
+
+    rows = []
+    for pair in pairs:
+        points = np.arange(pair.sender_prime, dtype=np.int64).reshape(1, -1)
+
+        def values(coefficients, prime, points=points):
+            matrix = np.asarray(coefficients, dtype=np.int64).reshape(1, -1)
+            return poly_eval_rows(matrix, points, prime)[0]
+
+        sent = values(pair.sent, pair.sender_prime)
+        checked = values(pair.stored, pair.receiver_prime)
+        rows.append(
+            (points[0] < pair.receiver_prime)
+            & (sent < pair.receiver_prime)
+            & (checked == sent)
+        )
+    return np.concatenate(rows)
+
+
+@needs_numpy
+class TestDifferenceRows:
+    """Same-field agree rows come from D = Q_r - A_s, stripped to its core;
+    they must equal the two-polynomial rows on every input."""
+
+    PRIMES = (2, 3, 23, 37, 53)
+
+    @staticmethod
+    def _shape(pair):
+        """(D is zero, core length, j) of a same-field pair, computed naively."""
+        p = pair.sender_prime
+        width = max(len(pair.sent), len(pair.stored))
+        stored = (0,) * (width - len(pair.stored)) + tuple(pair.stored)
+        sent = (0,) * (width - len(pair.sent)) + tuple(pair.sent)
+        difference = [(q - a) % p for q, a in zip(stored, sent)]
+        nonzero = [k for k, c in enumerate(difference) if c]
+        if not nonzero:
+            return True, 0, 0
+        return False, nonzero[-1] - nonzero[0] + 1, width - 1 - nonzero[-1]
+
+    def _fuzz_pairs(self, seed, count):
+        """Seeded pairs: a random polynomial and a structured edit of it."""
+        from repro.engine.kernels import _DirtyPair
+
+        rng = random.Random(seed)
+        pairs = []
+        for _ in range(count):
+            p = rng.choice(self.PRIMES)
+            # Stored coefficients reach past p: the kernel reduces them.
+            sent = tuple(rng.randrange(3 * p) for _ in range(rng.randrange(0, 10)))
+            stored = list(sent)
+            edit = rng.choice(("zero", "one", "several", "tail", "longer", "shorter"))
+            if edit == "zero":  # unequal tuples, D = 0 mod p
+                stored = [c + p * rng.randrange(3) for c in stored]
+                stored = [p * rng.randrange(1, 3)] * rng.randrange(3) + stored
+            elif edit in ("one", "several", "tail") and stored:
+                edits = 1 if edit == "one" else rng.randrange(2, 5)
+                limit = len(stored) - (rng.randrange(1, len(stored) + 1) if edit == "tail" else 0)
+                for _ in range(edits):
+                    if limit <= 0:
+                        break
+                    k = rng.randrange(limit)
+                    stored[k] += rng.randrange(1, p)
+            elif edit == "longer":
+                stored = [rng.randrange(3 * p) for _ in range(rng.randrange(1, 4))] + stored
+            elif edit == "shorter" and stored:
+                stored = stored[rng.randrange(1, len(stored) + 1):]
+            receiver = p
+            if rng.random() < 0.2:  # the mixed-field fallback
+                receiver = rng.choice([q for q in self.PRIMES if q != p])
+            pairs.append(_DirtyPair(0, p, sent, receiver, tuple(stored)))
+        return pairs
+
+    def test_fuzz_matches_the_two_polynomial_rows(self):
+        from repro.engine.kernels import _agree_rows
+
+        pairs = self._fuzz_pairs(seed=2015, count=600)
+        seen = set()
+        for pair in pairs:
+            assert _agree_rows([pair]).tolist() == _two_polynomial_rows([pair]).tolist(), pair
+            if pair.receiver_prime != pair.sender_prime:
+                seen.add("mixed primes")
+                continue
+            zero, core, j = self._shape(pair)
+            if zero:
+                seen.add("D = 0" if pair.stored == pair.sent else "D = 0 mod p, unequal tuples")
+            else:
+                seen.add(("constant core" if core == 1 else "longer core", j > 0))
+            if len(pair.stored) != len(pair.sent):
+                seen.add("unequal lengths")
+            if any(c >= pair.sender_prime for c in pair.stored):
+                seen.add("stored coefficient >= p")
+        # One call over every pair: rows concatenate in pair order, and
+        # repeated pairs reuse one row.
+        batch = pairs + pairs[:50]
+        assert _agree_rows(batch).tolist() == _two_polynomial_rows(batch).tolist()
+        assert seen >= {
+            "mixed primes", "D = 0 mod p, unequal tuples", "unequal lengths",
+            "stored coefficient >= p",
+            ("constant core", False), ("constant core", True),
+            ("longer core", False), ("longer core", True),
+        }
+
+    def test_zero_and_constant_cores_skip_horner(self, monkeypatch):
+        import repro.engine.kernels as kernels
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Horner pass ran")
+
+        monkeypatch.setattr(kernels, "poly_eval_rows", forbidden)
+        pair = kernels._DirtyPair
+        rows = kernels._agree_rows([
+            pair(0, 37, (1, 2, 3), 37, (38, 2, 40)),   # D = 0 mod 37
+            pair(0, 37, (1, 2, 3), 37, (1, 5, 3)),     # D = 3x
+            pair(0, 37, (1, 2, 3), 37, (0, 1, 2, 4)),  # D = 1
+        ]).tolist()
+        assert rows[:37] == [True] * 37
+        assert rows[37:74] == [True] + [False] * 36
+        assert rows[74:] == [False] * 37
+
+    def test_spec_proof_faults_match_the_two_polynomial_rows(self):
+        """Every registered spec's proof-fault plan whose kernel has dirty
+        fingerprint pairs (each a single-bit forgery)."""
+        from spec_matrix import SCHEME_NAMES, matrix_plan
+
+        from repro.engine.kernels import _VectorState, vector_state
+
+        covered = []
+        for name in SCHEME_NAMES:
+            plan = matrix_plan(name, "proof-fault", rng_mode="vector")
+            if plan is None or plan.constant_verdict is not None:
+                continue
+            state = vector_state(plan)
+            if not isinstance(state, _VectorState) or not state.pairs:
+                continue
+            expected = _two_polynomial_rows(state.pairs).tolist()
+            assert state.prepare().agree.tolist() == expected, name
+            covered.append(name)
+        assert len(covered) >= 10, covered
 
 
 class TestPlanCacheRngMode:
@@ -1518,8 +1664,7 @@ class TestIncrementalCompile:
         # Not vacuous: some plan of the sequence has mixed verdicts (the
         # uniformity scheme's context ignores labels: every trial accepts).
         assert mixed == (case != "uniformity")
-        entry = _CONTEXT_MEMO.get(config, {})
-        assert (id(scheme) in entry) == (case != "generic")
+        assert (id(scheme) in _CONTEXT_MEMO[config].slots) == (case != "generic")
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -1534,27 +1679,142 @@ class TestIncrementalCompile:
         monkeypatch.setattr(FingerprintCompiledRPLS, "engine_node_context", counting)
         return calls
 
-    def test_only_changed_views_rebuild(self, counted):
+    def test_only_changed_views_rebuild(self, counted, monkeypatch):
+        """A one-node relabel parses that node and asks for that node's
+        vector spec, nothing else; the lazy label views are the eager ones."""
+        from repro.core.scheme import LabelView, SchemeParams
+        from repro.engine.kernels import vector_state
+
         config = spanning_tree_configuration(12, 4, seed=125)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         honest = scheme.prover(config)
         a, b = config.graph.nodes[2], config.graph.nodes[5]
+        described = []
+        original_spec = FingerprintCompiledRPLS.engine_vector_spec
+
+        def counting_spec(scheme, context):
+            described.append(context)
+            return original_spec(scheme, context)
+
+        monkeypatch.setattr(FingerprintCompiledRPLS, "engine_vector_spec", counting_spec)
 
         def rebuilt(labels):
             counted.clear()
-            VerificationPlan.compile(scheme, config, labels=labels)
-            return sorted(counted)
+            described.clear()
+            plan = VerificationPlan.compile(scheme, config, labels=labels)
+            vector_state(plan)
+            node_of = {id(context): node for node, context in zip(plan.nodes, plan.contexts)}
+            params = SchemeParams.from_configuration(config)
+            assert plan.label_views == tuple(
+                LabelView(
+                    node=node, state=config.state(node),
+                    degree=config.graph.degree(node), params=params,
+                    own_label=labels[node],
+                )
+                for node in config.graph.nodes
+            )
+            return sorted(counted), sorted(node_of[id(context)] for context in described)
 
-        assert len(rebuilt(honest)) == config.node_count
-        assert rebuilt(dict(honest)) == []
-        assert rebuilt(self._flip(honest, a)) == [a]
+        everyone = sorted(config.graph.nodes)
+        assert rebuilt(honest) == (everyone, everyone)
+        assert rebuilt(dict(honest)) == ([], [])
+        assert rebuilt(self._flip(honest, a)) == ([a], [a])
         # One slot per node: A reverts to honest (rebuilt), B changes.
-        assert rebuilt(self._flip(honest, b)) == sorted([a, b])
-        # The unparseable outcome is memoized too.
+        assert rebuilt(self._flip(honest, b)) == (sorted([a, b]), sorted([a, b]))
+        # The unparseable outcome is memoized too (and has no spec).
         truncated = self._truncate(honest, b)
-        assert rebuilt(truncated) == [b]
-        assert rebuilt(truncated) == []
+        assert rebuilt(truncated) == ([b], [])
+        assert rebuilt(truncated) == ([], [])
         assert VerificationPlan.compile(scheme, config, labels=truncated).constant_verdict is False
+        # The label-independent half is built once: plans share it.
+        assert (
+            VerificationPlan.compile(scheme, config).incoming
+            is VerificationPlan.compile(scheme, config, labels=truncated).incoming
+        )
+
+    MUTATIONS = ("add_node", "add_edge", "graft", "rewire", "swap_ports", "replace_state")
+
+    @staticmethod
+    def _mutate(config, labels, mutation):
+        """Change ``config`` in place (and extend ``labels`` to new nodes)."""
+        from repro.core.configuration import NodeState
+        from repro.graphs.port_graph import PortGraph, _swap_ports
+
+        graph = config.graph
+        nodes = graph.nodes
+        template = config.state(nodes[0])
+
+        def add_states(*new_nodes):
+            for node in new_nodes:
+                config.states[node] = NodeState(node, dict(template.fields))
+                labels[node] = labels[nodes[0]]
+
+        if mutation == "add_node":
+            graph.add_node(100)
+            add_states(100)
+        elif mutation == "add_edge":
+            u, v = next(
+                (u, v) for u in nodes for v in nodes if u < v and not graph.has_edge(u, v)
+            )
+            graph.add_edge(u, v)
+        elif mutation == "graft":
+            graph.graft(PortGraph.from_edges([(100, 101), (101, 102)]))
+            add_states(100, 101, 102)
+        elif mutation == "rewire":
+            # Cross two node-disjoint edges, ports preserved.
+            edges = graph.edges()
+            u, pu, v, pv = edges[0]
+            x, px, y, py = next(e for e in edges if not {e[0], e[2]} & {u, v})
+            graph.rewire(u, pu, y, py)
+            graph.rewire(y, py, u, pu)
+            graph.rewire(x, px, v, pv)
+            graph.rewire(v, pv, x, px)
+        elif mutation == "swap_ports":
+            _swap_ports(graph, next(n for n in nodes if graph.degree(n) >= 2), 0, 1)
+        elif mutation == "replace_state":
+            # The deviant node takes the common payload: Unif now holds.
+            payloads = [config.state(node).get("payload") for node in nodes]
+            common = max(payloads, key=payloads.count)
+            deviant = next(n for n, p in zip(nodes, payloads) if p != common)
+            config.states[deviant] = config.state(deviant).with_fields(payload=common)
+        else:  # pragma: no cover - parametrized over MUTATIONS
+            raise ValueError(mutation)
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_a_changed_configuration_rebuilds_the_skeleton(self, mutation):
+        """After a compile, every PortGraph mutator and every replaced state
+        entry makes the next compile equal a compile on a fresh copy, trial
+        for trial, in both rng modes."""
+        from repro.engine.plan import _CONTEXT_MEMO
+
+        scheme = DirectUnifRPLS()
+        config = uniform_configuration(10, 6, equal=False, seed=131)
+        labels = dict(scheme.prover(config))
+        seeds = [derive_trial_seed(9, t) for t in range(self.TRIALS)]
+
+        def outcome(plan):
+            verdicts = [plan.run_trial(seed) for seed in seeds]
+            return plan.nodes, plan.incoming, plan.degrees, plan.params, verdicts
+
+        before = {
+            rng_mode: outcome(VerificationPlan.compile(
+                scheme, config, labels=labels, rng_mode=rng_mode
+            ))
+            for rng_mode in RNG_MODES
+        }
+        skeleton = _CONTEXT_MEMO[config]
+        self._mutate(config, labels, mutation)
+        fresh_config = config.copy()
+        for rng_mode in RNG_MODES:
+            after = outcome(VerificationPlan.compile(
+                scheme, config, labels=labels, rng_mode=rng_mode
+            ))
+            assert after == outcome(VerificationPlan.compile(
+                scheme, fresh_config, labels=labels, rng_mode=rng_mode
+            )), rng_mode
+            # Not vacuous: a stale skeleton would have reproduced `before`.
+            assert after != before[rng_mode], rng_mode
+        assert _CONTEXT_MEMO[config] is not skeleton
 
     def test_scheme_instances_do_not_share_slots(self, counted):
         config = spanning_tree_configuration(10, 3, seed=126)
@@ -1601,7 +1861,7 @@ class TestIncrementalCompile:
         config = spanning_tree_configuration(10, 3, seed=128)
         labels = self._flip(scheme.prover(config), config.graph.nodes[0])
         plan = VerificationPlan.compile(scheme, config, labels=labels).prepare()
-        assert id(scheme) in _CONTEXT_MEMO[config]
+        assert id(scheme) in _CONTEXT_MEMO[config].slots
         ref = weakref.ref(config)
         del config, plan
         gc.collect()
@@ -1623,27 +1883,30 @@ class TestIncrementalCompile:
 
     def test_concurrent_compiles_see_their_own_views(self):
         """Threads recompiling one configuration under different forgeries
-        race on the same slots; every plan still gets exactly the contexts
-        of a from-scratch compile of its own labels."""
+        race on the same slots and their specs; every plan still gets
+        exactly the contexts and kernel pairs of a fresh compile of its own
+        labels."""
         import sys
         import threading
+
+        from repro.engine.kernels import vector_state
 
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         config = spanning_tree_configuration(12, 4, seed=130)
         honest = scheme.prover(config)
         victims = config.graph.nodes[:4]
         forgeries = [honest] + [self._flip(honest, victim) for victim in victims]
-        expected = [
-            VerificationPlan.compile(scheme, config.copy(), labels=labels).contexts
-            for labels in forgeries
-        ]
+        expected = []
+        for labels in forgeries:
+            plan = VerificationPlan.compile(scheme, config.copy(), labels=labels)
+            expected.append((plan.contexts, vector_state(plan).pairs))
         mismatches = []
 
         def worker(offset):
             for step in range(30):
                 index = (offset + step) % len(forgeries)
                 plan = VerificationPlan.compile(scheme, config, labels=forgeries[index])
-                if plan.contexts != expected[index]:
+                if (plan.contexts, vector_state(plan).pairs) != expected[index]:
                     mismatches.append((offset, step))
 
         interval = sys.getswitchinterval()
