@@ -26,7 +26,8 @@ test-specs:
 # sharded-stop contract (booked counts equal the single-process Wilson
 # stop) with the process-executor tests forced on even where
 # cpu_count() < 2, plus the workload-pattern and chunk-tail regression
-# suites.
+# suites (chunk sizes are engine constants; the tests set small ones
+# in-process with the set_chunk fixture).
 test-parallel:
 	REPRO_FORCE_PARALLEL_PROC=1 $(PYTHON) -m pytest \
 		tests/test_parallel.py tests/test_sharded_stop.py tests/test_chunk_tail.py \
@@ -47,11 +48,11 @@ test-chaos:
 	REPRO_FORCE_PARALLEL_PROC=1 $(PYTHON) -m pytest \
 		tests/test_supervision.py tests/test_chaos.py -q
 
-# The adaptive-budget tier: chunk policies, the campaign
-# allocator, and the installment seam, plus the chunk-tail suite that pins
-# the decision-validity contract (any chunk policy -> per-trial verdicts
-# bit-identical to the fixed-chunk run), with process-backend tests forced
-# on (mirrors test-parallel).
+# The adaptive-budget tier: the campaign allocator (its sizes are
+# constants in repro.parallel.controller) and the installment seam, plus
+# the chunk-tail suite that pins the decision-validity contract (any chunk
+# size -> per-trial verdicts bit-identical to the one-trial-chunk run),
+# with process-backend tests forced on (mirrors test-parallel).
 test-controller:
 	REPRO_FORCE_PARALLEL_PROC=1 $(PYTHON) -m pytest \
 		tests/test_controller.py tests/test_chunk_tail.py -q

@@ -11,11 +11,8 @@ conditions; the Theorem 3.1 compiler shrinks the exchanged messages to
 Run:  python examples/distance_certification.py
 """
 
-from repro.core.verifier import (
-    estimate_acceptance,
-    verify_deterministic,
-    verify_randomized,
-)
+from repro.core.verifier import verify_deterministic, verify_randomized
+from repro.engine import estimate_acceptance_batched
 from repro.graphs.workloads import corrupt_distance, distance_configuration
 from repro.schemes.distance import DistancePLS, distance_rpls
 
@@ -43,7 +40,7 @@ def main() -> None:
     print(f"deterministic audit flags the stale entry: {not stale.accepted}")
     print(f"  first detecting nodes: {list(stale.rejecting_nodes)[:4]}")
 
-    estimate = estimate_acceptance(
+    estimate = estimate_acceptance_batched(
         rpls, corrupted, trials=60, labels=rpls.prover(corrupted)
     )
     print(f"randomized audit acceptance on stale tables: {estimate}")

@@ -11,7 +11,8 @@ longer minimum) being caught.
 Run:  python examples/mst_verification.py
 """
 
-from repro.core.verifier import estimate_acceptance, verify_deterministic, verify_randomized
+from repro.core.verifier import verify_deterministic, verify_randomized
+from repro.engine import estimate_acceptance_batched
 from repro.graphs.generators import corrupt_mst_swap, mst_configuration
 from repro.schemes.mst import MSTPLS, mst_rpls
 
@@ -43,7 +44,7 @@ def main() -> None:
     )
     print(f"deterministic scheme rejects it: {not deterministic_check.accepted}")
 
-    estimate = estimate_acceptance(
+    estimate = estimate_acceptance_batched(
         scheme, corrupted, trials=40, labels=scheme.prover(corrupted)
     )
     print(f"randomized acceptance on corrupted MST: {estimate}")

@@ -14,7 +14,7 @@ Run:  python examples/noisy_links.py
 from repro.core.boosting import majority_decision
 from repro.core.compiler import FingerprintCompiledRPLS
 from repro.core.noise import NoisyChannelRPLS, flip_probability_for_completeness
-from repro.core.verifier import estimate_acceptance
+from repro.engine import estimate_acceptance_batched
 from repro.graphs.generators import (
     corrupt_spanning_tree,
     spanning_tree_configuration,
@@ -33,7 +33,7 @@ def main() -> None:
     print("\ncompleteness decay with channel noise:")
     for p in (0.0, 0.001, 0.01, 0.05):
         noisy = NoisyChannelRPLS(base, p)
-        rate = estimate_acceptance(noisy, configuration, trials=60).probability
+        rate = estimate_acceptance_batched(noisy, configuration, trials=60).probability
         print(f"  flip probability {p:<6} -> accept legal with prob ~{rate:.2f}")
 
     # Calibrate the channel to the paper's two-sided regime (accept >= 3/4).

@@ -9,7 +9,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.compiler import FingerprintCompiledRPLS
-from repro.core.verifier import estimate_acceptance, verify_deterministic, verify_randomized
+from repro.core.verifier import verify_deterministic, verify_randomized
+from repro.engine import estimate_acceptance_batched
 from repro.graphs.generators import corrupt_spanning_tree, spanning_tree_configuration
 from repro.schemes.spanning_tree import SpanningTreePLS
 
@@ -38,7 +39,7 @@ def main() -> None:
     print(f"deterministic scheme rejects corrupted tree: {not forged.accepted} "
           f"(rejecting nodes: {list(forged.rejecting_nodes)[:4]} ...)")
 
-    estimate = estimate_acceptance(
+    estimate = estimate_acceptance_batched(
         rpls, corrupted, trials=50, labels=rpls.prover(configuration)
     )
     print(f"randomized scheme acceptance on corrupted tree: {estimate} "

@@ -12,7 +12,8 @@ Run:  python examples/shared_coins.py
 
 from repro.core.compiler import FingerprintCompiledRPLS
 from repro.core.shared import SharedCoinsCompiledRPLS
-from repro.core.verifier import estimate_acceptance, verify_randomized
+from repro.core.verifier import verify_randomized
+from repro.engine import estimate_acceptance_batched
 from repro.graphs.generators import corrupt_mst_swap, mst_configuration
 from repro.schemes.mst import MSTPLS
 
@@ -43,7 +44,7 @@ def main() -> None:
     print(f"legal MST accepted under shared coins: {run.accepted}")
 
     corrupted = corrupt_mst_swap(network, seed=2)
-    estimate = estimate_acceptance(
+    estimate = estimate_acceptance_batched(
         shared,
         corrupted,
         trials=50,

@@ -15,7 +15,8 @@ Run:  python examples/universal_scheme.py
 """
 
 from repro.core.bitstrings import BitString
-from repro.core.verifier import estimate_acceptance, verify_deterministic, verify_randomized
+from repro.core.verifier import verify_deterministic, verify_randomized
+from repro.engine import estimate_acceptance_batched
 from repro.graphs.generators import sym_pair_configuration
 from repro.schemes.symmetry import SymPredicate, sym_universal_rpls, sym_universal_scheme
 
@@ -44,7 +45,7 @@ def main() -> None:
 
     # Soundness: try to pass the asymmetric gadget off with the labels of the
     # symmetric one (they describe a different graph, so consistency breaks).
-    estimate = estimate_acceptance(
+    estimate = estimate_acceptance_batched(
         rpls, asymmetric, trials=30, labels=rpls.prover(asymmetric)
     )
     print(f"universal RPLS acceptance on G(z, z'): {estimate}")

@@ -45,9 +45,10 @@ Knobs
   trial; hook-path schemes only).  A plan compiled with ``rng_mode=...``
   makes that mode its default for every run.
 - ``stop_halfwidth=...`` enables the confidence-interval early exit of
-  :func:`estimate_acceptance_fast`, checked after every trial;
-  ``chunk_policy=FixedChunkPolicy(n)`` sets how many trials run per chunk,
-  which only affects throughput.
+  :func:`estimate_acceptance_fast`, checked after every trial.  Trials run
+  in chunks of ``montecarlo.DEFAULT_CHUNK`` on the kernels and
+  ``montecarlo.SCALAR_CHUNK`` on the scalar paths; chunk size only affects
+  throughput, so it is a constant, not a knob.
 - ``vectorize=...`` selects the numpy trial-chunk kernel
   (:mod:`repro.engine.kernels`): fingerprint-certificate schemes run whole
   Monte-Carlo chunks as lookups in per-plan agree rows (one draw, one
@@ -76,11 +77,7 @@ See ``docs/engine.md`` for the full architecture and hook contract, and
 """
 
 from repro.engine.cache import PlanCache
-from repro.engine.montecarlo import (
-    FixedChunkPolicy,
-    estimate_acceptance_batched,
-    estimate_acceptance_fast,
-)
+from repro.engine.montecarlo import estimate_acceptance_batched, estimate_acceptance_fast
 from repro.engine.plan import VerificationPlan
 from repro.engine.specs import (
     FAMILIES,
@@ -99,7 +96,6 @@ from repro.engine.specs import (
 
 __all__ = [
     "FAMILIES",
-    "FixedChunkPolicy",
     "PlanCache",
     "UnknownSchemeError",
     "VerdictSpec",

@@ -63,7 +63,6 @@ have produced, minus the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.bitstrings import BitString
@@ -74,10 +73,13 @@ from repro.core.verifier import RandomnessMode
 from repro.engine.plan import RngMode, VerificationPlan, check_kernel_mode
 from repro.graphs.port_graph import Node
 
-#: Trials per chunk: a kernel chunk costs about 0.1 ms of fixed overhead
-#: plus 20-70 ns per trial, and the per-trial cost stops falling near 3000.
+#: Trials per kernel (and constant-verdict) chunk: a kernel chunk costs
+#: about 0.1 ms of fixed overhead plus 20-70 ns per trial, and the per-trial
+#: cost stops falling near 3000.  Chunk size changes no verdict, count or
+#: stop, only throughput and how often the hooks run; the estimator reads
+#: both sizes at call time.
 DEFAULT_CHUNK = 4096
-#: Most trials a scalar path runs between ``should_stop`` polls and
+#: Trials per scalar chunk, hence between ``should_stop`` polls and
 #: ``progress`` updates.  A scalar trial costs about 1000 times a kernel
 #: one (0.9 ms on the noisy plan), so a 4096-trial scalar chunk would go
 #: seconds without a heartbeat.
@@ -106,32 +108,11 @@ def _vectorizes(plan: VerificationPlan, rng_mode: RngMode, vectorize: Optional[b
     return vectorize
 
 
-@dataclass(frozen=True)
-class FixedChunkPolicy:
-    """Trials per chunk, the one ``chunk_policy`` of every estimator.
-
-    Frozen, hence picklable: it rides to process-pool workers inside the
-    shard options dict.  ``FixedChunkPolicy()`` is the default of every
-    layer, sharded or not.  The size applies to kernel chunks; the scalar
-    paths cap their chunks at :data:`SCALAR_CHUNK`.
-    """
-
-    chunk_size: int = DEFAULT_CHUNK
-
-    def __post_init__(self):
-        if self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-
-    def describe(self) -> str:
-        return f"fixed:{self.chunk_size}"
-
-
 def estimate_acceptance_fast(
     plan: VerificationPlan,
     trials: int,
     seed: int = 0,
     rng_mode: Optional[RngMode] = None,
-    chunk_policy=FixedChunkPolicy(),
     stop_halfwidth: Optional[float] = None,
     min_trials: int = MIN_STOP_TRIALS,
     vectorize: Optional[bool] = None,
@@ -143,13 +124,13 @@ def estimate_acceptance_fast(
 ) -> "AcceptanceEstimate":
     """Estimate ``Pr[verifier accepts]`` by running ``trials`` plan rounds.
 
-    Trials run in chunks of ``chunk_policy.chunk_size`` (the last one
-    truncated to the budget); the scalar paths cap a chunk at
-    :data:`SCALAR_CHUNK` trials.  When ``stop_halfwidth`` is given, the
-    estimator stops at the first trial ``n >= min_trials`` whose Wilson
-    score interval is at most ``2 * stop_halfwidth`` wide and reports
-    exactly those ``n`` trials, so the stopped estimate equals the
-    ``FixedChunkPolicy(1)`` one for every chunk size.  Neither chunking nor
+    Kernel and constant-verdict chunks run :data:`DEFAULT_CHUNK` trials,
+    scalar chunks :data:`SCALAR_CHUNK` (the last one truncated to the
+    budget).  When ``stop_halfwidth`` is given (it must lie in the open
+    interval ``(0, 0.5)``), the estimator stops at the first trial ``n >=
+    min_trials`` whose Wilson score interval is at most ``2 *
+    stop_halfwidth`` wide and reports exactly those ``n`` trials, so the
+    stopped estimate is the same at every chunk size.  Neither chunking nor
     early exit changes a trial's seed or decision, only which prefix of the
     trial sequence is used; chunk size also sets how often ``should_stop``
     and ``progress`` run.
@@ -209,6 +190,8 @@ def estimate_acceptance_fast(
     if first_trial < 0:
         raise ValueError("first_trial must be non-negative")
     check_prior(prior)
+    if stop_halfwidth is not None:
+        validate_halfwidth(stop_halfwidth, "stop_halfwidth")
     if rng_mode is None:
         rng_mode = plan.rng_mode
     use_vector = _vectorizes(plan, rng_mode, vectorize)
@@ -223,7 +206,7 @@ def estimate_acceptance_fast(
 
     stop_width = None if stop_halfwidth is None else 2 * stop_halfwidth
     batched = use_vector or constant is not None
-    size = chunk_policy.chunk_size if batched else min(chunk_policy.chunk_size, SCALAR_CHUNK)
+    size = DEFAULT_CHUNK if batched else SCALAR_CHUNK
     accepted = 0
     done = 0
     stopped = stop_halfwidth is not None and wilson_stop_holds(
@@ -273,6 +256,18 @@ def check_prior(prior: Tuple[int, int]) -> None:
     accepted, trials = prior
     if not 0 <= accepted <= trials:
         raise ValueError("prior must be valid (accepted, trials) counts")
+
+
+def validate_halfwidth(value: float, name: str = "halfwidth") -> float:
+    """Reject stop/target halfwidths outside the meaningful open interval.
+
+    A halfwidth is half the width of a confidence interval on a proportion:
+    ``<= 0`` (or ``nan``) can never be satisfied and ``>= 0.5`` is satisfied
+    by the empty estimate — both are configuration mistakes, not stop rules.
+    """
+    if not (0 < value < 0.5):
+        raise ValueError(f"{name} must be in the open interval (0, 0.5), got {value}")
+    return value
 
 
 def _constant_verdicts(verdict: bool, count: int):

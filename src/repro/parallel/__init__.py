@@ -57,11 +57,7 @@ from repro.parallel.chaos import (
     ChaosWorkerHang,
     FaultPolicy,
 )
-from repro.parallel.controller import (
-    CampaignAllocator,
-    FixedChunkPolicy,
-    parse_chunk_policy,
-)
+from repro.parallel.controller import CampaignAllocator
 from repro.parallel.executors import (
     EXECUTORS,
     ProcessExecutor,
@@ -97,7 +93,6 @@ __all__ = [
     "ChaosWorkerCrash",
     "ChaosWorkerHang",
     "FaultPolicy",
-    "FixedChunkPolicy",
     "JsonlSink",
     "MemorySink",
     "PlanSpec",
@@ -118,7 +113,6 @@ __all__ = [
     "ThreadExecutor",
     "available_cpus",
     "estimate_acceptance_sharded",
-    "parse_chunk_policy",
     "resolve_executor",
     "run_campaign",
     "workload_spec",

@@ -56,13 +56,9 @@ from typing import (
     Union,
 )
 
+from repro.engine.montecarlo import validate_halfwidth
 from repro.obs.runtime import get_recorder
-from repro.parallel.controller import (
-    MIN_INSTALLMENT,
-    CampaignAllocator,
-    FixedChunkPolicy,
-    validate_halfwidth,
-)
+from repro.parallel.controller import CampaignAllocator
 from repro.parallel.executors import (
     ShardPlanner,
     estimate_acceptance_sharded,
@@ -471,7 +467,6 @@ def run_campaign(
     workers: Optional[int] = None,
     sink=None,
     planner: Optional[ShardPlanner] = None,
-    chunk_policy=FixedChunkPolicy(),
     cell_parallelism: int = 1,
     on_cell_error: str = "raise",
     cell_retries: int = 1,
@@ -479,7 +474,6 @@ def run_campaign(
     max_retries: int = 0,
     global_budget: Optional[int] = None,
     target_halfwidth: Optional[float] = None,
-    min_installment: int = MIN_INSTALLMENT,
 ) -> List[Dict]:
     """Run every (not yet completed) cell; returns the new records.
 
@@ -534,9 +528,7 @@ def run_campaign(
     ranges only — per-trial verdicts are untouched by allocation), and each
     cell's record carries its ``allocation`` history (per-installment
     ``first_trial``/``trials``) so a resumed or follow-up campaign can
-    continue the exact counter range.  ``chunk_policy`` (a policy object,
-    e.g. ``parse_chunk_policy("fixed:128")`` from
-    :mod:`repro.parallel.controller`) applies to every installment.
+    continue the exact counter range.
     """
     if cell_parallelism < 1:
         raise ValueError("cell_parallelism must be positive")
@@ -586,7 +578,6 @@ def run_campaign(
     options = {
         "executor": instance,
         "planner": planner,
-        "chunk_policy": chunk_policy,
         "shard_timeout": shard_timeout,
         "max_retries": max_retries,
     }
@@ -623,7 +614,7 @@ def run_campaign(
         elif pending:
             _run_adaptive_campaign(
                 campaign, pending, run_round, write, instance, global_budget,
-                target_halfwidth, min_installment, campaign_span,
+                target_halfwidth, campaign_span,
             )
     except BaseException as exc:
         campaign_span.__exit__(type(exc), exc, None)
@@ -644,7 +635,6 @@ def _run_adaptive_campaign(
     instance,
     global_budget: int,
     target_halfwidth: float,
-    min_installment: int,
     campaign_span,
 ) -> None:
     """The global-budget campaign loop: allocator rounds of installments.
@@ -671,10 +661,7 @@ def _run_adaptive_campaign(
     budget serves the other cells); ``"raise"`` aborts.
     """
     allocator = CampaignAllocator(
-        [cell.name for cell in pending],
-        global_budget,
-        target_halfwidth,
-        min_installment=min_installment,
+        [cell.name for cell in pending], global_budget, target_halfwidth
     )
     cells = {cell.name: cell for cell in pending}
     elapsed = {cell.name: 0.0 for cell in pending}

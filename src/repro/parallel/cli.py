@@ -24,9 +24,6 @@ worker pool.  A Wilson stop halts a run's shards the moment its booked
 prefix converges, and the booked counts end exactly where the
 single-process stop would (see ``docs/parallel.md``).
 
-``--chunk-policy fixed:N`` sets the trials per kernel chunk (default 4096;
-the scalar paths run at most 64 between stop checks).
-
 Adaptive budgets (see docs/parallel.md "Adaptive budgets"): ``campaign
 --global-budget 20000 --target-halfwidth 0.03`` replaces per-cell budgets
 with one allocator-managed pool that is re-granted to the widest cells
@@ -41,11 +38,10 @@ import sys
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.montecarlo import SCALAR_CHUNK
+from repro.engine.montecarlo import validate_halfwidth
 from repro.engine.plan import RNG_MODES
 from repro.obs.runtime import tracing
 from repro.parallel.campaign import Campaign, JsonlSink, MemorySink, run_campaign
-from repro.parallel.controller import FixedChunkPolicy, parse_chunk_policy
 from repro.parallel.executors import (
     EXECUTORS,
     available_cpus,
@@ -146,10 +142,9 @@ def _csv(value: str) -> List[str]:
 def _halfwidth_flag(flag: str):
     """An argparse ``type`` that bounds a halfwidth to the open (0, 0.5).
 
-    Same boundary-validation posture as ``--rng-mode``: reject the
-    impossible configuration at the CLI with a clear message instead of
-    letting it sink into the engine (``<= 0`` can never be satisfied,
-    ``>= 0.5`` always is).
+    The engine's :func:`~repro.engine.montecarlo.validate_halfwidth` test,
+    reported as a usage error at parse time (``<= 0`` can never be
+    satisfied, ``>= 0.5`` always is).
     """
 
     def parse(text: str) -> float:
@@ -159,21 +154,12 @@ def _halfwidth_flag(flag: str):
             raise argparse.ArgumentTypeError(
                 f"{flag} expects a number, got {text!r}"
             ) from None
-        if not (0 < value < 0.5):
-            raise argparse.ArgumentTypeError(
-                f"{flag} must be in the open interval (0, 0.5), got {text}"
-            )
-        return value
+        try:
+            return validate_halfwidth(value, flag)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
-
-
-def _chunk_policy_flag(text: str):
-    """The argparse ``type`` for ``--chunk-policy`` spec strings."""
-    try:
-        return parse_chunk_policy(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
@@ -195,15 +181,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="fixed shard count (default: planner picks from workers/budget)",
-    )
-    parser.add_argument(
-        "--chunk-policy",
-        type=_chunk_policy_flag,
-        default=FixedChunkPolicy(),
-        metavar="SPEC",
-        help="trials per kernel chunk between compute-stop checks (scalar "
-        f"paths check at least every {SCALAR_CHUNK} trials; the booked stop "
-        f"is exact at any size): 'fixed[:SIZE]' (default: {FixedChunkPolicy().describe()})",
     )
     parser.add_argument(
         "--stop-halfwidth",
@@ -250,7 +227,7 @@ def _tracing(args):
 
 
 def _planner(args) -> Optional[ShardPlanner]:
-    return ShardPlanner(shard_count=args.shards) if args.shards else None
+    return None if args.shards is None else ShardPlanner(shard_count=args.shards)
 
 
 def _build_executor(args):
@@ -307,7 +284,6 @@ def _cmd_estimate(args) -> int:
                 executor=executor,
                 workers=args.workers,
                 planner=_planner(args),
-                chunk_policy=args.chunk_policy,
                 stop_halfwidth=args.stop_halfwidth,
                 shard_timeout=args.shard_timeout,
                 max_retries=args.max_retries,
@@ -392,7 +368,6 @@ def _cmd_campaign(args) -> int:
                 workers=args.workers,
                 sink=sink,
                 planner=_planner(args),
-                chunk_policy=args.chunk_policy,
                 cell_parallelism=args.cell_parallelism,
                 on_cell_error=args.on_cell_error,
                 cell_retries=args.cell_retries,

@@ -1,49 +1,36 @@
-"""Adaptive budget control: the chunk-policy parser and the campaign allocator.
+"""Adaptive budget control: the campaign allocator.
 
-Two decisions used to be hardcoded integers threaded through every layer of
-the stack: *how many trials to run between stop-rule checks* and *how many
-trials each campaign cell gets* (the per-cell ``trials`` budget).  This
-module turns both into policy objects:
+The campaign allocator (:class:`CampaignAllocator`) manages one *global*
+trial budget across all cells of a campaign.  It grants budget in
+rounds: a cheap probe round first, then need-proportional rounds where
+cells whose merged Wilson interval is still wide receive most of the
+remaining pool and cells that reached the target halfwidth are starved
+entirely.  Grants a converged cell did not consume flow back into the
+pool automatically — the campaign layer only ever subtracts *consumed*
+trials.  Each installment books the single-process Wilson stop's prefix
+(:attr:`~repro.parallel.executors.ShardedEstimate.prefix`), and a cell
+converges on the same rule (:func:`~repro.simulation.metrics.wilson_stop_holds`
+with :data:`~repro.engine.montecarlo.MIN_STOP_TRIALS`), so a converged
+cell's counts equal ``estimate_acceptance_fast(plan, budget, seed,
+stop_halfwidth=target)`` on every backend and shard layout.
 
-- **Chunk policies**: :class:`~repro.engine.montecarlo.FixedChunkPolicy`
-  lives in the engine and is re-exported here; it plugs into the
-  ``chunk_policy`` seam of
-  :func:`~repro.engine.montecarlo.estimate_acceptance_fast`, which asks it
-  for the size of every chunk.  :func:`parse_chunk_policy` reads the CLI
-  spelling.  Every layer defaults to ``FixedChunkPolicy()``: the sharded
-  stop books the Wilson-minimal prefix from per-trial shard verdicts (see
-  :mod:`repro.parallel.executors`), so no layer needs small chunks to keep
-  its answer exact.
-- **The campaign allocator** (:class:`CampaignAllocator`) manages one
-  *global* trial budget across all cells of a campaign.  It grants budget in
-  rounds: a cheap probe round first, then need-proportional rounds where
-  cells whose merged Wilson interval is still wide receive most of the
-  remaining pool and cells that reached the target halfwidth are starved
-  entirely.  Grants a converged cell did not consume flow back into the
-  pool automatically — the campaign layer only ever subtracts *consumed*
-  trials.  Each installment books the single-process Wilson stop's prefix
-  (:attr:`~repro.parallel.executors.ShardedEstimate.prefix`), and a cell
-  converges on the same rule (:func:`~repro.simulation.metrics.wilson_stop_holds`
-  with :data:`~repro.engine.montecarlo.MIN_STOP_TRIALS`), so a converged
-  cell's counts equal ``estimate_acceptance_fast(plan, budget, seed,
-  stop_halfwidth=target)`` on every backend and shard layout.
+The allocator's sizes are module constants (:data:`MIN_INSTALLMENT`,
+:data:`PROBE_TRIALS`, :data:`NEED_MARGIN`), as the estimator's chunk
+sizes are (:data:`~repro.engine.montecarlo.DEFAULT_CHUNK`,
+:data:`~repro.engine.montecarlo.SCALAR_CHUNK`).
 
 Decision-validity contract
 --------------------------
 
 Every trial's verdict is a pure function of ``(master seed, trial
-counter)`` (see :mod:`repro.core.seeding`), and both kinds of policy only
-ever decide *future counter ranges*: a chunk policy partitions a shard's
-fixed ``[start, stop)`` range into differently-sized prefixes, and the
-allocator extends a cell's consumed prefix ``[0, consumed)`` by the next
-installment ``[consumed, consumed + grant)``.  Policies therefore change
-**when the stop rule is checked, never any trial's verdict** — a run under
-any chunk policy is per-trial bit-identical to the fixed-chunk run over the
-same counter range, and a retried shard (supervision) re-executes its
-original range untouched because its payload was fixed at dispatch time.
-Grants decide only how far each installment may run; the booked stop
-lands on the same trial whatever they are.
-The chunk-tail and controller test suites pin this contract.
+counter)`` (see :mod:`repro.core.seeding`), and the allocator only ever
+decides *future counter ranges*: it extends a cell's consumed prefix
+``[0, consumed)`` by the next installment ``[consumed, consumed +
+grant)``.  Grants therefore change **how far each installment may run,
+never any trial's verdict**, and the booked stop lands on the same trial
+whatever they are; a retried shard (supervision) re-executes its original
+range untouched because its payload was fixed at dispatch time.  The
+controller test suite pins this contract.
 
 Observability
 -------------
@@ -60,14 +47,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.engine.montecarlo import MIN_STOP_TRIALS, FixedChunkPolicy
+from repro.engine.montecarlo import MIN_STOP_TRIALS, validate_halfwidth
 from repro.obs.runtime import get_metrics, record_event
 from repro.simulation.metrics import wilson_interval, wilson_stop_holds
 
-#: The allocator's smallest installment; the probe round grants twice it.
+#: The allocator's smallest grant while a cell's need estimate exceeds it.
 MIN_INSTALLMENT = 64
+#: Most trials a cell gets in the probe round: enough to clear the Wilson
+#: stop's ``MIN_STOP_TRIALS`` gate.
+PROBE_TRIALS = 2 * MIN_INSTALLMENT
+#: Safety factor on a cell's estimated remaining need, so the installment
+#: that should converge usually does.
+NEED_MARGIN = 1.25
 
 
 def observed_halfwidth(accepted: int, trials: int) -> float:
@@ -76,49 +69,6 @@ def observed_halfwidth(accepted: int, trials: int) -> float:
         return math.inf
     low, high = wilson_interval(accepted, trials)
     return (high - low) / 2
-
-
-def validate_halfwidth(value: float, name: str = "halfwidth") -> float:
-    """Reject stop/target halfwidths outside the meaningful open interval.
-
-    A halfwidth is half the width of a confidence interval on a proportion:
-    ``<= 0`` can never be satisfied and ``>= 0.5`` is satisfied by the empty
-    estimate — both are configuration mistakes, not stop rules.
-    """
-    if not (0 < value < 0.5):
-        raise ValueError(f"{name} must be in the open interval (0, 0.5), got {value}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# chunk policies
-# ---------------------------------------------------------------------------
-
-
-def parse_chunk_policy(text: str):
-    """Parse a ``--chunk-policy`` spec string into a policy object.
-
-    Accepted forms: ``fixed`` (the default of every layer,
-    ``FixedChunkPolicy()``) and ``fixed:SIZE``.
-
-    Raises :class:`ValueError` on unknown names, malformed arguments, or
-    out-of-range values (delegated to the policy constructor).
-    """
-    head, sep, rest = text.strip().partition(":")
-    head = head.strip()
-    if head == "fixed":
-        if not sep:
-            return FixedChunkPolicy()
-        try:
-            size = int(rest)
-        except ValueError:
-            raise ValueError(
-                f"fixed chunk policy takes an integer size, got {rest!r}"
-            ) from None
-        return FixedChunkPolicy(chunk_size=size)
-    raise ValueError(
-        f"unknown chunk policy {head!r} (choose from fixed[:SIZE])"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +101,15 @@ class CellLedger:
 class CampaignAllocator:
     """One global trial budget, granted to campaign cells in rounds.
 
-    Round 1 probes every cell with at most ``probe_trials`` (enough for the
-    Wilson stop's ``min_trials`` gate to clear) so lopsided cells converge
+    Round 1 probes every cell with at most :data:`PROBE_TRIALS` (enough for
+    the Wilson stop's ``min_trials`` gate to clear) so lopsided cells converge
     and return the rest of their fair share to the pool.  Every later round
     estimates each unconverged cell's *remaining need* from the observed
     interval — Wilson halfwidth shrinks like ``1/sqrt(n)``, so a cell at
     halfwidth ``w`` after ``n`` trials needs roughly ``n * ((w/target)^2 -
     1)`` more — and grants the pool need-proportionally, widest cells
-    first, each grant floored at ``min_installment`` while the need
-    estimate exceeds it.  Converged (and failed) cells receive nothing.
+    first, each grant floored at :data:`MIN_INSTALLMENT` while the need
+    estimate exceeds it (the need carries a :data:`NEED_MARGIN` factor).  Converged (and failed) cells receive nothing.
 
     The allocator only ever books *consumed* trials against the budget:
     an installment that converges mid-flight (the sharded Wilson stop)
@@ -173,9 +123,6 @@ class CampaignAllocator:
         names: Sequence[str],
         global_budget: int,
         target_halfwidth: float,
-        min_installment: int = MIN_INSTALLMENT,
-        probe_trials: Optional[int] = None,
-        need_margin: float = 1.25,
     ):
         if not names:
             raise ValueError("allocator needs at least one cell")
@@ -184,19 +131,8 @@ class CampaignAllocator:
         if global_budget <= 0:
             raise ValueError("global_budget must be positive")
         validate_halfwidth(target_halfwidth, "target_halfwidth")
-        if min_installment <= 0:
-            raise ValueError("min_installment must be positive")
-        if need_margin < 1.0:
-            raise ValueError("need_margin must be >= 1")
         self.global_budget = int(global_budget)
         self.target_halfwidth = float(target_halfwidth)
-        self.min_installment = int(min_installment)
-        self.probe_trials = (
-            int(probe_trials) if probe_trials is not None else 2 * self.min_installment
-        )
-        if self.probe_trials <= 0:
-            raise ValueError("probe_trials must be positive")
-        self.need_margin = float(need_margin)
         self.rounds = 0
         self._order = list(names)
         self.cells: Dict[str, CellLedger] = {
@@ -230,10 +166,10 @@ class CampaignAllocator:
         if not math.isfinite(halfwidth):
             # Never probed (a starved round-1 straggler): fall back to an
             # even share of what is left.
-            return max(self.min_installment, fair_share)
+            return max(MIN_INSTALLMENT, fair_share)
         ratio = halfwidth / self.target_halfwidth
-        estimate = cell.consumed * (ratio * ratio - 1.0) * self.need_margin
-        return max(self.min_installment, math.ceil(estimate))
+        estimate = cell.consumed * (ratio * ratio - 1.0) * NEED_MARGIN
+        return max(MIN_INSTALLMENT, math.ceil(estimate))
 
     def grants(self) -> Dict[str, int]:
         """The next round's grant table; empty means the campaign is done.
@@ -251,7 +187,7 @@ class CampaignAllocator:
         if self.rounds == 1:
             fair, extra = divmod(pool, len(live))
             for index, cell in enumerate(live):
-                want = min(fair + (1 if index < extra else 0), self.probe_trials)
+                want = min(fair + (1 if index < extra else 0), PROBE_TRIALS)
                 if want > 0:
                     grants[cell.name] = want
         else:

@@ -74,11 +74,11 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 from repro.engine.montecarlo import (
     DEFAULT_CHUNK,
     MIN_STOP_TRIALS,
-    FixedChunkPolicy,
     _kernel_prefix,
     check_prior,
     estimate_acceptance_fast,
     executed_path,
+    validate_halfwidth,
 )
 from repro.engine.plan import VerificationPlan
 from repro.obs.runtime import (
@@ -231,7 +231,6 @@ def _run_shard(
             shard.trials,
             seed=options["seed"],
             rng_mode=options["rng_mode"],
-            chunk_policy=options["chunk_policy"],
             first_trial=shard.start,
             should_stop=should_stop,
             progress=progress,
@@ -813,7 +812,6 @@ def estimate_acceptance_sharded(
     planner: Optional[ShardPlanner] = None,
     shard_count: Optional[int] = None,
     rng_mode: Optional[str] = None,
-    chunk_policy=FixedChunkPolicy(),
     stop_halfwidth: Optional[float] = None,
     min_trials: int = MIN_STOP_TRIALS,
     first_trial: int = 0,
@@ -842,11 +840,6 @@ def estimate_acceptance_sharded(
 
     Adaptive-budget hooks (see :mod:`repro.parallel.controller`):
 
-    - ``chunk_policy`` (a picklable
-      :class:`~repro.engine.montecarlo.FixedChunkPolicy`) rides to every
-      shard in the payload options and sets its trials per kernel chunk,
-      hence how often it publishes partial counts and polls the stop;
-      neither verdicts nor the booked ``prefix`` depend on it.
     - ``first_trial`` shifts the whole sharded range: the call covers
       counters ``[first_trial, first_trial + trials)``, exactly as the
       engine-level hook does for a single shard.  An *installment* run
@@ -876,6 +869,8 @@ def estimate_acceptance_sharded(
     if first_trial < 0:
         raise ValueError("first_trial must be non-negative")
     check_prior(prior)
+    if stop_halfwidth is not None:
+        validate_halfwidth(stop_halfwidth, "stop_halfwidth")
     if planner is not None and shard_count is not None:
         raise ValueError("pass either planner or shard_count, not both")
     if planner is None:
@@ -933,7 +928,6 @@ def estimate_acceptance_sharded(
         options = {
             "seed": seed,
             "rng_mode": rng_mode,
-            "chunk_policy": chunk_policy,
             "stop": None if stop_halfwidth is None else (prior, stop_halfwidth, min_trials),
         }
         if recorder.enabled:

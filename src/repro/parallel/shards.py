@@ -21,6 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+#: The default layout's smallest shard: below it, per-shard overhead (plan
+#: resolution, result shipping) would dominate.
+MIN_SHARD_TRIALS = 64
+#: The default layout's most shards per worker.
+SHARDS_PER_WORKER = 4
+
+
 @dataclass(frozen=True)
 class Shard:
     """One contiguous trial-counter range ``[start, stop)`` of a run."""
@@ -50,33 +57,21 @@ class ShardPlanner:
 
     ``shard_count`` fixes the number of shards outright; otherwise the
     planner targets one shard per worker, subdividing further (up to
-    ``oversubscribe`` shards per worker) when the budget allows, so the
-    cooperative early exit has shard boundaries to act on and a slow worker
-    cannot strand a huge tail range.  ``min_shard_trials`` stops the
-    subdivision below the point where per-shard overhead (plan resolution,
-    result shipping) would dominate.
+    :data:`SHARDS_PER_WORKER` shards per worker) when the budget allows, so
+    the cooperative early exit has shard boundaries to act on and a slow
+    worker cannot strand a huge tail range, but never into shards of fewer
+    than :data:`MIN_SHARD_TRIALS` trials.
 
     >>> [s.trials for s in ShardPlanner(shard_count=3).plan(10, workers=8)]
     [4, 3, 3]
-    >>> ShardPlanner().plan(100, workers=4)[0]
-    Shard(index=0, start=0, stop=25)
+    >>> ShardPlanner().plan(4096, workers=4)[0]
+    Shard(index=0, start=0, stop=256)
     """
 
-    def __init__(
-        self,
-        shard_count: Optional[int] = None,
-        min_shard_trials: int = 64,
-        oversubscribe: int = 4,
-    ):
+    def __init__(self, shard_count: Optional[int] = None):
         if shard_count is not None and shard_count < 1:
             raise ValueError("shard_count must be positive")
-        if min_shard_trials < 1:
-            raise ValueError("min_shard_trials must be positive")
-        if oversubscribe < 1:
-            raise ValueError("oversubscribe must be positive")
         self.shard_count = shard_count
-        self.min_shard_trials = min_shard_trials
-        self.oversubscribe = oversubscribe
 
     def resolve_count(self, trials: int, workers: int) -> int:
         """How many shards a budget of ``trials`` gets across ``workers``."""
@@ -86,8 +81,8 @@ class ShardPlanner:
             raise ValueError("workers must be positive")
         if self.shard_count is not None:
             return min(self.shard_count, trials)
-        by_size = max(1, trials // self.min_shard_trials)
-        return min(workers * self.oversubscribe, by_size, trials)
+        by_size = max(1, trials // MIN_SHARD_TRIALS)
+        return min(workers * SHARDS_PER_WORKER, by_size, trials)
 
     def plan(self, trials: int, workers: int = 1) -> Tuple[Shard, ...]:
         """The partition of ``[0, trials)`` — contiguous, disjoint, complete.

@@ -1,4 +1,4 @@
-"""Tier-1 test configuration: the ``slow_stats`` and ``parallel_proc`` markers.
+"""Tier-1 test configuration: the ``slow_stats`` / ``parallel_proc`` markers and ``set_chunk``.
 
 The statistical RNG-quality / cross-mode harness has two depths: a quick
 deterministic core that always runs (tier-1 must stay fast), and heavier
@@ -74,3 +74,22 @@ def pytest_collection_modifyitems(config, items):
                 item.add_marker(skip_proc)
             elif "chaos" in item.keywords:
                 item.add_marker(skip_chaos)
+
+
+@pytest.fixture
+def set_chunk(monkeypatch):
+    """``set_chunk(n)`` runs the estimator's chunks at ``n`` trials.
+
+    Chunk size changes no verdict, count or stop, so it is a pair of engine
+    constants (``DEFAULT_CHUNK`` on the kernels, ``SCALAR_CHUNK`` on the
+    scalar paths) rather than a parameter; the chunk-boundary tests set
+    both through this fixture.  It patches this process only: shards on a
+    process pool run at the real sizes.
+    """
+    from repro.engine import montecarlo
+
+    def set_size(size: int) -> None:
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", size)
+        monkeypatch.setattr(montecarlo, "SCALAR_CHUNK", size)
+
+    return set_size

@@ -6,7 +6,7 @@ executor's determinism contract (merged counts == single-process counts)
 silently depends on all of them:
 
 - the **final chunk** is truncated to the remaining trials — never padded,
-  never overshot — for every (trials, chunk_size) shape, on both the scalar
+  never overshot — for every (trials, chunk size) shape, on both the scalar
   and vectorized kernels;
 - the **Wilson early exit** fires at the first eligible trial, wherever it
   falls in a chunk, and the reported trial count is the exact prefix of the
@@ -18,7 +18,9 @@ silently depends on all of them:
 
 Every assertion here pins counts against the per-trial oracle
 (``plan.run_trial`` over explicit counter ranges), not against a second run
-of the same code path.
+of the same code path.  Chunk sizes are engine constants; the ``set_chunk``
+fixture (``conftest.py``) sets them small so boundaries fall inside these
+budgets.
 """
 
 import pytest
@@ -26,7 +28,7 @@ import pytest
 from repro.core.seeding import derive_trial_seed
 from repro.engine import estimate_acceptance_fast
 from repro.engine.montecarlo import DEFAULT_CHUNK, executed_path
-from repro.parallel import FixedChunkPolicy, workload_spec
+from repro.parallel import workload_spec
 from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
 
 
@@ -66,41 +68,38 @@ def oracle_counts(plan, seed, start, stop):
         (96, 32),    # exact multiple
     ],
 )
-def test_final_chunk_never_overshoots(noisy_plan, trials, chunk_size):
-    estimate = estimate_acceptance_fast(
-        noisy_plan, trials, seed=3, chunk_policy=FixedChunkPolicy(chunk_size)
-    )
+def test_final_chunk_never_overshoots(noisy_plan, set_chunk, trials, chunk_size):
+    set_chunk(chunk_size)
+    estimate = estimate_acceptance_fast(noisy_plan, trials, seed=3)
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(noisy_plan, 3, 0, trials)
 
 
 @pytest.mark.parametrize("trials,chunk_size", [(10, 64), (65, 64), (100, 33)])
-def test_vectorized_tail_matches_oracle(vector_plan, trials, chunk_size):
-    estimate = estimate_acceptance_fast(
-        vector_plan, trials, seed=3,
-        chunk_policy=FixedChunkPolicy(chunk_size), vectorize=True
-    )
+def test_vectorized_tail_matches_oracle(vector_plan, set_chunk, trials, chunk_size):
+    set_chunk(chunk_size)
+    estimate = estimate_acceptance_fast(vector_plan, trials, seed=3, vectorize=True)
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(vector_plan, 3, 0, trials)
 
 
-def test_early_exit_reports_the_exact_prefix(vector_plan):
+def test_early_exit_reports_the_exact_prefix(vector_plan, set_chunk):
     # All-accept workload + generous half-width: the stop rule fires at the
     # first eligible trial, min_trials=25, inside the third chunk of 10.
+    set_chunk(10)
     estimate = estimate_acceptance_fast(
-        vector_plan, 1000, seed=3,
-        chunk_policy=FixedChunkPolicy(10), stop_halfwidth=0.2, min_trials=25
+        vector_plan, 1000, seed=3, stop_halfwidth=0.2, min_trials=25
     )
     assert estimate.trials == 25
     assert estimate.accepted == oracle_counts(vector_plan, 3, 0, 25)
 
 
-def test_early_exit_on_a_tail_chunk(noisy_plan):
+def test_early_exit_on_a_tail_chunk(noisy_plan, set_chunk):
     # trials=37, chunk=16 -> chunks of 16, 16, 5.  A stop rule that can
     # only fire after the tail (min_trials=37) must still report exactly 37.
+    set_chunk(16)
     estimate = estimate_acceptance_fast(
-        noisy_plan, 37, seed=5,
-        chunk_policy=FixedChunkPolicy(16), stop_halfwidth=0.49, min_trials=37
+        noisy_plan, 37, seed=5, stop_halfwidth=0.49, min_trials=37
     )
     assert estimate.trials == 37
     assert estimate.accepted == oracle_counts(noisy_plan, 5, 0, 37)
@@ -110,33 +109,28 @@ def test_early_exit_never_fires_below_min_trials(vector_plan):
     # Budget smaller than min_trials: the stop rule must stay silent and
     # the full (tail-truncated) budget must run.
     estimate = estimate_acceptance_fast(
-        vector_plan, 50, seed=3,
-        chunk_policy=FixedChunkPolicy(64), stop_halfwidth=0.01, min_trials=128
+        vector_plan, 50, seed=3, stop_halfwidth=0.01, min_trials=128
     )
     assert estimate.trials == 50
 
 
 @pytest.mark.parametrize("split", [1, 10, 33, 64, 99])
-def test_first_trial_partition_reproduces_whole(noisy_plan, split):
+def test_first_trial_partition_reproduces_whole(noisy_plan, set_chunk, split):
     trials = 100
-    whole = estimate_acceptance_fast(
-        noisy_plan, trials, seed=7, chunk_policy=FixedChunkPolicy(32)
-    )
-    left = estimate_acceptance_fast(
-        noisy_plan, split, seed=7, chunk_policy=FixedChunkPolicy(32)
-    )
+    set_chunk(32)
+    whole = estimate_acceptance_fast(noisy_plan, trials, seed=7)
+    left = estimate_acceptance_fast(noisy_plan, split, seed=7)
     right = estimate_acceptance_fast(
-        noisy_plan, trials - split, seed=7,
-        chunk_policy=FixedChunkPolicy(32), first_trial=split
+        noisy_plan, trials - split, seed=7, first_trial=split
     )
     assert AcceptanceEstimate.merge([left, right]) == whole
     assert right.accepted == oracle_counts(noisy_plan, 7, split, trials)
 
 
-def test_first_trial_offset_with_vector_kernel(vector_plan):
+def test_first_trial_offset_with_vector_kernel(vector_plan, set_chunk):
+    set_chunk(16)
     offset = estimate_acceptance_fast(
-        vector_plan, 40, seed=7, first_trial=23, vectorize=True,
-        chunk_policy=FixedChunkPolicy(16)
+        vector_plan, 40, seed=7, first_trial=23, vectorize=True
     )
     assert offset.trials == 40
     assert offset.accepted == oracle_counts(vector_plan, 7, 23, 63)
@@ -155,34 +149,27 @@ SPEC_FAMILY_ROWS = ("biconnectivity", "mis", "hamiltonicity")
 
 @pytest.mark.parametrize("name", SPEC_FAMILY_ROWS)
 @pytest.mark.parametrize("trials,chunk_size", [(65, 64), (100, 33)])
-def test_spec_scheme_tail_matches_oracle(name, trials, chunk_size):
+def test_spec_scheme_tail_matches_oracle(set_chunk, name, trials, chunk_size):
     from spec_matrix import matrix_plan
 
     plan = matrix_plan(name, "proof-fault", "vector")
     assert plan is not None and plan.constant_verdict is None
-    estimate = estimate_acceptance_fast(
-        plan, trials, seed=3, chunk_policy=FixedChunkPolicy(chunk_size), vectorize=True
-    )
+    set_chunk(chunk_size)
+    estimate = estimate_acceptance_fast(plan, trials, seed=3, vectorize=True)
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(plan, 3, 0, trials)
 
 
 @pytest.mark.parametrize("name", SPEC_FAMILY_ROWS)
-def test_spec_scheme_partition_reproduces_whole(name):
+def test_spec_scheme_partition_reproduces_whole(set_chunk, name):
     from spec_matrix import matrix_plan
 
     plan = matrix_plan(name, "proof-fault", "vector")
     trials, split = 100, 33
-    whole = estimate_acceptance_fast(
-        plan, trials, seed=7, chunk_policy=FixedChunkPolicy(32)
-    )
-    left = estimate_acceptance_fast(
-        plan, split, seed=7, chunk_policy=FixedChunkPolicy(32)
-    )
-    right = estimate_acceptance_fast(
-        plan, trials - split, seed=7,
-        chunk_policy=FixedChunkPolicy(32), first_trial=split
-    )
+    set_chunk(32)
+    whole = estimate_acceptance_fast(plan, trials, seed=7)
+    left = estimate_acceptance_fast(plan, split, seed=7)
+    right = estimate_acceptance_fast(plan, trials - split, seed=7, first_trial=split)
     assert AcceptanceEstimate.merge([left, right]) == whole
     assert right.accepted == oracle_counts(plan, 7, split, trials)
 
@@ -190,70 +177,54 @@ def test_spec_scheme_partition_reproduces_whole(name):
 # Chunk sizes only re-partition a run's counter range into
 # differently-sized prefixes, so the per-trial verdicts — and therefore the
 # counts — must stay bit-identical to the 32-trial run.
-CHUNK_POLICY_ROWS = [
-    FixedChunkPolicy(chunk_size=33),
-    FixedChunkPolicy(chunk_size=7),
-    FixedChunkPolicy(chunk_size=17),
-]
+CHUNK_SIZE_ROWS = [33, 7, 17]
 
 
-@pytest.mark.parametrize(
-    "policy", CHUNK_POLICY_ROWS, ids=lambda p: p.describe()
-)
+@pytest.mark.parametrize("chunk_size", CHUNK_SIZE_ROWS)
 @pytest.mark.parametrize("trials", [1, 10, 65, 100])
-def test_chunk_policy_tail_matches_oracle(noisy_plan, policy, trials):
-    estimate = estimate_acceptance_fast(
-        noisy_plan, trials, seed=3, chunk_policy=policy
-    )
+def test_chunk_size_tail_matches_oracle(noisy_plan, set_chunk, chunk_size, trials):
+    set_chunk(chunk_size)
+    estimate = estimate_acceptance_fast(noisy_plan, trials, seed=3)
     assert estimate.trials == trials
     assert estimate.accepted == oracle_counts(noisy_plan, 3, 0, trials)
 
 
-@pytest.mark.parametrize(
-    "policy", CHUNK_POLICY_ROWS, ids=lambda p: p.describe()
-)
-def test_chunk_policy_partition_reproduces_whole(noisy_plan, policy):
+@pytest.mark.parametrize("chunk_size", CHUNK_SIZE_ROWS)
+def test_chunk_size_partition_reproduces_whole(noisy_plan, set_chunk, chunk_size):
     trials, split = 100, 33
-    whole = estimate_acceptance_fast(
-        noisy_plan, trials, seed=7, chunk_policy=FixedChunkPolicy(32)
-    )
-    left = estimate_acceptance_fast(
-        noisy_plan, split, seed=7, chunk_policy=policy
-    )
+    set_chunk(32)
+    whole = estimate_acceptance_fast(noisy_plan, trials, seed=7)
+    set_chunk(chunk_size)
+    left = estimate_acceptance_fast(noisy_plan, split, seed=7)
     right = estimate_acceptance_fast(
-        noisy_plan, trials - split, seed=7, first_trial=split,
-        chunk_policy=policy,
+        noisy_plan, trials - split, seed=7, first_trial=split
     )
     assert AcceptanceEstimate.merge([left, right]) == whole
 
 
-def test_chunk_policy_on_vector_kernel(vector_plan):
-    policy = FixedChunkPolicy(7)
-    estimate = estimate_acceptance_fast(
-        vector_plan, 100, seed=3, chunk_policy=policy, vectorize=True
-    )
+def test_chunk_size_on_vector_kernel(vector_plan, set_chunk):
+    set_chunk(7)
+    estimate = estimate_acceptance_fast(vector_plan, 100, seed=3, vectorize=True)
     assert estimate.trials == 100
     assert estimate.accepted == oracle_counts(vector_plan, 3, 0, 100)
 
 
-def test_stopped_adaptive_run_is_an_exact_prefix(noisy_plan):
+def test_stopped_adaptive_run_is_an_exact_prefix(noisy_plan, set_chunk):
     # A run that stops early reports some prefix length; re-running that
     # exact budget under a *different* chunking must land on identical
     # counts — the stop decision never leaks into any verdict.
-    policy = FixedChunkPolicy(7)
+    set_chunk(7)
     stopped = estimate_acceptance_fast(
-        noisy_plan, 5000, seed=9, chunk_policy=policy,
-        stop_halfwidth=0.08, min_trials=16,
+        noisy_plan, 5000, seed=9, stop_halfwidth=0.08, min_trials=16,
     )
     assert stopped.trials < 5000  # the stop rule actually fired
-    replay = estimate_acceptance_fast(
-        noisy_plan, stopped.trials, seed=9, chunk_policy=FixedChunkPolicy(17)
-    )
+    set_chunk(17)
+    replay = estimate_acceptance_fast(noisy_plan, stopped.trials, seed=9)
     assert (replay.accepted, replay.trials) == (stopped.accepted, stopped.trials)
     assert stopped.accepted == oracle_counts(noisy_plan, 9, 0, stopped.trials)
 
 
-def test_constant_verdict_short_circuit_still_reports_requested(vector_plan):
+def test_constant_verdict_short_circuit_still_reports_requested(vector_plan, set_chunk):
     # The degenerate path reports the *requested* trials (no loop ran);
     # pinned so the sharded merge stays exact for constant-False plans.
     from repro.core.compiler import FingerprintCompiledRPLS
@@ -270,9 +241,8 @@ def test_constant_verdict_short_circuit_still_reports_requested(vector_plan):
     labels[victim] = BitString(0, 1)  # unparseable: compile-time False
     plan = VerificationPlan.compile(scheme, configuration, labels=labels)
     assert plan.constant_verdict is False
-    estimate = estimate_acceptance_fast(
-        plan, 77, seed=0, chunk_policy=FixedChunkPolicy(16)
-    )
+    set_chunk(16)
+    estimate = estimate_acceptance_fast(plan, 77, seed=0)
     assert (estimate.accepted, estimate.trials) == (0, 77)
 
 
@@ -340,10 +310,11 @@ def stop_case(request):
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, DEFAULT_CHUNK])
-def test_wilson_stop_is_exact_to_the_trial(stop_case, chunk_size):
+def test_wilson_stop_is_exact_to_the_trial(stop_case, set_chunk, chunk_size):
     plan, expected = stop_case
+    set_chunk(chunk_size)
     estimate = estimate_acceptance_fast(
-        plan, 100_000, seed=3, chunk_policy=FixedChunkPolicy(chunk_size),
+        plan, 100_000, seed=3,
         stop_halfwidth=STOP_HALFWIDTH, min_trials=STOP_MIN_TRIALS,
     )
     assert (estimate.accepted, estimate.trials) == expected

@@ -1,11 +1,11 @@
-"""Adaptive budget controller suite: chunk policies, installments, allocator.
+"""Adaptive budget controller suite: chunk sizes, installments, allocator.
 
-Pins the decision-validity contract of :mod:`repro.parallel.controller`: chunk
-schedules and budget allocation only decide *future counter ranges*, so any
-policy's per-trial verdicts are bit-identical to the fixed-chunk run over the
-same range.  Covers the four layers the controller threads through:
+Pins the decision-validity contract of :mod:`repro.parallel.controller`:
+chunking and budget allocation only decide *future counter ranges*, so the
+per-trial verdicts are bit-identical to a one-shot run over the same range.
+Covers the layers the controller threads through:
 
-- chunk-policy objects and their ``--chunk-policy`` spec grammar;
+- the engine's chunk size and the halfwidth helpers;
 - ``estimate_acceptance_sharded``'s ``first_trial``/``prior`` seam;
 - :class:`CampaignAllocator` rounds and the global-budget campaign loop,
   end to end through ``run_campaign`` and the CLI.
@@ -15,29 +15,27 @@ import functools
 import json
 import math
 import multiprocessing
-import pickle
 import threading
 
 import pytest
 
 from repro.engine import estimate_acceptance_fast
-from repro.engine.montecarlo import DEFAULT_CHUNK, MIN_STOP_TRIALS
+from repro.engine.montecarlo import MIN_STOP_TRIALS, validate_halfwidth
 from repro.parallel import (
     Campaign,
     CampaignAllocator,
     Cell,
-    FixedChunkPolicy,
     JsonlSink,
     MemorySink,
     ShardPlanner,
     ThreadExecutor,
+    controller,
     estimate_acceptance_sharded,
-    parse_chunk_policy,
     run_campaign,
     workload_spec,
 )
 from repro.parallel.cli import main as cli_main
-from repro.parallel.controller import observed_halfwidth, validate_halfwidth
+from repro.parallel.controller import observed_halfwidth
 from repro.parallel.factories import compiled_spanning_tree
 from repro.parallel.spec import PlanSpec
 from repro.simulation.metrics import AcceptanceEstimate, wilson_interval, wilson_stop_holds
@@ -56,56 +54,22 @@ def noisy_spec():
 
 
 # ---------------------------------------------------------------------------
-# chunk policies
+# the chunk size and the halfwidth helpers
 # ---------------------------------------------------------------------------
 
 
 class TestChunkPolicies:
-    def test_parse_fixed(self):
-        assert parse_chunk_policy("fixed") == FixedChunkPolicy()
-        assert parse_chunk_policy("fixed").chunk_size == DEFAULT_CHUNK
-        assert parse_chunk_policy("fixed:128") == FixedChunkPolicy(chunk_size=128)
-
-    @pytest.mark.parametrize(
-        "policy",
-        [FixedChunkPolicy(chunk_size=33), FixedChunkPolicy()],
-    )
-    def test_describe_round_trips(self, policy):
-        assert parse_chunk_policy(policy.describe()) == policy
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "bogus",
-            "fixed:x",
-            "fixed:0",
-            "geometric",
-            "geometric:initial=8",
-        ],
-    )
-    def test_parse_rejects(self, text):
-        with pytest.raises(ValueError):
-            parse_chunk_policy(text)
-
-    def test_engine_clamps_oversized_chunks(self):
+    def test_engine_clamps_oversized_chunks(self, set_chunk):
         spec = noisy_spec()
         base = estimate_acceptance_sharded(spec, 100, seed=3, executor="serial")
-        huge = estimate_acceptance_sharded(
-            spec, 100, seed=3, executor="serial",
-            chunk_policy=FixedChunkPolicy(chunk_size=10**6),
-        )
+        set_chunk(10**6)
+        huge = estimate_acceptance_sharded(spec, 100, seed=3, executor="serial")
         assert huge.estimate == base.estimate
-
-    @pytest.mark.parametrize(
-        "policy",
-        [FixedChunkPolicy(chunk_size=17)],
-    )
-    def test_policies_pickle(self, policy):
-        assert pickle.loads(pickle.dumps(policy)) == policy
 
     def test_validate_halfwidth_bounds(self):
         assert validate_halfwidth(0.05) == 0.05
-        for bad in (0.0, -0.1, 0.5, 0.7):
+        assert controller.validate_halfwidth is validate_halfwidth
+        for bad in (0.0, -0.1, 0.5, 0.7, math.nan):
             with pytest.raises(ValueError):
                 validate_halfwidth(bad)
 
@@ -169,7 +133,6 @@ class TestAllocator:
             names=["a", "b"],
             global_budget=1000,
             target_halfwidth=0.05,
-            min_installment=64,
         )
         defaults.update(kwargs)
         return CampaignAllocator(**defaults)
@@ -297,9 +260,9 @@ class TestAllocator:
             dict(global_budget=0),
             dict(target_halfwidth=0.5),
             dict(target_halfwidth=0.0),
-            dict(min_installment=0),
-            dict(probe_trials=0),
-            dict(need_margin=0.5),
+            dict(target_halfwidth=math.nan),
+            dict(target_halfwidth=-0.1),
+            dict(global_budget=-5),
         ],
     )
     def test_constructor_validation(self, kwargs):
@@ -425,11 +388,13 @@ class TestAdaptiveCampaign:
             assert replay.estimate.accepted == record["accepted"]
             assert replay.estimate.trials == record["trials"]
 
-    def test_a_later_shard_never_stops_the_run(self):
+    def test_a_later_shard_never_stops_the_run(self, monkeypatch):
         # The first 4-shard installment runs shard 1's whole range, whose
         # counts alone satisfy the rule, before shard 0 starts.  Only the
         # counter prefix may stop the run: the one installment books the
-        # single-process stop.
+        # single-process stop.  A 1024-trial probe gives shard 1 a range
+        # long enough to satisfy the rule by itself.
+        monkeypatch.setattr(controller, "PROBE_TRIALS", 1024)
         cell = Cell(name="hard", spec=noisy_spec(), trials=64, seed=STAGGER_SEED)
         with _StaggeredExecutor() as executor:
             (record,) = run_campaign(
@@ -438,7 +403,6 @@ class TestAdaptiveCampaign:
                 planner=ShardPlanner(shard_count=4),
                 global_budget=20000,
                 target_halfwidth=0.05,
-                min_installment=512,
             )
         shard_1 = executor.results[1]
         assert shard_1.trials == shard_1.shard.trials
@@ -514,7 +478,6 @@ class TestAdaptiveCampaign:
             sink=MemorySink(),
             global_budget=3000,
             target_halfwidth=0.05,
-            chunk_policy=FixedChunkPolicy(17),
         )
         assert {record["status"] for record in records} == {"ok"}
         for record in records:
@@ -535,23 +498,12 @@ class TestCliAdaptive:
                 "--trials", "64", "--size", "node_count=12",
                 "--out", str(tmp_path / "cli.jsonl"),
                 "--global-budget", "2000", "--target-halfwidth", "0.05",
-                "--chunk-policy", "fixed:17",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "global budget:" in out
         assert "cells reached halfwidth 0.05" in out
-
-    def test_estimate_accepts_chunk_policy(self, capsys):
-        code = cli_main(
-            [
-                "estimate", "--workload", "spanning-tree", "--trials", "96",
-                "--size", "node_count=12", "--chunk-policy", "fixed:7",
-            ]
-        )
-        assert code == 0
-        assert "(96 trials)" in capsys.readouterr().out
 
     def test_target_halfwidth_requires_global_budget(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -593,15 +545,6 @@ class TestCliAdaptive:
                 ]
             )
 
-    def test_bad_chunk_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            cli_main(
-                [
-                    "estimate", "--workload", "spanning-tree", "--trials", "64",
-                    "--chunk-policy", "bogus",
-                ]
-            )
-
     def test_chunk_size_flag_refused(self):
         with pytest.raises(SystemExit):
             cli_main(
@@ -610,22 +553,3 @@ class TestCliAdaptive:
                     "--chunk-size", "32",
                 ]
             )
-
-    def test_fixed_chunk_policy_reaches_the_estimator(self, monkeypatch, capsys):
-        import repro.parallel.cli as cli
-
-        seen = []
-        real = cli.estimate_acceptance_sharded
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs["chunk_policy"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "estimate_acceptance_sharded", spy)
-        base = [
-            "estimate", "--workload", "spanning-tree", "--trials", "64",
-            "--size", "node_count=12",
-        ]
-        assert cli_main(base) == 0
-        assert cli_main(base + ["--chunk-policy", "fixed:32"]) == 0
-        assert seen == [FixedChunkPolicy(), FixedChunkPolicy(chunk_size=32)]

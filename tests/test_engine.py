@@ -25,7 +25,6 @@ from repro.core.seeding import (
 from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.core.verifier import estimate_acceptance, verify_randomized
 from repro.engine import (
-    FixedChunkPolicy,
     PlanCache,
     VerificationPlan,
     estimate_acceptance_batched,
@@ -291,52 +290,46 @@ class TestEstimators:
             reference.trials,
         )
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, set_chunk):
         config = uniform_configuration(8, 6, equal=False, seed=20)
         scheme = DirectUnifRPLS()
         plan = VerificationPlan.compile(scheme, config)
-        coarse = estimate_acceptance_fast(
-            plan, 50, seed=21, chunk_policy=FixedChunkPolicy(50)
-        )
-        fine = estimate_acceptance_fast(
-            plan, 50, seed=21, chunk_policy=FixedChunkPolicy(7)
-        )
+        set_chunk(50)
+        coarse = estimate_acceptance_fast(plan, 50, seed=21)
+        set_chunk(7)
+        fine = estimate_acceptance_fast(plan, 50, seed=21)
         assert (coarse.accepted, coarse.trials) == (fine.accepted, fine.trials)
 
-    def test_early_exit_stops_on_tight_interval(self):
+    def test_early_exit_stops_on_tight_interval(self, set_chunk):
         # Completeness of a one-sided scheme: every trial accepts, the
         # Wilson interval collapses quickly, and the estimator stops at the
         # first eligible checkpoint.
         config = uniform_configuration(10, 32, equal=True, seed=22)
         scheme = DirectUnifRPLS()
         plan = VerificationPlan.compile(scheme, config)
+        set_chunk(25)
         estimate = estimate_acceptance_fast(
             plan,
             10_000,
             seed=23,
-            chunk_policy=FixedChunkPolicy(25),
             min_trials=50,
             stop_halfwidth=0.1,
         )
         assert estimate.trials == 50
         assert estimate.probability == 1.0
 
-    def test_early_exit_decisions_are_a_prefix(self):
+    def test_early_exit_decisions_are_a_prefix(self, set_chunk):
         config = uniform_configuration(10, 6, equal=False, seed=24)
         scheme = DirectUnifRPLS()
         plan = VerificationPlan.compile(scheme, config)
-        full = estimate_acceptance_fast(
-            plan, 200, seed=25, chunk_policy=FixedChunkPolicy(50)
-        )
+        set_chunk(50)
+        full = estimate_acceptance_fast(plan, 200, seed=25)
         stopped = estimate_acceptance_fast(
-            plan, 200, seed=25,
-            chunk_policy=FixedChunkPolicy(50), min_trials=50, stop_halfwidth=0.2
+            plan, 200, seed=25, min_trials=50, stop_halfwidth=0.2
         )
         assert stopped.trials <= full.trials
         # Re-running exactly stopped.trials trials reproduces the count.
-        again = estimate_acceptance_fast(
-            plan, stopped.trials, seed=25, chunk_policy=FixedChunkPolicy(50)
-        )
+        again = estimate_acceptance_fast(plan, stopped.trials, seed=25)
         assert again.accepted == stopped.accepted
 
     def test_validation(self):
@@ -345,9 +338,23 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_acceptance_fast(plan, 0)
         with pytest.raises(ValueError):
-            estimate_acceptance_fast(plan, 10, chunk_policy=FixedChunkPolicy(0))
+            estimate_acceptance_fast(plan, 10, stop_halfwidth=0.0)
         with pytest.raises(ValueError):
             plan.run_trial(0, rng_mode="nope")
+
+    @pytest.mark.parametrize("halfwidth", [float("nan"), 0.0, -0.1, 0.5])
+    def test_impossible_stop_halfwidth_rejected(self, halfwidth):
+        # No interval is ever that narrow (or every interval is), so the
+        # stop is a mistake, not a rule: both estimators refuse it before
+        # running a trial rather than silently running the whole budget.
+        from repro.parallel import estimate_acceptance_sharded
+
+        config = uniform_configuration(6, 4, equal=True, seed=26)
+        plan = VerificationPlan.compile(DirectUnifRPLS(), config)
+        with pytest.raises(ValueError, match="stop_halfwidth"):
+            estimate_acceptance_fast(plan, 300, stop_halfwidth=halfwidth)
+        with pytest.raises(ValueError, match="stop_halfwidth"):
+            estimate_acceptance_sharded(plan, 300, stop_halfwidth=halfwidth)
 
 
 class TestVectorModeStatistics:

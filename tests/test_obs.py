@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.engine import FixedChunkPolicy
 from repro.obs.metrics import (
     MetricsFlush,
     MetricsRegistry,
@@ -386,7 +385,6 @@ class TestRunReportTiming:
         options = {
             "seed": 0,
             "rng_mode": "vector",
-            "chunk_policy": FixedChunkPolicy(16),
         }
         payloads = [(plan, shard, options) for shard in shards]
         with SerialExecutor() as executor:

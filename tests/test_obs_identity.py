@@ -14,7 +14,7 @@ import copy
 
 import pytest
 
-from repro.engine import FixedChunkPolicy, estimate_acceptance_fast
+from repro.engine import estimate_acceptance_fast
 from repro.obs.reader import load_trace, summarize_runs
 from repro.obs.runtime import get_metrics, set_recorder, tracing
 from repro.parallel import (
@@ -154,8 +154,8 @@ class TestShardedEstimateIdentity:
 
 
 class TestPerTrialVerdictIdentity:
-    """Chunks of one trial turn the progress stream into a per-trial verdict
-    stream: cumulative counts advance by exactly one trial per callback, so
+    """Chunks of one trial (``set_chunk(1)``) turn the progress stream into a
+    per-trial verdict stream: cumulative counts advance by exactly one trial per callback, so
     the accepted-delta sequence *is* the verdict bit sequence."""
 
     def _untraced_verdicts(self, spec, rng_mode, vectorize=None):
@@ -166,8 +166,7 @@ class TestPerTrialVerdictIdentity:
             verdicts.append(accepted - last[0])
             last = (accepted, trials)
         estimate = estimate_acceptance_fast(
-            plan, TRIALS, seed=SEED, chunk_policy=FixedChunkPolicy(1),
-            progress=capture, vectorize=vectorize,
+            plan, TRIALS, seed=SEED, progress=capture, vectorize=vectorize,
         )
         assert len(verdicts) == TRIALS
         assert sum(verdicts) == estimate.accepted
@@ -196,13 +195,15 @@ class TestPerTrialVerdictIdentity:
     @pytest.mark.parametrize(
         "workload,kwargs", FAMILIES, ids=[f[0] for f in FAMILIES]
     )
-    def test_every_trial_verdict_matches(self, tmp_path, workload, kwargs, rng_mode):
+    def test_every_trial_verdict_matches(
+        self, tmp_path, set_chunk, workload, kwargs, rng_mode
+    ):
+        set_chunk(1)
         spec = workload_spec(workload, rng_mode=rng_mode, **kwargs)
         expected = self._untraced_verdicts(spec, rng_mode)
         with tracing(tmp_path / "trace"):
             traced = estimate_acceptance_sharded(
                 spec, TRIALS, seed=SEED, executor="serial", shard_count=2,
-                chunk_policy=FixedChunkPolicy(1),
             )
         got = self._traced_verdicts(load_trace(tmp_path / "trace"))
         assert got == expected
@@ -212,17 +213,17 @@ class TestPerTrialVerdictIdentity:
         "workload,kwargs", FAMILIES, ids=[f[0] for f in FAMILIES]
     )
     def test_vector_verdicts_match_the_scalar_counter_path(
-        self, tmp_path, workload, kwargs
+        self, tmp_path, set_chunk, workload, kwargs
     ):
         # The traced vector run takes each plan's own path (a kernel where
         # the plan has one); the reference forces the scalar CounterRng
         # path.  Same counter stream, so the same verdict per trial.
+        set_chunk(1)
         spec = workload_spec(workload, rng_mode="vector", **kwargs)
         expected = self._untraced_verdicts(spec, "vector", vectorize=False)
         with tracing(tmp_path / "trace"):
             traced = estimate_acceptance_sharded(
                 spec, TRIALS, seed=SEED, executor="serial", shard_count=2,
-                chunk_policy=FixedChunkPolicy(1),
             )
         trace = load_trace(tmp_path / "trace")
         paths = {s["attrs"]["kernel_path"] for s in trace.named("shard")}

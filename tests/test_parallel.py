@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.engine import FixedChunkPolicy, PlanCache, estimate_acceptance_fast
+from repro.engine import PlanCache, estimate_acceptance_fast
 from repro.parallel import (
     Campaign,
     Cell,
@@ -44,6 +44,7 @@ from repro.parallel import (
 )
 from repro.parallel.cli import main as cli_main
 from repro.parallel.factories import WORKLOADS, compiled_spanning_tree
+from repro.parallel.shards import MIN_SHARD_TRIALS, SHARDS_PER_WORKER
 from repro.parallel.spec import clear_process_caches, resolve_factory
 from repro.simulation.metrics import AcceptanceEstimate
 
@@ -107,11 +108,11 @@ class TestShardPlanner:
         assert ShardPlanner().plan(977, 4) == ShardPlanner().plan(977, 4)
 
     def test_default_policy_bounds(self):
-        planner = ShardPlanner(min_shard_trials=64, oversubscribe=4)
+        planner = ShardPlanner()
         # Small budgets do not shatter into per-trial shards...
         assert planner.resolve_count(100, workers=8) == 1
-        # ...and large budgets are capped by workers * oversubscribe.
-        assert planner.resolve_count(10**6, workers=8) == 32
+        # ...and large budgets are capped by workers * SHARDS_PER_WORKER.
+        assert planner.resolve_count(10**6, workers=8) == 8 * SHARDS_PER_WORKER == 32
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -130,23 +131,24 @@ class TestShardPlanner:
         assert [
             (s.start, s.stop) for s in ShardPlanner().plan(3, workers=8)
         ] == [(0, 3)]
-        # ...while a per-trial policy shatters it into 1-trial shards, never
-        # producing an empty shard.
-        shards = ShardPlanner(min_shard_trials=1).plan(3, workers=8)
+        # ...while a fixed count above the budget shatters it into 1-trial
+        # shards, never producing an empty shard.
+        shards = ShardPlanner(shard_count=8).plan(3, workers=8)
         assert [(s.start, s.stop) for s in shards] == [(0, 1), (1, 2), (2, 3)]
 
-    def test_oversubscribe_rounding(self):
-        planner = ShardPlanner(min_shard_trials=10, oversubscribe=3)
-        # 95 trials / min 10 -> 9 shards (floor), below the 12-slot cap.
-        assert planner.resolve_count(95, workers=4) == 9
-        sizes = [s.trials for s in planner.plan(95, workers=4)]
-        assert sizes == [11] * 5 + [10] * 4  # big-first, remainder spread
-        assert sum(sizes) == 95
-        # A huge budget is capped at workers * oversubscribe.
-        assert planner.resolve_count(10**4, workers=4) == 12
+    def test_per_worker_cap_rounding(self):
+        planner = ShardPlanner()
+        assert (MIN_SHARD_TRIALS, SHARDS_PER_WORKER) == (64, 4)
+        # 600 trials / min 64 -> 9 shards (floor), below the 16-slot cap.
+        assert planner.resolve_count(600, workers=4) == 9
+        sizes = [s.trials for s in planner.plan(600, workers=4)]
+        assert sizes == [67] * 6 + [66] * 3  # big-first, remainder spread
+        assert sum(sizes) == 600
+        # A huge budget is capped at workers * SHARDS_PER_WORKER.
+        assert planner.resolve_count(10**4, workers=4) == 16
 
     def test_zero_remainder_split_is_exact(self):
-        shards = ShardPlanner(min_shard_trials=25).plan(100, workers=4)
+        shards = ShardPlanner(shard_count=4).plan(100, workers=4)
         assert [s.trials for s in shards] == [25, 25, 25, 25]
         covered = [t for s in shards for t in range(s.start, s.stop)]
         assert covered == list(range(100))
@@ -447,7 +449,7 @@ class TestProcessSharding:
 
 
 class TestEarlyExit:
-    def test_should_stop_hook_stops_at_chunk_granularity(self):
+    def test_should_stop_hook_stops_at_chunk_granularity(self, set_chunk):
         plan = small_spec().resolve()
         calls = []
 
@@ -455,9 +457,9 @@ class TestEarlyExit:
             calls.append(None)
             return len(calls) > 2
 
+        set_chunk(50)
         estimate = estimate_acceptance_fast(
-            plan, 1000, seed=SEED,
-            chunk_policy=FixedChunkPolicy(50), should_stop=stop_after_two_chunks
+            plan, 1000, seed=SEED, should_stop=stop_after_two_chunks
         )
         assert estimate.trials == 100  # two chunks ran, third was refused
 
@@ -672,6 +674,16 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "3 shards" in out and "(96 trials)" in out
+
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_nonpositive_shards_rejected(self, shards):
+        # --shards 0 is a shard count like any other, not "no --shards":
+        # it must not fall through to the default planner.
+        with pytest.raises(SystemExit, match="shard_count must be positive"):
+            cli_main(
+                ["estimate", "--workload", "spanning-tree", "--trials", "200",
+                 "--size", "node_count=12", "--shards", shards]
+            )
 
     def test_campaign_with_resume(self, tmp_path, capsys):
         out_path = str(tmp_path / "cli.jsonl")

@@ -16,7 +16,7 @@ Pinned here:
   cell parallelism, for table, parity, scalar ``vector`` and compat cells;
 - a standalone sharded stop within its budget books the single-process
   stop on every backend and shard layout, with or without a ``prior``;
-- the scalar-path heartbeat under the default chunk policy;
+- the scalar-path heartbeat at the engine's chunk sizes;
 - the executed path on every campaign record.
 """
 
@@ -28,12 +28,7 @@ import pytest
 
 from repro.core.seeding import trial_seed_slice
 from repro.engine import estimate_acceptance_fast
-from repro.engine.montecarlo import (
-    DEFAULT_CHUNK,
-    MIN_STOP_TRIALS,
-    SCALAR_CHUNK,
-    FixedChunkPolicy,
-)
+from repro.engine.montecarlo import DEFAULT_CHUNK, MIN_STOP_TRIALS, SCALAR_CHUNK
 from repro.engine.specs import get_spec
 from repro.obs.reader import load_trace
 from repro.obs.runtime import tracing
@@ -301,15 +296,15 @@ class TestStandaloneStop:
             assert len(result.verdicts) == (result.trials + 7) // 8
         assert (sharded.prefix.accepted, sharded.prefix.trials) == expected
 
-    def test_shipped_verdicts_are_the_trial_verdicts_one_bit_each(self):
+    def test_shipped_verdicts_are_the_trial_verdicts_one_bit_each(self, set_chunk):
         # Chunks of 5 trials do not end on a byte: the packer carries the
         # odd bits into the next chunk, and the result still unpacks to
         # exactly the shard's per-trial verdicts.
         spec = CELLS[2][1]
         plan = spec.resolve()
+        set_chunk(5)
         sharded = estimate_acceptance_sharded(
             spec, 300, seed=1, shard_count=2, stop_halfwidth=0.45, min_trials=300,
-            chunk_policy=FixedChunkPolicy(5),
         )
         tail = sharded.shard_results[1]
         assert len(tail.verdicts) == (tail.trials + 7) // 8
@@ -352,7 +347,7 @@ class TestPrefixBook:
         expected = single_stop(spec, 0, trials=8000, halfwidth=halfwidth)
         assert 4000 < expected[1] < 6000
         options = {
-            "seed": 0, "rng_mode": spec.rng_mode, "chunk_policy": FixedChunkPolicy(),
+            "seed": 0, "rng_mode": spec.rng_mode,
             "stop": ((0, 0), halfwidth, MIN_STOP_TRIALS),
         }
         results = [
@@ -457,12 +452,13 @@ class TestFixedBudgetStop:
 
 class TestHeartbeat:
     def test_scalar_shard_publishes_at_most_scalar_chunk_apart(self):
-        # Under the default (4096-trial) chunk policy a scalar shard still
-        # beats every SCALAR_CHUNK trials — the supervisor's heartbeat.
+        # A scalar shard runs SCALAR_CHUNK-trial chunks, not the kernels'
+        # DEFAULT_CHUNK, so it beats every 64 trials — the supervisor's
+        # heartbeat.
         spec = CELLS[2][1]
         assert spec.resolve().kernel_path == "scalar"
         totals = []
-        options = {"seed": 0, "rng_mode": spec.rng_mode, "chunk_policy": FixedChunkPolicy()}
+        options = {"seed": 0, "rng_mode": spec.rng_mode}
         _run_shard(
             (spec, Shard(index=0, start=0, stop=300), options),
             lambda: False,

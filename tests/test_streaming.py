@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.engine import FixedChunkPolicy, estimate_acceptance_fast
+from repro.engine import estimate_acceptance_fast
 from repro.parallel import (
     Campaign,
     Cell,
@@ -101,11 +101,12 @@ class SlowPlan:
 
 
 class TestProgressHook:
-    def test_progress_reports_cumulative_counts_per_chunk(self):
+    def test_progress_reports_cumulative_counts_per_chunk(self, set_chunk):
         plan = small_spec().resolve()
         updates = []
+        set_chunk(32)
         estimate = estimate_acceptance_fast(
-            plan, 100, seed=SEED, chunk_policy=FixedChunkPolicy(32),
+            plan, 100, seed=SEED,
             progress=lambda accepted, done: updates.append((accepted, done)),
         )
         assert [done for _, done in updates] == [32, 64, 96, 100]
@@ -220,7 +221,7 @@ class TestProcessStreaming:
         with ProcessExecutor(workers=2) as executor:
             streamed = estimate_acceptance_sharded(
                 spec, 20000, seed=SEED, executor=executor, shard_count=16,
-                chunk_policy=FixedChunkPolicy(32), stop_halfwidth=0.05, min_trials=100,
+                stop_halfwidth=0.05, min_trials=100,
             )
         assert streamed.stopped_early
         assert streamed.estimate.trials < 20000
@@ -245,14 +246,15 @@ class TestProcessStreaming:
 
 
 class TestChunkGranularStop:
-    def test_streamed_stop_saves_trials_on_serial(self):
+    def test_streamed_stop_saves_trials_on_serial(self, set_chunk):
         # Serial is fully deterministic: shard 0 stops on the first trial
         # whose Wilson interval is narrow enough, well before the first
         # 1000-trial shard completes — a pure function of inputs.
         spec = small_spec()
+        set_chunk(32)
         kwargs = dict(
             seed=SEED, executor="serial", shard_count=4,
-            chunk_policy=FixedChunkPolicy(32), stop_halfwidth=0.05, min_trials=64,
+            stop_halfwidth=0.05, min_trials=64,
         )
         streamed = estimate_acceptance_sharded(spec, 4000, **kwargs)
         assert streamed.stopped_early
@@ -265,35 +267,36 @@ class TestChunkGranularStop:
         again = estimate_acceptance_sharded(spec, 4000, **kwargs)
         assert again.estimate == streamed.estimate
 
-    def test_streamed_stop_on_slow_synthetic_plan_thread_backend(self):
+    def test_streamed_stop_on_slow_synthetic_plan_thread_backend(self, set_chunk):
         # The synthetic slow plan makes chunks take real time, so the
         # mid-shard stop observably cancels in-flight shards on a threaded
         # pool as well (counts here are timing-dependent; the assertions
         # are the guarantees, not the exact stop point).
         plan = SlowPlan(small_spec().resolve(), delay=0.002)
+        set_chunk(25)
         streamed = estimate_acceptance_sharded(
             plan, 4000, seed=SEED, executor="thread", workers=2, shard_count=8,
-            chunk_policy=FixedChunkPolicy(25), stop_halfwidth=0.05, min_trials=50,
+            stop_halfwidth=0.05, min_trials=50,
         )
         assert streamed.stopped_early
         assert streamed.estimate.trials < 4000
         # Every executed trial kept its verdict (all-accept workload).
         assert streamed.estimate.accepted == streamed.estimate.trials
 
-    def test_stop_under_thread_contention_keeps_counts_exact(self):
+    def test_stop_under_thread_contention_keeps_counts_exact(self, set_chunk):
         # More workers than cores and a tiny switch interval: stops racing
         # dispatches and partials must still merge exact per-shard prefixes,
         # and the booked prefix satisfies the stop rule the run claims.
         spec = noisy_spec()
         plan = spec.resolve()
+        set_chunk(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for seed in range(2):
                 sharded = estimate_acceptance_sharded(
                     spec, 2000, seed=seed, executor="thread", workers=8,
-                    shard_count=16, chunk_policy=FixedChunkPolicy(8),
-                    stop_halfwidth=0.05, min_trials=64,
+                    shard_count=16, stop_halfwidth=0.05, min_trials=64,
                 )
                 assert sharded.stopped_early and sharded.report.ok
                 low, high = sharded.prefix.interval
@@ -517,7 +520,7 @@ class TestStopEpoch:
             )
         assert sharded.estimate.trials == 128
 
-    def test_request_stop_cancels_in_flight_run(self):
+    def test_request_stop_cancels_in_flight_run(self, set_chunk):
         from repro.parallel import SerialExecutor
         from repro.parallel.executors import _run_shard
         from repro.parallel.shards import ShardPlanner
@@ -525,10 +528,8 @@ class TestStopEpoch:
         spec = small_spec()
         plan = spec.resolve().prepare()
         executor = SerialExecutor()
-        options = {
-            "seed": SEED, "rng_mode": None,
-            "chunk_policy": FixedChunkPolicy(64),
-        }
+        set_chunk(64)
+        options = {"seed": SEED, "rng_mode": None}
         shards = ShardPlanner(shard_count=4).plan(256)
         handle = executor.start_run(
             _run_shard, [(plan, shard, options) for shard in shards]
@@ -664,11 +665,7 @@ class TestProcessHandleRelease:
     def _payloads(self, spec, shard_count=2, trials=128):
         from repro.parallel.shards import ShardPlanner
 
-        options = {
-            "seed": SEED,
-            "rng_mode": spec.rng_mode,
-            "chunk_policy": FixedChunkPolicy(64),
-        }
+        options = {"seed": SEED, "rng_mode": spec.rng_mode}
         shards = ShardPlanner(shard_count=shard_count).plan(trials)
         return [(spec, shard, options) for shard in shards]
 

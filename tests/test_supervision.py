@@ -31,7 +31,7 @@ import time
 
 import pytest
 
-from repro.engine import FixedChunkPolicy, estimate_acceptance_fast
+from repro.engine import estimate_acceptance_fast
 from repro.parallel import (
     Campaign,
     Cell,
@@ -291,14 +291,15 @@ class TestCrashIdentity:
         assert sharded.report.timeouts >= 1
         assert any(f.kind == "timeout" for f in sharded.report.failures)
 
-    def test_wilson_stop_still_satisfied_under_chaos(self):
+    def test_wilson_stop_still_satisfied_under_chaos(self, set_chunk):
         # The Wilson stop composes with supervision: the stopped estimate
         # must satisfy the stop rule it claims, crashes and all, and the
         # booked prefix is the single-process stop.
         policy = FaultPolicy(seed=3, crash_rate=0.3)
+        set_chunk(32)
         sharded, chaos = _chaos_run(
             small_spec(), policy, shard_count=8, trials=4000,
-            chunk_policy=FixedChunkPolicy(32), stop_halfwidth=0.05, min_trials=64,
+            stop_halfwidth=0.05, min_trials=64,
         )
         assert sharded.stopped_early
         assert sharded.estimate.trials < 4000

@@ -46,7 +46,6 @@ from repro.core.seeding import derive_trial_seed
 from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.core.verifier import verify_randomized
 from repro.engine import (
-    FixedChunkPolicy,
     PlanCache,
     UnknownSchemeError,
     VerdictSpec,
@@ -222,7 +221,7 @@ class TestDifferentialMatrix:
 
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
-    def test_vector_estimates_are_counter_addressed(self, name):
+    def test_vector_estimates_are_counter_addressed(self, set_chunk, name):
         """A vector-mode estimate of trials ``[first, first + n)`` counts
         exactly the scalar CounterRng verdicts of those counters, on the
         plan's own path (kernel where it has one) and at any chunking, so
@@ -235,15 +234,13 @@ class TestDifferentialMatrix:
             verdicts = [
                 plan.run_trial(derive_trial_seed(7, t)) for t in range(trials)
             ]
-            whole = estimate_acceptance_fast(
-                plan, trials, seed=7, chunk_policy=FixedChunkPolicy(5)
-            )
-            left = estimate_acceptance_fast(
-                plan, split, seed=7, chunk_policy=FixedChunkPolicy(4)
-            )
+            set_chunk(5)
+            whole = estimate_acceptance_fast(plan, trials, seed=7)
+            set_chunk(4)
+            left = estimate_acceptance_fast(plan, split, seed=7)
+            set_chunk(3)
             right = estimate_acceptance_fast(
-                plan, trials - split, seed=7, first_trial=split,
-                chunk_policy=FixedChunkPolicy(3),
+                plan, trials - split, seed=7, first_trial=split
             )
             assert (whole.accepted, left.accepted, right.accepted) == (
                 sum(verdicts), sum(verdicts[:split]), sum(verdicts[split:])
