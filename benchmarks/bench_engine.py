@@ -63,6 +63,7 @@ from repro.core.verifier import estimate_acceptance, verify_randomized
 from repro.engine import VerificationPlan, estimate_acceptance_fast
 from repro.graphs.generators import mst_configuration, spanning_tree_configuration
 from repro.parallel import (
+    EXECUTORS,
     available_cpus,
     estimate_acceptance_sharded,
     resolve_executor,
@@ -617,7 +618,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="process"
+        "--executor", choices=sorted(EXECUTORS), default="process"
     )
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)

@@ -32,7 +32,7 @@ def main() -> None:
     # --- 1. sharded == single-process, count for count
     single = estimate_acceptance_fast(spec.resolve(), 2000, seed=0)
     sharded = estimate_acceptance_sharded(
-        spec, 2000, seed=0, executor="thread", workers=2, shard_count=8
+        spec, 2000, seed=0, executor="process", workers=2, shard_count=8
     )
     print(f"single process : {single}")
     print(f"sharded        : {sharded}")
@@ -40,11 +40,12 @@ def main() -> None:
 
     # --- 2. cooperative early exit: confident after a fraction of the budget
     stopped = estimate_acceptance_sharded(
-        spec, 50_000, seed=0, executor="thread", workers=2,
+        spec, 50_000, seed=0, executor="process", workers=2,
         stop_halfwidth=0.02, min_trials=200,
     )
     print(
-        f"early exit     : {stopped.estimate.trials} of 50000 trials ran "
+        f"early exit     : stop booked at trial {stopped.prefix.trials}; "
+        f"{stopped.estimate.trials} of 50000 trials ran "
         f"(stopped_early={stopped.stopped_early})"
     )
 

@@ -37,7 +37,6 @@ from repro.core.scheme import (
     VerifierView,
     engine_hooks_available,
 )
-from repro.core.seeding import derive_trial_seed
 from repro.graphs.port_graph import Node
 
 
@@ -177,22 +176,15 @@ def majority_decision(
 
     Implements footnote 1 for two-sided schemes: if a single run is correct
     with probability ``2/3``, a Chernoff bound puts the majority's error at
-    ``exp(-Omega(t))``.
+    ``exp(-Omega(t))``.  The votes are the engine's compat-mode trials,
+    repetition ``r`` seeded by ``derive_trial_seed(seed, r)`` — each one the
+    decision ``verify_randomized`` makes on that seed.
     """
-    from repro.core.verifier import verify_randomized  # local import: avoid cycle
+    from repro.engine.montecarlo import estimate_acceptance_batched  # avoid cycle
 
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    if labels is None:
-        labels = scheme.prover(configuration)
-    accepts = 0
-    for repetition in range(repetitions):
-        run = verify_randomized(
-            scheme,
-            configuration,
-            seed=derive_trial_seed(seed, repetition),
-            labels=labels,
-        )
-        if run.accepted:
-            accepts += 1
+    accepts = estimate_acceptance_batched(
+        scheme, configuration, repetitions, seed=seed, labels=labels
+    ).accepted
     return accepts * 2 > repetitions

@@ -62,7 +62,7 @@ Knobs
   0.0 estimate without running trials.
 - ``first_trial=...`` / ``should_stop=...`` are the shard hooks of the
   parallel subsystem: :mod:`repro.parallel` partitions a trial budget into
-  counter ranges across serial/thread/process backends, with the merged
+  counter ranges across serial/process backends, with the merged
   estimate exactly equal to the single-process one.
 - :mod:`repro.engine.specs` is the declarative scheme registry: every
   scheme in the zoo as a :class:`VerdictSpec` (label parser + kernel

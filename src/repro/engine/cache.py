@@ -122,8 +122,8 @@ class PlanCache:
         self._plans: "OrderedDict[Tuple, VerificationPlan]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        # Shard workers of repro.parallel.ThreadExecutor resolve plans
-        # through one shared cache concurrently; the lock covers the
+        # Campaign cell threads (run_campaign's cell_parallelism) resolve
+        # plans through one shared cache concurrently; the lock covers the
         # lookup/insert/evict critical sections (compilation itself runs
         # unlocked — plans are pure values, so two racing compiles of the
         # same key just produce two equal plans and the second insert wins).

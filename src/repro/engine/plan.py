@@ -527,10 +527,10 @@ class VerificationPlan:
 
         The vectorized kernel description (:func:`repro.engine.kernels.vector_state`)
         and the fingerprint kernel's agree rows are built on first use and
-        memoized on the plan.  A plan shared by concurrent shard workers
-        (:class:`repro.parallel.ThreadExecutor`) would otherwise build them
-        racily — harmlessly, since every builder computes the same value,
-        but redundantly, once per worker.
+        memoized on the plan.  A plan shared by concurrent campaign cell
+        threads (``run_campaign(cell_parallelism=...)``) would otherwise
+        build them racily — harmlessly, since every builder computes the
+        same value, but redundantly, once per thread.
         Executors call ``prepare()`` once before fanning a plan out so the
         workers only ever read.
         """

@@ -3,11 +3,10 @@
 Each process owns one registry (``repro.obs.runtime.get_metrics()``);
 process safety comes from *merging snapshots*, not shared memory: worker
 processes accumulate locally and flush a :class:`MetricsFlush` (a plain
-picklable snapshot tagged with the run id) through the executor's existing
-progress queue, where the parent-side
-:class:`~repro.parallel.progress.ProgressRouter` merges it — per run id,
-and into the parent's global registry.  In-process backends skip the
-queue entirely: their "workers" already increment the parent registry.
+picklable snapshot) through the executor's existing progress queue, where
+the parent-side :class:`~repro.parallel.progress.ProgressRouter` merges it
+into the parent's global registry.  The in-process backend skips the
+queue entirely: its shards already increment the parent registry.
 
 Instruments are *stable objects*: :meth:`MetricsRegistry.clear` and
 :meth:`MetricsRegistry.snapshot_and_reset` zero the recorded values but
@@ -193,9 +192,8 @@ class MetricsRegistry:
 
 @dataclass(frozen=True)
 class MetricsFlush:
-    """One worker's metrics delta, riding the progress queue by run id."""
+    """One worker's metrics delta, riding the progress queue."""
 
-    run_id: int
     metrics: Dict
 
 

@@ -12,8 +12,8 @@ Worker processes never see ``set_recorder``: they rebuild recorders from
 pickled :class:`~repro.obs.trace.TraceSpec` values via
 :func:`recorder_for_spec`, which memoizes per ``(path, trace_id)`` per
 process — and short-circuits to the installed global recorder when the
-spec describes it, so in-process backends (serial/thread) never open a
-second writer onto their own trace file.
+spec describes it, so the in-process (serial) backend never opens a
+second writer onto its own trace file.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def recorder_for_spec(spec: TraceSpec):
     """Rebuild (or memo-hit) the recorder a :class:`TraceSpec` describes.
 
     If the spec points at the recorder already installed in this process
-    (the serial/thread backends hand workers the parent's own spec), the
+    (the serial backend hands shards the parent's own spec), the
     global recorder is returned directly; otherwise one recorder per
     ``(path, trace_id)`` is built and cached for the process lifetime,
     sharing the per-directory :class:`~repro.obs.trace.TraceWriter`.
@@ -87,7 +87,7 @@ def recorder_for_spec(spec: TraceSpec):
         return recorder
 
 
-def take_metrics_flush(run_id: int) -> Optional[MetricsFlush]:
+def take_metrics_flush() -> Optional[MetricsFlush]:
     """Drain this process's metrics delta as a queue-ready flush item.
 
     Returns ``None`` when there is nothing to report, so untraced runs
@@ -99,7 +99,7 @@ def take_metrics_flush(run_id: int) -> Optional[MetricsFlush]:
     snapshot = diff_snapshots(None, _METRICS.snapshot_and_reset())
     if snapshot_empty(snapshot):
         return None
-    return MetricsFlush(run_id=run_id, metrics=snapshot)
+    return MetricsFlush(metrics=snapshot)
 
 
 @contextmanager

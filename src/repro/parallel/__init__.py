@@ -15,12 +15,11 @@ order, on any backend.
 The two layers:
 
 - **Sharded executor** — :class:`ShardPlanner` partitions a trial budget
-  into counter ranges; :class:`SerialExecutor` / :class:`ThreadExecutor` /
-  :class:`ProcessExecutor` run them; :func:`estimate_acceptance_sharded`
-  merges per-shard counts through
-  :meth:`~repro.simulation.metrics.AcceptanceEstimate.merge` (exact, by
-  construction) with an optional cooperative Wilson early exit that cancels
-  outstanding shards.  Process workers rebuild plans from picklable
+  into counter ranges; :class:`SerialExecutor` / :class:`ProcessExecutor`
+  run them; :func:`estimate_acceptance_sharded` merges per-shard counts
+  through :meth:`~repro.simulation.metrics.AcceptanceEstimate.merge`
+  (exact, by construction) with an optional cooperative Wilson early exit
+  that cancels outstanding shards.  Process workers rebuild plans from picklable
   :class:`PlanSpec` values through per-process caches — compiled plans
   never cross the process boundary (:mod:`repro.parallel.spec`).
 - **Campaign orchestrator** — declarative :class:`Campaign` / :class:`Cell`
@@ -64,7 +63,6 @@ from repro.parallel.executors import (
     SerialExecutor,
     ShardedEstimate,
     ShardResult,
-    ThreadExecutor,
     available_cpus,
     estimate_acceptance_sharded,
     resolve_executor,
@@ -110,7 +108,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardedEstimate",
     "StopToken",
-    "ThreadExecutor",
     "available_cpus",
     "estimate_acceptance_sharded",
     "resolve_executor",

@@ -29,8 +29,9 @@ Fault kinds
     :meth:`~repro.parallel.executors.ProcessExecutor.repair`.
 ``hang``
     The worker stops making progress but keeps polling ``should_stop`` —
-    a *cooperative* hang, reclaimable on every backend (CPython threads
-    cannot be killed; see :mod:`repro.parallel.supervision`).  A hung
+    a *cooperative* hang, reclaimable on every backend (an in-process
+    shard runs on a thread, which CPython cannot kill; see
+    :mod:`repro.parallel.supervision`).  A hung
     worker raises :class:`ChaosWorkerHang` once stopped, or after
     ``hang_limit`` as a backstop against leaking workers in tests.
 ``slow``
@@ -306,16 +307,9 @@ class ChaosExecutor:
             wrapped.append((fn, kind, params, payload))
         return self.inner.start_run(_chaos_body, wrapped, on_progress=on_progress)
 
-    def request_stop(self) -> None:
-        self.inner.request_stop()
-
     def progress_stats(self):
         stats = getattr(self.inner, "progress_stats", None)
         return stats() if stats is not None else None
-
-    def worker_metrics(self, run_id=None):
-        metrics = getattr(self.inner, "worker_metrics", None)
-        return metrics(run_id) if metrics is not None else None
 
     def repair(self) -> None:
         repair = getattr(self.inner, "repair", None)

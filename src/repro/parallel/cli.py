@@ -173,7 +173,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help=f"worker count for thread/process backends (default: all "
+        help=f"worker count for the process backend (default: all "
         f"{available_cpus()} available CPUs)",
     )
     parser.add_argument(

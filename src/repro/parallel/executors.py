@@ -1,17 +1,11 @@
 """Shard execution backends and the sharded acceptance estimator.
 
-Three interchangeable backends run the shards a
+Two interchangeable backends run the shards a
 :class:`~repro.parallel.shards.ShardPlanner` lays out:
 
 - :class:`SerialExecutor` — one shard at a time, in-process.  The reference
   backend: zero concurrency, zero pickling, and the baseline every
   determinism test compares against.
-- :class:`ThreadExecutor` — a thread pool sharing one compiled plan (plans
-  are read-only after :meth:`~repro.engine.plan.VerificationPlan.prepare`).
-  Python's GIL serializes the interpreted parts, but the numpy kernels
-  release the GIL in their array passes, so vector-mode plans overlap
-  usefully; mostly this backend exists to exercise the cooperative-stop
-  machinery without process overhead.
 - :class:`ProcessExecutor` — a process pool, the backend that actually buys
   wall-clock on multi-core hardware.  Workers receive a picklable
   :class:`~repro.parallel.spec.PlanSpec` (never a compiled plan) and
@@ -21,14 +15,13 @@ Cooperative early exit
 ----------------------
 
 Every run gets its own stop token (:class:`~repro.parallel.progress.StopToken`),
-so concurrent runs over one pool — campaign cells — stop independently;
-the executor-wide ``request_stop()`` remains as a pool-global kill switch
-every token also observes.  :func:`estimate_acceptance_sharded` runs every
-shard under a :class:`~repro.parallel.supervision.ShardSupervisor`; workers
-publish partial cumulative counts after every chunk through a
-backend-appropriate conduit (direct callback in-process, a
-``multiprocessing`` queue plus parent-side router for the process pool),
-which the supervisor reads as heartbeats.
+so concurrent runs over one pool — campaign cells — stop independently.
+:func:`estimate_acceptance_sharded` runs every shard under a
+:class:`~repro.parallel.supervision.ShardSupervisor`; workers publish
+partial cumulative counts after every chunk through a backend-appropriate
+conduit (direct callback in-process, a ``multiprocessing`` queue plus
+parent-side router for the process pool), which the supervisor reads as
+heartbeats.
 
 A stop rule has one trigger: the run's booked prefix converging.  Shard 0,
 which follows the run's ``prior`` counts directly, runs the single-process
@@ -57,8 +50,8 @@ Without a stop (``stop_halfwidth=None``), every backend runs every shard to
 completion and the merged estimate **equals** the single-process
 ``estimate_acceptance_fast(plan, trials)`` — same ``accepted``, same
 ``trials`` — in every rng mode, because trial verdicts are pure functions
-of the trial counter.  The test suite pins this for 1/2/8 shards on all
-three backends.
+of the trial counter.  The test suite pins this for 1/2/8 shards on both
+backends.
 """
 
 from __future__ import annotations
@@ -265,28 +258,7 @@ def _run_shard(
 # ---------------------------------------------------------------------------
 
 
-class _EpochStop:
-    """Pool-global stop as an *epoch counter*, shared by the in-process
-    backends.
-
-    A run snapshots the epoch at start and stops once it has advanced — so
-    ``request_stop()`` cancels exactly the runs in flight, and later runs
-    on the same (shared, warm) executor start unaffected instead of
-    inheriting a permanently sticky flag.  (The process backend carries the
-    same semantics over a shared-memory counter instead.)
-    """
-
-    _stop_epoch = 0
-
-    def request_stop(self) -> None:
-        self._stop_epoch += 1
-
-    def _global_probe(self) -> Callable[[], bool]:
-        born = self._stop_epoch
-        return lambda: self._stop_epoch > born
-
-
-class SerialExecutor(_EpochStop):
+class SerialExecutor:
     """Run shards one after another in the calling process.
 
     ``start_run`` is still safe under campaign cell parallelism: each run
@@ -306,7 +278,7 @@ class SerialExecutor(_EpochStop):
         on_progress: Optional[Callable[[int, int, int], None]] = None,
     ) -> RunHandle:
         """Begin one run; shards execute lazily as results are iterated."""
-        token = StopToken(extra=self._global_probe())
+        token = StopToken()
         payloads = list(payloads)
         record_event(
             "executor.start_run", {"executor": self.name, "shards": len(payloads)}
@@ -324,49 +296,6 @@ class SerialExecutor(_EpochStop):
         pass
 
     def __enter__(self) -> "SerialExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ThreadExecutor(_EpochStop):
-    """Run shards on a thread pool; the pool-global stop is the epoch
-    counter of :class:`_EpochStop`."""
-
-    name = "thread"
-    in_process = True
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = workers if workers is not None else available_cpus()
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-shard"
-        )
-
-    def start_run(
-        self,
-        fn: Callable,
-        payloads: Iterable,
-        on_progress: Optional[Callable[[int, int, int], None]] = None,
-    ) -> RunHandle:
-        """Submit one run's shards; per-run token, pool-global epoch as backup."""
-        token = StopToken(extra=self._global_probe())
-        payloads = list(payloads)
-        record_event(
-            "executor.start_run", {"executor": self.name, "shards": len(payloads)}
-        )
-        futures = [
-            self._pool.submit(fn, payload, token.probe, on_progress)
-            for payload in payloads
-        ]
-        return RunHandle(_drain_futures(futures), token)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ThreadExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -391,12 +320,9 @@ def _drain_futures(futures) -> Iterator:
 # either way the primitives arrive through initargs, the one path
 # ProcessPoolExecutor guarantees for synchronization primitives.
 #
-# Three channels: the pool-global stop *epoch* (a shared counter — a run
-# snapshots it at start and stops when it has advanced, so request_stop()
-# cancels in-flight runs without poisoning later ones), the per-run stop
-# *board* (a flat shared byte array — slot ``i`` nonzero means "run holding
-# slot i, stop"), and the progress queue streamed updates travel on.
-_WORKER_EPOCH: Optional[object] = None
+# Two channels: the per-run stop *board* (a flat shared byte array — slot
+# ``i`` nonzero means "run holding slot i, stop"), and the progress queue
+# streamed updates travel on.
 _WORKER_BOARD: Optional[object] = None
 _WORKER_QUEUE: Optional[object] = None
 
@@ -406,9 +332,8 @@ _WORKER_QUEUE: Optional[object] = None
 STOP_SLOTS = 64
 
 
-def _init_shard_worker(stop_epoch, stop_board=None, progress_queue=None) -> None:
-    global _WORKER_EPOCH, _WORKER_BOARD, _WORKER_QUEUE
-    _WORKER_EPOCH = stop_epoch
+def _init_shard_worker(stop_board=None, progress_queue=None) -> None:
+    global _WORKER_BOARD, _WORKER_QUEUE
     _WORKER_BOARD = stop_board
     _WORKER_QUEUE = progress_queue
     # Fork-started workers inherit the parent's metrics registry values;
@@ -422,7 +347,6 @@ def _invoke_in_worker_run(
     slot: int,
     run_id: int,
     stream: bool,
-    born_epoch: int,
     flush_metrics: bool = False,
 ):
     """Worker body for ``start_run``: per-run stop slot + optional streaming.
@@ -434,12 +358,9 @@ def _invoke_in_worker_run(
     entirely when the delta is empty (untraced runs put nothing extra on
     the queue).
     """
-    epoch = _WORKER_EPOCH
     board = _WORKER_BOARD
 
     def should_stop() -> bool:
-        if epoch is not None and epoch.value > born_epoch:
-            return True
         return board is not None and board[slot] != 0
 
     publish = None
@@ -453,7 +374,7 @@ def _invoke_in_worker_run(
         return fn(payload, should_stop, publish)
     finally:
         if flush_metrics and _WORKER_QUEUE is not None:
-            flush = take_metrics_flush(run_id)
+            flush = take_metrics_flush()
             if flush is not None:
                 _WORKER_QUEUE.put(flush)
 
@@ -463,9 +384,9 @@ class ProcessExecutor:
 
     Payload targets must be :class:`~repro.parallel.spec.PlanSpec` values;
     compiled plans are rejected up front (see :mod:`repro.parallel.spec` for
-    why plans never cross the boundary).  The default start method prefers
-    ``fork`` (cheap, inherits the warm parent) and falls back to the
-    platform default where fork is unavailable.
+    why plans never cross the boundary).  Workers start by ``fork`` (cheap,
+    inherits the warm parent) where the platform has it, else by the
+    platform default.
 
     Failure posture: one dead worker breaks a whole
     ``concurrent.futures.ProcessPoolExecutor`` — every in-flight future
@@ -481,20 +402,18 @@ class ProcessExecutor:
     name = "process"
     in_process = False  # payloads cross a process boundary (specs only)
 
-    def __init__(self, workers: Optional[int] = None, start_method: Optional[str] = None):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = workers if workers is not None else available_cpus()
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        # Pool-global stop epoch, per-run stop slots, and the progress queue
-        # must all exist before the pool so the initializer can ship them to
-        # every worker (lock-free shared memory: the parent is the only
-        # writer, and single-word reads are atomic).
-        self._stop_epoch = self._context.Value("L", 0, lock=False)
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - platforms without fork
+            self._context = multiprocessing.get_context()
+        # Per-run stop slots and the progress queue must exist before the
+        # pool so the initializer can ship them to every worker (lock-free
+        # shared memory: the parent is the only writer, and single-byte
+        # reads are atomic).
         self._board = self._context.Array("b", STOP_SLOTS, lock=False)
         self._queue = self._context.Queue()
         self._router = ProgressRouter(self._queue)
@@ -510,7 +429,7 @@ class ProcessExecutor:
             max_workers=self.workers,
             mp_context=self._context,
             initializer=_init_shard_worker,
-            initargs=(self._stop_epoch, self._board, self._queue),
+            initargs=(self._board, self._queue),
         )
 
     @staticmethod
@@ -557,9 +476,6 @@ class ProcessExecutor:
             pass
         self._reap_pool(old)
 
-    def request_stop(self) -> None:
-        self._stop_epoch.value += 1
-
     @staticmethod
     def _check_payloads(payloads) -> list:
         payloads = list(payloads)
@@ -599,7 +515,6 @@ class ProcessExecutor:
         stream = on_progress is not None
         if stream:
             self._router.subscribe(run_id, on_progress)
-        born = self._stop_epoch.value
 
         def poke_slot():
             # A stop requested after release() must not land in a slot that
@@ -608,9 +523,7 @@ class ProcessExecutor:
                 if owned:
                     self._board[slot] = 1
 
-        token = StopToken(
-            extra=lambda: self._stop_epoch.value > born, on_request=poke_slot
-        )
+        token = StopToken(on_request=poke_slot)
         # Worker metrics only flush while a trace is live — the off path
         # puts zero extra items on the queue.
         flush_metrics = get_recorder().enabled
@@ -649,7 +562,6 @@ class ProcessExecutor:
                         slot,
                         run_id,
                         stream,
-                        born,
                         flush_metrics,
                     )
                 )
@@ -663,12 +575,6 @@ class ProcessExecutor:
     def progress_stats(self) -> dict:
         """The router's drop/leak counters (see ``ProgressRouter.stats``)."""
         return self._router.stats()
-
-    def worker_metrics(self, run_id: Optional[int] = None) -> Optional[dict]:
-        """Worker-flushed metrics: one run's snapshot, or merged across runs."""
-        if run_id is not None:
-            return self._router.run_metrics(run_id)
-        return self._router.merged_metrics()
 
     def close(self) -> None:
         """Tear down the pool and router; idempotent, and always reaps.
@@ -702,11 +608,10 @@ class ProcessExecutor:
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 
-Executor = Union[SerialExecutor, ThreadExecutor, ProcessExecutor]
+Executor = Union[SerialExecutor, ProcessExecutor]
 
 
 def resolve_executor(
@@ -736,8 +641,8 @@ def resolve_executor(
             if workers not in (None, 1):
                 raise ValueError(
                     f"workers={workers} conflicts with the serial executor's "
-                    "workers=1 — pick the thread or process backend for "
-                    "multi-worker runs"
+                    "workers=1 — pick the process backend for multi-worker "
+                    "runs"
                 )
             return SerialExecutor(), True
         return factory(workers=workers), True
@@ -830,7 +735,7 @@ def estimate_acceptance_sharded(
     the per-shard counts merge through
     :meth:`~repro.simulation.metrics.AcceptanceEstimate.merge`.
 
-    ``target`` may be a compiled plan (serial/thread backends) or a
+    ``target`` may be a compiled plan (serial backend) or a
     :class:`~repro.parallel.spec.PlanSpec` (any backend; required for
     processes).  With ``stop_halfwidth`` set, the run stops the moment its
     contiguous counter prefix satisfies the Wilson rule, and ``prefix``

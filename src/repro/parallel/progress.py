@@ -12,8 +12,7 @@ single-process estimate bit for bit.
 Conduits per backend
 --------------------
 
-- **Serial / Thread** — the publish callback is invoked in-process (from
-  worker threads, on the thread backend).
+- **Serial** — the publish callback is invoked in-process.
 - **Process** — workers put ``(run_id, shard_index, accepted, trials)``
   tuples on a ``multiprocessing`` queue installed by the pool initializer;
   a single parent-side :class:`ProgressRouter` thread drains the queue and
@@ -27,7 +26,7 @@ import threading
 import warnings
 from typing import Callable, Dict, Optional
 
-from repro.obs.metrics import MetricsFlush, MetricsRegistry
+from repro.obs.metrics import MetricsFlush
 from repro.obs.runtime import get_metrics
 
 
@@ -35,20 +34,13 @@ class StopToken:
     """A per-run cooperative stop flag.
 
     Executors hand every run its own token so concurrent runs on one pool
-    (campaign cells) stop independently — the executor-wide
-    ``request_stop()`` remains as a pool-global kill switch that every
-    token's ``probe`` also observes via ``extra``.  ``on_request`` carries
-    backend side effects (the process backend marks its shared stop-board
-    slot so worker processes see the request).
+    (campaign cells) stop independently.  ``on_request`` carries backend
+    side effects (the process backend marks its shared stop-board slot so
+    worker processes see the request).
     """
 
-    def __init__(
-        self,
-        extra: Optional[Callable[[], bool]] = None,
-        on_request: Optional[Callable[[], None]] = None,
-    ):
+    def __init__(self, on_request: Optional[Callable[[], None]] = None):
         self._stopped = False
-        self._extra = extra
         self._on_request = on_request
 
     @property
@@ -62,9 +54,7 @@ class StopToken:
 
     def probe(self) -> bool:
         """The ``should_stop`` hook workers poll between chunks."""
-        if self._stopped:
-            return True
-        return self._extra is not None and self._extra()
+        return self._stopped
 
 
 class RunHandle:
@@ -154,10 +144,9 @@ class ProgressRouter:
 
     The queue double-duties as the worker→parent metrics conduit: a
     :class:`~repro.obs.metrics.MetricsFlush` item carries one worker's
-    metrics delta tagged with its run id; the router folds it into a
-    per-run registry (:meth:`run_metrics`), into the cross-run merge
-    (:meth:`merged_metrics`), and into the parent's process-global
-    registry so worker-side counters surface in trace metrics records.
+    metrics delta; the router folds it into the parent's process-global
+    registry so worker-side counters surface in
+    trace metrics records.
     """
 
     def __init__(self, queue, join_timeout: float = 5.0):
@@ -168,8 +157,6 @@ class ProgressRouter:
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._last_trials: Dict[int, Dict[int, int]] = {}  # run -> shard -> trials
-        self._run_metrics: Dict[int, MetricsRegistry] = {}
-        self._merged_metrics = MetricsRegistry()
         self.callback_errors = 0  # raising subscribers, dropped not fatal
         self.unknown_run_updates = 0  # partials for finished/never-known runs
         self.stale_updates = 0  # regressive partials (superseded in transit)
@@ -204,26 +191,9 @@ class ProgressRouter:
             "drain_thread_leaked": self.drain_thread_leaked,
         }
 
-    def run_metrics(self, run_id: int) -> Optional[Dict]:
-        """The merged worker-metrics snapshot flushed for one run id."""
-        with self._lock:
-            registry = self._run_metrics.get(run_id)
-            return registry.snapshot() if registry is not None else None
-
-    def merged_metrics(self) -> Dict:
-        """Worker metrics merged across every run on this pool."""
-        with self._lock:
-            return self._merged_metrics.snapshot()
-
     def _absorb_metrics(self, flush: MetricsFlush) -> None:
         with self._lock:
             self.metrics_flushes += 1
-            registry = self._run_metrics.get(flush.run_id)
-            if registry is None:
-                registry = MetricsRegistry()
-                self._run_metrics[flush.run_id] = registry
-            registry.merge(flush.metrics)
-            self._merged_metrics.merge(flush.metrics)
         # Outside the router lock: the global registry has its own.
         get_metrics().merge(flush.metrics)
 

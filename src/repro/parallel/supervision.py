@@ -41,9 +41,9 @@ price of being able to time one out).
 
 Known limitation, stated honestly: a worker that hangs *non-cooperatively*
 (never polling ``should_stop`` between chunks) can only be reclaimed on the
-process backend, where ``repair()`` terminates it.  Thread workers cannot
-be killed in CPython; the chaos harness's hang fault is cooperative for
-exactly this reason.
+process backend, where ``repair()`` terminates it.  A serial-backend shard
+runs on a watcher thread, and CPython cannot kill a thread; the chaos
+harness's hang fault is cooperative for exactly this reason.
 """
 
 from __future__ import annotations

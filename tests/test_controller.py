@@ -28,7 +28,6 @@ from repro.parallel import (
     JsonlSink,
     MemorySink,
     ShardPlanner,
-    ThreadExecutor,
     controller,
     estimate_acceptance_sharded,
     run_campaign,
@@ -39,6 +38,8 @@ from repro.parallel.controller import observed_halfwidth
 from repro.parallel.factories import compiled_spanning_tree
 from repro.parallel.spec import PlanSpec
 from repro.simulation.metrics import AcceptanceEstimate, wilson_interval, wilson_stop_holds
+
+from concurrent_serial import ConcurrentSerialExecutor
 
 
 def easy_spec():
@@ -298,20 +299,17 @@ def assert_contiguous(allocation):
 STAGGER_SEED = 3
 
 
-class _StaggeredExecutor:
-    """A thread pool that holds shard 0 back until shard 1 has finished.
+class _StaggeredExecutor(ConcurrentSerialExecutor):
+    """Four in-process shards in flight; shard 0 is held back until shard 1
+    has finished.
 
     Shard 1 (and any later shard) runs while no earlier counter has been
     booked, so only a stop on merged, non-contiguous counts could cut it
     short.  ``results`` keeps each shard index's last result.
     """
 
-    name = "staggered"
-    in_process = True
-    workers = 4
-
     def __init__(self):
-        self._inner = ThreadExecutor(workers=4)
+        super().__init__(workers=4)
         self._shard_1_done = threading.Event()
         self.results = {}
 
@@ -326,15 +324,9 @@ class _StaggeredExecutor:
         return result
 
     def start_run(self, fn, payloads, on_progress=None):
-        return self._inner.start_run(
+        return super().start_run(
             functools.partial(self._body, fn), payloads, on_progress=on_progress
         )
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._inner.close()
 
 
 class TestAdaptiveCampaign:

@@ -13,7 +13,8 @@ import pytest
 import repro
 from repro.core.boosting import BoostedRPLS
 from repro.core.compiler import FingerprintCompiledRPLS
-from repro.core.verifier import estimate_acceptance, verify_deterministic, verify_randomized
+from repro.core.verifier import verify_deterministic, verify_randomized
+from repro.engine import estimate_acceptance_batched
 from repro.graphs.generators import (
     corrupt_mst_swap,
     line_configuration,
@@ -62,10 +63,12 @@ def test_the_papers_story_on_mst():
     # boostable to (1/2)^t.
     faulty = corrupt_mst_swap(network, seed=7)
     faulty_labels = randomized.prover(faulty)
-    single = estimate_acceptance(randomized, faulty, trials=20, labels=faulty_labels)
+    single = estimate_acceptance_batched(
+        randomized, faulty, trials=20, labels=faulty_labels
+    )
     assert single.probability < 0.5
     boosted = BoostedRPLS(randomized, repetitions=4)
-    boosted_estimate = estimate_acceptance(
+    boosted_estimate = estimate_acceptance_batched(
         boosted, faulty, trials=20, labels=faulty_labels
     )
     assert boosted_estimate.probability <= single.probability

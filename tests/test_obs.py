@@ -236,11 +236,11 @@ class TestMetricsRegistry:
         assert merge_snapshots(delta, delta)["counters"] == {"c": 4}
 
     def test_take_metrics_flush_is_none_when_empty(self):
-        assert take_metrics_flush(run_id=1) is None
+        assert take_metrics_flush() is None
         get_metrics().counter("c").inc()
-        flush = take_metrics_flush(run_id=1)
+        flush = take_metrics_flush()
         assert flush is not None and flush.metrics["counters"] == {"c": 1}
-        assert take_metrics_flush(run_id=1) is None  # drained
+        assert take_metrics_flush() is None  # drained
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +329,16 @@ class TestProgressRouterStats:
         # The stale update was still dispatched: the router only counts it.
         assert seen == [(0, 3, 10), (0, 0, 4)]
 
-    def test_metrics_flush_merges_per_run_and_globally(self):
+    def test_metrics_flushes_merge_into_the_global_registry(self):
         q = _DrainableQueue()
         router = ProgressRouter(q)
         router.subscribe(1, lambda *a: None)
-        q.put(MetricsFlush(run_id=1, metrics={"counters": {"w": 2}}))
-        q.put(MetricsFlush(run_id=1, metrics={"counters": {"w": 3}}))
-        q.put(MetricsFlush(run_id=2, metrics={"counters": {"w": 10}}))
+        q.put(MetricsFlush(metrics={"counters": {"w": 2}}))
+        q.put(MetricsFlush(metrics={"counters": {"w": 3}}))
+        q.put(MetricsFlush(metrics={"counters": {"w": 10}}))
         assert _settled(router, lambda: router.metrics_flushes == 3)
         router.close()
-        assert router.run_metrics(1)["counters"] == {"w": 5}
-        assert router.run_metrics(2)["counters"] == {"w": 10}
-        assert router.merged_metrics()["counters"] == {"w": 15}
         assert get_metrics().snapshot()["counters"]["w"] == 15
-        assert router.run_metrics(99) is None
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,15 @@ class TestShardedEstimateIdentity:
         assert [s["attrs"]["kernel_path"] for s in trace.named("shard")] == [path] * 2
         assert trace.merged_metrics()["counters"][f"engine.path.{path}"] == 2
 
-    def test_thread_backend_identity(self, tmp_path):
+    @pytest.mark.parallel_proc
+    def test_process_backend_identity_shared_coins(self, tmp_path):
         spec = workload_spec("shared-coins", node_count=14, extra_edges=4, seed=1)
         untraced = estimate_acceptance_sharded(
-            spec, TRIALS, seed=SEED, executor="thread", workers=2, shard_count=4
+            spec, TRIALS, seed=SEED, executor="process", workers=2, shard_count=4
         )
         with tracing(tmp_path / "trace"):
             traced = estimate_acceptance_sharded(
-                spec, TRIALS, seed=SEED, executor="thread", workers=2, shard_count=4
+                spec, TRIALS, seed=SEED, executor="process", workers=2, shard_count=4
             )
         assert traced.estimate == untraced.estimate
 

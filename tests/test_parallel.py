@@ -27,6 +27,7 @@ import pytest
 
 from repro.engine import PlanCache, estimate_acceptance_fast
 from repro.parallel import (
+    EXECUTORS,
     Campaign,
     Cell,
     JsonlSink,
@@ -36,7 +37,6 @@ from repro.parallel import (
     SerialExecutor,
     Shard,
     ShardPlanner,
-    ThreadExecutor,
     estimate_acceptance_sharded,
     resolve_executor,
     run_campaign,
@@ -47,6 +47,8 @@ from repro.parallel.factories import WORKLOADS, compiled_spanning_tree
 from repro.parallel.shards import MIN_SHARD_TRIALS, SHARDS_PER_WORKER
 from repro.parallel.spec import clear_process_caches, resolve_factory
 from repro.simulation.metrics import AcceptanceEstimate
+
+from concurrent_serial import ConcurrentSerialExecutor
 
 TRIALS = 300
 SEED = 11
@@ -313,10 +315,12 @@ class TestShardedDeterminism:
         assert sharded.shards == shards
 
     @pytest.mark.parametrize("shards", [2, 8])
-    def test_thread_matches_single_process(self, shards):
+    def test_concurrent_matches_single_process(self, shards):
+        # Two shards in flight in-process: results arrive out of order.
         spec = small_spec()
         sharded = estimate_acceptance_sharded(
-            spec, TRIALS, seed=SEED, executor="thread", workers=2, shard_count=shards
+            spec, TRIALS, seed=SEED, executor=ConcurrentSerialExecutor(2),
+            shard_count=shards,
         )
         assert sharded.estimate == _single(spec)
 
@@ -326,17 +330,15 @@ class TestShardedDeterminism:
         spec = noisy_spec()
         single = _single(spec)
         assert 0 < single.accepted < single.trials
-        for backend, workers in (("serial", None), ("thread", 2)):
-            sharded = estimate_acceptance_sharded(
-                spec, TRIALS, seed=SEED, executor=backend, workers=workers,
-                shard_count=8,
-            )
-            assert sharded.estimate == single
+        sharded = estimate_acceptance_sharded(
+            spec, TRIALS, seed=SEED, executor="serial", shard_count=8
+        )
+        assert sharded.estimate == single
 
     def test_shared_coins_parity_workload(self):
         spec = shared_spec()
         sharded = estimate_acceptance_sharded(
-            spec, TRIALS, seed=SEED, executor="thread", workers=2, shard_count=4
+            spec, TRIALS, seed=SEED, executor="serial", shard_count=4
         )
         assert sharded.estimate == _single(spec)
 
@@ -507,13 +509,14 @@ class TestEarlyExit:
         )
         assert rerun.estimate == stopped.estimate
 
-    def test_thread_stop_cancels_outstanding_shards(self):
+    @pytest.mark.parallel_proc
+    def test_process_stop_cancels_outstanding_shards(self):
         spec = small_spec()
         sharded = estimate_acceptance_sharded(
             spec,
             20000,
             seed=SEED,
-            executor="thread",
+            executor="process",
             workers=2,
             shard_count=20,
             stop_halfwidth=0.05,
@@ -532,16 +535,19 @@ class TestExecutors:
     def test_resolve_by_name_and_instance(self):
         executor, owned = resolve_executor("serial")
         assert isinstance(executor, SerialExecutor) and owned
-        with ThreadExecutor(workers=2) as instance:
+        with SerialExecutor() as instance:
             resolved, owned = resolve_executor(instance)
             assert resolved is instance and not owned
 
     def test_unknown_name_raises(self):
+        assert sorted(EXECUTORS) == ["process", "serial"]
         with pytest.raises(ValueError):
             resolve_executor("gpu")
+        with pytest.raises(ValueError):
+            resolve_executor("thread")
 
     def test_worker_count_conflict_raises(self):
-        with ThreadExecutor(workers=2) as instance:
+        with SerialExecutor() as instance:
             with pytest.raises(ValueError):
                 resolve_executor(instance, workers=4)
 
@@ -554,8 +560,6 @@ class TestExecutors:
         assert isinstance(executor, SerialExecutor) and owned
 
     def test_invalid_worker_counts(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(workers=0)
         with pytest.raises(ValueError):
             ProcessExecutor(workers=0)
 
@@ -796,8 +800,8 @@ class TestCli:
         code = cli_main(
             ["campaign", "--workloads", "spanning-tree", "--rng-modes",
              "compat,vector", "--trials", "48", "--size", "node_count=12",
-             "--executor", "thread", "--workers", "2",
-             "--cell-parallelism", "2", "--out", out_path]
+             "--executor", "serial", "--cell-parallelism", "2",
+             "--out", out_path]
         )
         assert code == 0
         assert "2 cells run" in capsys.readouterr().out

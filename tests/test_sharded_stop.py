@@ -41,7 +41,6 @@ from repro.parallel import (
     SerialExecutor,
     ShardPlanner,
     ShardResult,
-    ThreadExecutor,
     estimate_acceptance_sharded,
     run_campaign,
     workload_spec,
@@ -51,6 +50,7 @@ from repro.parallel.executors import _PrefixBook, _run_shard
 from repro.parallel.shards import Shard
 from repro.parallel.spec import clear_process_caches
 from repro.simulation.metrics import AcceptanceEstimate, wilson_stop_holds
+from concurrent_serial import ConcurrentSerialExecutor
 from spec_matrix import matrix_workload
 
 TARGET = 0.03
@@ -96,7 +96,7 @@ CELLS = (
 
 BACKENDS = {
     "serial": SerialExecutor,
-    "thread": lambda: ThreadExecutor(workers=2),
+    "concurrent": lambda: ConcurrentSerialExecutor(2),
     "process": lambda: ProcessExecutor(workers=2),
 }
 
@@ -175,7 +175,7 @@ class TestLayoutIndependence:
     def test_default_planner_splits_installments(self):
         # The contract above is only interesting if installments really run
         # on several shards under the default planner.
-        with ThreadExecutor(workers=2) as executor:
+        with ConcurrentSerialExecutor(2) as executor:
             records = _layout_campaign(executor, None, 1, seed=5)
         assert any(
             record["shards"] > len(record["allocation"]["installments"])

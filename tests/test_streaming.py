@@ -44,6 +44,8 @@ from repro.parallel.progress import RunHandle, StopToken
 from repro.parallel.spec import clear_process_caches
 from repro.simulation.metrics import AcceptanceEstimate
 
+from concurrent_serial import ConcurrentSerialExecutor
+
 TRIALS = 300
 SEED = 11
 
@@ -157,25 +159,27 @@ class TestStreamedDeterminism:
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
     @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
-    def test_thread_streamed_matches_single_process(self, shards, rng_mode):
+    def test_concurrent_streamed_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         streamed = estimate_acceptance_sharded(
-            spec, TRIALS, seed=SEED, executor="thread", workers=2,
+            spec, TRIALS, seed=SEED, executor=ConcurrentSerialExecutor(2),
             shard_count=shards,
         )
         assert streamed.estimate == _single(spec)
         assert streamed.progress_updates > 0
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "concurrent"])
     def test_scalar_counter_path_streams_exactly(self, executor, shards):
         # vector mode without a kernel (the noisy channel): scalar CounterRng
-        # draws, two-sided verdicts, streamed through every in-process backend.
+        # draws, two-sided verdicts, streamed in-process with one shard in
+        # flight (serial) and two (concurrent).
         spec = noisy_spec("vector")
         assert spec.resolve().kernel_path == "scalar"
+        if executor == "concurrent":
+            executor = ConcurrentSerialExecutor(2)
         streamed = estimate_acceptance_sharded(
-            spec, TRIALS, seed=SEED, executor=executor,
-            workers=2 if executor == "thread" else None, shard_count=shards,
+            spec, TRIALS, seed=SEED, executor=executor, shard_count=shards,
         )
         assert streamed.estimate == _single(spec)
         assert streamed.progress_updates > 0
@@ -185,7 +189,7 @@ class TestStreamedDeterminism:
         single = _single(spec)
         assert 0 < single.accepted < single.trials
         streamed = estimate_acceptance_sharded(
-            spec, TRIALS, seed=SEED, executor="thread", workers=2, shard_count=8,
+            spec, TRIALS, seed=SEED, executor="serial", shard_count=8,
         )
         assert streamed.estimate == single
 
@@ -267,15 +271,15 @@ class TestChunkGranularStop:
         again = estimate_acceptance_sharded(spec, 4000, **kwargs)
         assert again.estimate == streamed.estimate
 
-    def test_streamed_stop_on_slow_synthetic_plan_thread_backend(self, set_chunk):
+    def test_streamed_stop_on_slow_synthetic_plan_concurrent_shards(self, set_chunk):
         # The synthetic slow plan makes chunks take real time, so the
-        # mid-shard stop observably cancels in-flight shards on a threaded
-        # pool as well (counts here are timing-dependent; the assertions
+        # mid-shard stop observably cancels in-flight shards when two run
+        # at once as well (counts here are timing-dependent; the assertions
         # are the guarantees, not the exact stop point).
         plan = SlowPlan(small_spec().resolve(), delay=0.002)
         set_chunk(25)
         streamed = estimate_acceptance_sharded(
-            plan, 4000, seed=SEED, executor="thread", workers=2, shard_count=8,
+            plan, 4000, seed=SEED, executor=ConcurrentSerialExecutor(2), shard_count=8,
             stop_halfwidth=0.05, min_trials=50,
         )
         assert streamed.stopped_early
@@ -295,7 +299,7 @@ class TestChunkGranularStop:
         try:
             for seed in range(2):
                 sharded = estimate_acceptance_sharded(
-                    spec, 2000, seed=seed, executor="thread", workers=8,
+                    spec, 2000, seed=seed, executor=ConcurrentSerialExecutor(8),
                     shard_count=16, stop_halfwidth=0.05, min_trials=64,
                 )
                 assert sharded.stopped_early and sharded.report.ok
@@ -349,9 +353,8 @@ class TestConcurrentCells:
         campaign = self._campaign()
         serial_path = tmp_path / "serial.jsonl"
         parallel_path = tmp_path / "parallel.jsonl"
-        run_campaign(campaign, executor="thread", workers=2,
-                     sink=JsonlSink(serial_path))
-        run_campaign(campaign, executor="thread", workers=2,
+        run_campaign(campaign, executor="serial", sink=JsonlSink(serial_path))
+        run_campaign(campaign, executor="serial",
                      sink=JsonlSink(parallel_path), cell_parallelism=4)
         # Identical records in identical (campaign declaration) order —
         # the wall-clock fields are the only ones allowed to differ.
@@ -361,8 +364,7 @@ class TestConcurrentCells:
         campaign = self._campaign()
         sink = JsonlSink(tmp_path / "streamed.jsonl")
         records = run_campaign(
-            campaign, executor="thread", workers=2, sink=sink,
-            cell_parallelism=3,
+            campaign, executor="serial", sink=sink, cell_parallelism=3,
         )
         assert [r["cell"] for r in records] == [c.name for c in campaign.cells]
         for record, cell in zip(records, campaign.cells):
@@ -494,31 +496,8 @@ class TestConcurrentCells:
         assert alive == [], raised.traceback
 
 
-class TestStopEpoch:
-    """A pool-global request_stop cancels in-flight runs, not future ones."""
-
-    def test_serial_executor_usable_after_request_stop(self):
-        from repro.parallel import SerialExecutor
-
-        spec = small_spec()
-        with SerialExecutor() as executor:
-            executor.request_stop()
-            sharded = estimate_acceptance_sharded(
-                spec, 128, seed=SEED, executor=executor, shard_count=2
-            )
-        # Regression: the stop used to stick, yielding a 0-trial estimate.
-        assert sharded.estimate.trials == 128
-
-    def test_thread_executor_usable_after_request_stop(self):
-        from repro.parallel import ThreadExecutor
-
-        spec = small_spec()
-        with ThreadExecutor(workers=2) as executor:
-            executor.request_stop()
-            sharded = estimate_acceptance_sharded(
-                spec, 128, seed=SEED, executor=executor, shard_count=2
-            )
-        assert sharded.estimate.trials == 128
+class TestRunHandleStop:
+    """A run's own handle stops it in flight: later shards never start."""
 
     def test_request_stop_cancels_in_flight_run(self, set_chunk):
         from repro.parallel import SerialExecutor
@@ -536,25 +515,12 @@ class TestStopEpoch:
         )
         results = handle.results()
         next(results)  # first shard done
-        executor.request_stop()  # pool-global stop mid-run
+        handle.request_stop()  # the run's own stop, mid-run
         remaining = list(results)
         # Shards after the stop were skipped, not run.
         assert len(remaining) < len(shards) - 1 or all(
             r.trials == 0 for r in remaining
         )
-
-
-@pytest.mark.parallel_proc
-class TestProcessStopEpoch:
-    def test_process_executor_usable_after_request_stop(self):
-        spec = small_spec()
-        with ProcessExecutor(workers=2) as executor:
-            executor.request_stop()
-            sharded = estimate_acceptance_sharded(
-                spec, 128, seed=SEED, executor=executor, shard_count=2
-            )
-        assert sharded.estimate.trials == 128
-        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,14 @@ from repro.parallel import (
     ShardPlanner,
     ShardResult,
     ShardSupervisor,
-    ThreadExecutor,
     estimate_acceptance_sharded,
     run_campaign,
     workload_spec,
 )
 from repro.parallel.factories import compiled_spanning_tree
 from repro.parallel.spec import clear_process_caches
+
+from concurrent_serial import ConcurrentSerialExecutor
 
 TRIALS = 300
 SEED = 11
@@ -181,9 +182,9 @@ class TestSupervisedIdentity:
         assert report.retries == 0 and report.timeouts == 0
         assert report.attempts == {index: 1 for index in range(shard_count)}
 
-    def test_supervised_thread_equals_single_process(self):
+    def test_supervised_concurrent_equals_single_process(self):
         spec = noisy_spec()
-        with ThreadExecutor(workers=2) as executor:
+        with ConcurrentSerialExecutor(2) as executor:
             sharded = estimate_acceptance_sharded(
                 spec, TRIALS, seed=SEED, executor=executor, shard_count=8,
                 max_retries=2,
@@ -506,7 +507,7 @@ class TestShardSupervisor:
                 raise RuntimeError("hung attempt stopped")
             return _complete(shard)
 
-        with ThreadExecutor(workers=2) as executor:
+        with ConcurrentSerialExecutor(2) as executor:
             supervisor = ShardSupervisor(
                 executor, body, _toy_payloads(shard_count=2),
                 policy=RetryPolicy(
@@ -648,11 +649,13 @@ class TestInterruptLeavesResumableSink:
     @pytest.mark.parametrize("executor,workers,parallelism", [
         ("serial", None, 1),
         ("serial", None, 2),
-        ("thread", 2, 2),
+        ("concurrent", None, 2),
     ])
     def test_interrupt_mid_campaign_is_resumable(
         self, tmp_path, executor, workers, parallelism
     ):
+        if executor == "concurrent":
+            executor = ConcurrentSerialExecutor(2)
         campaign = self._campaign()
         path = tmp_path / "interrupted.jsonl"
         with pytest.raises(KeyboardInterrupt):

@@ -21,6 +21,7 @@ from repro.graphs.workloads import (
     hotspot_victims,
     uniform_random_fault_schedule,
 )
+from repro.parallel import SerialExecutor
 from repro.schemes.spanning_tree import SpanningTreePLS
 from repro.simulation.self_stabilization import (
     run_self_stabilization,
@@ -194,12 +195,12 @@ def _replica_setup(run_index, run_seed):
 
 
 class TestStabilizationReplicas:
-    def test_serial_and_thread_agree(self):
+    def test_serial_name_and_instance_agree(self):
         serial = run_stabilization_replicas(_replica_setup, 4, seed=3)
-        threaded = run_stabilization_replicas(
-            _replica_setup, 4, seed=3, executor="thread", workers=2
+        instance = run_stabilization_replicas(
+            _replica_setup, 4, seed=3, executor=SerialExecutor()
         )
-        assert serial == threaded
+        assert serial == instance
         assert [summary.run_index for summary in serial] == [0, 1, 2, 3]
         assert len({summary.seed for summary in serial}) == 4
 
