@@ -522,6 +522,54 @@ class TestRunHandleStop:
             r.trials == 0 for r in remaining
         )
 
+    def _stop_one_run(self, executor, payload_target):
+        from repro.parallel.executors import _run_shard
+        from repro.parallel.shards import ShardPlanner
+
+        options = {"seed": SEED, "rng_mode": None}
+        shards = ShardPlanner(shard_count=4).plan(256)
+        with executor.start_run(
+            _run_shard, [(payload_target, shard, options) for shard in shards]
+        ) as handle:
+            results = handle.results()
+            next(results)
+            handle.request_stop()
+            list(results)
+
+    def test_serial_executor_usable_after_request_stop(self):
+        from repro.parallel import SerialExecutor
+
+        spec = small_spec()
+        with SerialExecutor() as executor:
+            self._stop_one_run(executor, spec.resolve().prepare())
+            sharded = estimate_acceptance_sharded(
+                spec, 128, seed=SEED, executor=executor, shard_count=2
+            )
+        # A stopped run's stop must not stick to the executor's next run.
+        assert sharded.estimate.trials == 128
+
+    def test_concurrent_executor_usable_after_request_stop(self):
+        spec = small_spec()
+        with ConcurrentSerialExecutor(2) as executor:
+            self._stop_one_run(executor, spec.resolve().prepare())
+            sharded = estimate_acceptance_sharded(
+                spec, 128, seed=SEED, executor=executor, shard_count=2
+            )
+        assert sharded.estimate.trials == 128
+
+    @pytest.mark.parallel_proc
+    def test_process_executor_usable_after_request_stop(self):
+        # The stopped run's stop-board slot goes back to the free list and
+        # the next run takes it: its flag must be cleared on reuse.
+        spec = small_spec()
+        with ProcessExecutor(workers=2) as executor:
+            self._stop_one_run(executor, spec)
+            sharded = estimate_acceptance_sharded(
+                spec, 128, seed=SEED, executor=executor, shard_count=2
+            )
+        assert sharded.estimate.trials == 128
+        assert multiprocessing.active_children() == []
+
 
 # ---------------------------------------------------------------------------
 # zero-trial estimates (the cooperative-stop edge case)
