@@ -105,9 +105,9 @@ bench-gate:
 # time to a target Wilson halfwidth on faulted plans, three workloads; the
 # last output line is the JSON result.  Not part of tier-1.
 perfbench:
-	python3 perfbench/run.py
+	$(PYTHON) perfbench/run.py
 
 # The benchmark at tiny sizes (~1 min): every metric name and unit, the
 # manifest, repeatability, and the bare-checkout failure.  Not part of tier-1.
 perfbench-smoke:
-	python3 perfbench/smoke.py
+	$(PYTHON) perfbench/smoke.py

@@ -232,23 +232,50 @@ class BitWriter:
         return BitString(self._value, self._length)
 
 
-class BitReader:
-    """Sequential unpacker over a :class:`BitString`.
+#: How many already-read bits a :class:`BitReader` keeps above the unread
+#: ones before it drops them (see :meth:`BitReader._advance`).
+_READ_WINDOW = 1024
 
-    Raises :class:`ValueError` on over-read, which verifiers treat as a
-    malformed label (and therefore reject) — a forged label must never crash
-    the verifier.
+
+class BitReader:
+    """Sequential unpacker over a :class:`BitString`, in one pass.
+
+    Fields are read straight off the bit string's integer: the field ending
+    ``rest`` bits before the end is ``(value >> rest) & mask``.  A shift
+    costs the length of what it keeps, so the reader drops the bits it has
+    read once more than :data:`_READ_WINDOW` of them sit above the unread
+    ones; a field then costs its width plus at most the window, and a whole
+    label its length.
+
+    Raises :class:`ValueError` on over-read (and on a negative width), which
+    verifiers treat as a malformed label (and therefore reject) — a forged
+    label must never crash the verifier.
     """
 
+    __slots__ = ("_value", "_held", "_rest")
+
     def __init__(self, bit_string: BitString):
-        self._bits = bit_string
-        self._offset = 0
+        self._value = bit_string.value  # the unread bits, below _held - _rest read ones
+        self._held = bit_string.length
+        self._rest = bit_string.length  # bits not yet read
+
+    def _advance(self, rest: int) -> None:
+        """Move to ``rest`` unread bits, dropping read bits past the window."""
+        self._rest = rest
+        if self._held - rest > _READ_WINDOW:
+            self._value &= (1 << rest) - 1
+            self._held = rest
 
     def read_uint(self, width: int) -> int:
         """Read ``width`` bits as an unsigned integer."""
-        piece = self._bits.slice(self._offset, width)
-        self._offset += width
-        return piece.value
+        rest = self._rest - width
+        if width < 0 or rest < 0:
+            raise ValueError(
+                f"cannot read {width} bits with {self._rest} remaining"
+            )
+        value = self._value
+        self._advance(rest)
+        return (value >> rest) & ((1 << width) - 1)
 
     def read_flag(self) -> bool:
         """Read a single bit as a boolean."""
@@ -256,29 +283,34 @@ class BitReader:
 
     def read_bitstring(self, width: int) -> BitString:
         """Read ``width`` bits as a fresh bit string."""
-        piece = self._bits.slice(self._offset, width)
-        self._offset += width
-        return piece
+        return BitString(self.read_uint(width), width)
 
     def read_varuint(self) -> int:
         """Inverse of :meth:`BitWriter.write_varuint`."""
-        value = 0
+        value = self._value
+        rest = self._rest
+        result = 0
         shift = 0
         while True:
-            group = self.read_uint(4)
-            value |= (group & 0b111) << shift
-            shift += 3
+            rest -= 4
+            if rest < 0:
+                raise ValueError(f"varuint runs past the end ({self._rest} bits remained)")
+            group = (value >> rest) & 0b1111
+            result |= (group & 0b111) << shift
             if not group & 0b1000:
-                return value
+                break
+            shift += 3
             if shift > 96:  # defensive: forged labels must not loop forever
                 raise ValueError("varuint too long")
+        self._advance(rest)
+        return result
 
     @property
     def remaining(self) -> int:
         """Bits not yet consumed."""
-        return self._bits.length - self._offset
+        return self._rest
 
     def expect_exhausted(self) -> None:
         """Raise unless every bit has been consumed (strict codecs)."""
-        if self.remaining != 0:
-            raise ValueError(f"{self.remaining} unread bits remain")
+        if self._rest != 0:
+            raise ValueError(f"{self._rest} unread bits remain")

@@ -51,14 +51,14 @@ from repro.graphs.port_graph import Node
 class _CompiledNodeContext:
     """Per-node trial-invariant state for the engine fast path.
 
-    Coefficients are stored highest-degree-first — the shape the Horner
-    loops of :meth:`Fingerprinter.sample_raw` / :meth:`~Fingerprinter.check_raw`
-    consume directly.
+    Coefficients are stored highest-degree-first, one byte each — the shape
+    the Horner loops of :meth:`Fingerprinter.sample_raw` /
+    :meth:`~Fingerprinter.check_raw` consume directly.
     """
 
     fingerprinter: Fingerprinter
-    own_coefficients: Tuple[int, ...]
-    stored_coefficients: Tuple[Tuple[int, ...], ...]
+    own_coefficients: bytes
+    stored_coefficients: Tuple[bytes, ...]
     base_accepts: bool
 
 
@@ -270,7 +270,7 @@ class FingerprintCompiledRPLS(RandomizedScheme):
         """Describe this context to the vectorized trial-chunk kernel.
 
         Compiled certificates are pure polynomial fingerprints, so a node's
-        entire per-trial behaviour is captured by its coefficient tuples plus
+        entire per-trial behaviour is captured by its coefficient bytes plus
         the trial-invariant base verdict; :mod:`repro.engine.kernels` then
         replays whole Monte-Carlo chunks as lookups in agree rows it
         tabulates once per plan, with decisions identical to

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.core.bitstrings import BitReader, BitString, BitWriter, bits_for_max
 from repro.substrates.gf import PrimeField, numpy_available, vectorizable_prime
@@ -48,10 +48,11 @@ class FingerprintVectorSpec:
     Produced by the optional ``engine_vector_spec`` scheme hook (see
     :mod:`repro.engine.kernels`) for schemes whose certificates are pure
     polynomial fingerprints.  ``own`` / ``stored`` are the node context's
-    tuples of highest-degree-first coefficients — ``own`` for the polynomial
+    highest-degree-first coefficient sequences (bytes, from
+    :meth:`Fingerprinter.reversed_coefficients`) — ``own`` for the polynomial
     this node evaluates when *sending*, ``stored[q]`` for the replica it
-    checks the port-``q`` message against; the kernel compares them as
-    tuples to find the dirty pairs, and tabulates a dirty pair over one
+    checks the port-``q`` message against; the kernel compares them by
+    value to find the dirty pairs, and tabulates a dirty pair over one
     field from the difference of the receiver's ``stored[q]`` and the
     sender's ``own`` (see :mod:`repro.engine.kernels`).  The plan computes
     a context's spec once and keeps it in the node's compile slot, so a
@@ -63,16 +64,20 @@ class FingerprintVectorSpec:
     ``check_raw`` validates before any arithmetic.
     ``accepts_when_checks_pass`` is the node's trial-invariant residual
     verdict (for the Theorem 3.1 compiler: the base verifier's decision on
-    the stored replicas).
+    the stored replicas).  ``header`` holds the fields a certificate
+    carries ahead of its fingerprint, which a receiver requires to equal
+    its own before any arithmetic (``DirectUnifRPLS``: the payload length);
+    like a format mismatch, unequal headers reject every trial.
     """
 
     prime: int
     sub_points: int
     certificate_bits: int
     draws: int
-    own: Tuple[int, ...]
-    stored: Tuple[Tuple[int, ...], ...]
+    own: Sequence[int]
+    stored: Tuple[Sequence[int], ...]
     accepts_when_checks_pass: bool
+    header: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,7 @@ class Fingerprinter:
     # -- unpacked (engine) operations ------------------------------------------
     #
     # The batched engine never ships certificates over a wire, so it works
-    # on RawFingerprint objects and on *reversed* coefficient tuples cached
+    # on RawFingerprint objects and on *reversed* coefficient bytes cached
     # in per-node contexts — the Horner loops below run on locals with no
     # cache lookups or packing in the per-trial path.  The recurrence is
     # deliberately inlined here rather than shared with PrimeField.poly_eval:
@@ -193,20 +198,23 @@ class Fingerprinter:
     # per fingerprint point per trial), and a shared kernel would add a
     # function call per point.
 
-    def reversed_coefficients(self, data: BitString) -> Tuple[int, ...]:
+    def reversed_coefficients(self, data: BitString) -> bytes:
         """``data``'s polynomial coefficients, highest degree first.
 
         The shape the Horner evaluations of :meth:`sample_raw` /
         :meth:`check_raw` consume; engine contexts compute this once per
-        label replica at plan-compile time.  Bypasses the value-keyed
-        coefficient cache: the plan compiler's node-context memo already
-        dedupes replicas across compiles, and routing every forged replica
-        a compile sees through the cache would only retain them.
+        label replica at plan-compile time.  Every coefficient is a bit of
+        ``data``, so one byte holds it: a context keeps a replica in an
+        eighth of a tuple's memory, and two replicas compare as bytes.
+        Bypasses the value-keyed coefficient cache: the plan compiler's
+        node-context memo already dedupes replicas across compiles, and
+        routing every forged replica a compile sees through the cache would
+        only retain them.
         """
-        return tuple(reversed(self._extract_coefficients(data)))
+        return bytes(reversed(self._extract_coefficients(data)))
 
-    def _cached_reversed_coefficients(self, data: BitString) -> Tuple[int, ...]:
-        return tuple(reversed(self._coefficients(data)))
+    def _cached_reversed_coefficients(self, data: BitString) -> bytes:
+        return bytes(reversed(self._coefficients(data)))
 
     def make_raw(self, data: BitString, rng: random.Random) -> RawFingerprint:
         """The unpacked form of :meth:`make`: ``(packed width, points)``.
@@ -217,7 +225,7 @@ class Fingerprinter:
         return self.sample_raw(self._cached_reversed_coefficients(data), rng)
 
     def sample_raw(
-        self, reversed_coefficients: Tuple[int, ...], rng: random.Random
+        self, reversed_coefficients: Sequence[int], rng: random.Random
     ) -> RawFingerprint:
         """Draw an unpacked fingerprint from precomputed coefficients."""
         prime = self.params.prime
@@ -232,7 +240,7 @@ class Fingerprinter:
         return (self.certificate_bits, tuple(points))
 
     def check_raw(
-        self, reversed_coefficients: Tuple[int, ...], certificate: RawFingerprint
+        self, reversed_coefficients: Sequence[int], certificate: RawFingerprint
     ) -> bool:
         """:meth:`check` for an unpacked certificate.
 
@@ -269,7 +277,7 @@ class Fingerprinter:
         """True when this fingerprinter's field supports the numpy kernels."""
         return numpy_available() and vectorizable_prime(self.params.prime)
 
-    def eval_chunk(self, reversed_coefficients: Tuple[int, ...], xs):
+    def eval_chunk(self, reversed_coefficients: Sequence[int], xs):
         """Evaluate the polynomial at an array of points — numpy backend.
 
         ``reversed_coefficients`` is the highest-degree-first shape of

@@ -60,11 +60,17 @@ computed once per context — see "Incremental compile" in
 for the agreement-table kernel, :class:`~repro.core.shared.ParityVectorSpec`
 for the parity kernel — otherwise the plan runs the scalar hook path
 unchanged.  Trial-invariant rejections (a node whose residual verdict is
-False, a sender/receiver fingerprint-format mismatch, a shared-coins plan run
-without public coins) make every trial of the plan reject; the kernels fold
-them into a constant-False chunk without touching the arithmetic (a False
-residual verdict without even scanning the pairs), mirroring the
-plan-level constant-False short-circuit for unparseable labels.
+False, a sender/receiver fingerprint-format or header mismatch, a
+shared-coins plan run without public coins) make every trial of the plan
+reject; the kernels fold them into a constant-False chunk without touching
+the arithmetic, mirroring the plan-level constant-False short-circuit for
+unparseable labels.
+
+The description is kept per (configuration skeleton, scheme) as a
+:class:`_PairTable` — every node's spec and every pair's check — and moved
+to each new plan's slots in place: only the pairs incident to a node whose
+slot changed are checked again, so a one-node relabel costs that node's
+pairs, not a pass over the half-edges.
 
 Arithmetic is exact: coefficients and query points live below the
 fingerprint prime, so every Horner step stays below ``p**2 + p``, far inside
@@ -75,7 +81,9 @@ GF(2) kernel is plain bitwise algebra on ``uint64`` lanes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple
+from itertools import compress, count
+from operator import is_not
+from typing import ClassVar, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import FingerprintVectorSpec
 from repro.core.seeding import derive_stream_seed_array, stream_words
@@ -103,9 +111,9 @@ class _DirtyPair(NamedTuple):
 
     source: int                      # flat half-edge delivering the message
     sender_prime: int                # field the points are drawn in
-    sent: Tuple[int, ...]            # sender's label polynomial A_s
+    sent: Sequence[int]              # sender's label polynomial A_s
     receiver_prime: int
-    stored: Tuple[int, ...]          # receiver's stored replica Q_r
+    stored: Sequence[int]            # receiver's stored replica Q_r
 
 
 @dataclass
@@ -170,72 +178,247 @@ def vector_state(plan):
     False and never reaches the kernel.  Building the state compares
     coefficients only; the fingerprint agree rows are built by the state's
     ``prepare()`` (called by ``plan.prepare()`` and by the first chunk).
+
+    The state equals :func:`_build_vector_state`'s from-scratch build, but
+    is reached by updating the plan's compile memo's :class:`_PairTable` in
+    place: only the pairs incident to a node whose slot changed since the
+    table's last description are looked at again.
     """
     cached = getattr(plan, "_vector_state", _UNSET)
     if cached is not _UNSET:
         return cached
-    state = _build_vector_state(plan)
+    if not _eligible(plan):
+        state = None
+    elif plan.contexts is not plan._compiled[1]:  # contexts swapped after compile
+        state = _build_vector_state(plan)
+    else:
+        memo = plan._compiled[0]
+        with memo.lock:
+            table = memo.kernel
+            state = _UNSET if table is None else table.update(plan)
+            if state is _UNSET:
+                # No table yet, or a changed spec broke the shared shape: a
+                # plan without a kernel leaves the old table standing.
+                table = _PairTable.build(plan)
+                state = None if table is None else table.state(plan)
+                if table is not None:
+                    memo.kernel = table
     plan._vector_state = state
     return state
 
 
+def _eligible(plan) -> bool:
+    """numpy is there and the scheme has hooks and a vector-spec hook."""
+    return (
+        _np is not None
+        and numpy_available()
+        and plan.contexts is not None
+        and getattr(plan.scheme, "engine_vector_spec", None) is not None
+    )
+
+
 def _build_vector_state(plan):
-    if _np is None or not numpy_available():
+    """The plan's kernel description, built from scratch."""
+    if not _eligible(plan):
         return None
-    if plan.contexts is None:
-        return None
-    spec_hook = getattr(plan.scheme, "engine_vector_spec", None)
-    if spec_hook is None:
-        return None
-    specs = []
-    for slot, context in zip(plan._slots, plan.contexts):
-        if context is None:
-            return None  # plan.constant_verdict is False; nothing to run
-        if slot.context is context:
-            spec = slot.vector_spec(spec_hook)
-        else:  # a context swapped into the plan after compile
-            spec = spec_hook(context)
-        if spec is None:
-            return None
-        specs.append(spec)
-    if all(isinstance(spec, FingerprintVectorSpec) for spec in specs):
-        return _build_fingerprint_state(plan, specs)
-    if all(isinstance(spec, ParityVectorSpec) for spec in specs):
-        return _build_parity_state(plan, specs)
-    return None  # pragma: no cover - one scheme produces one spec kind
+    table = _PairTable.build(plan)
+    return None if table is None else table.state(plan)
 
 
-def _build_fingerprint_state(plan, specs) -> Optional[_VectorState]:
-    draws = {spec.draws for spec in specs}
-    if len(draws) != 1:  # pragma: no cover - one scheme, one draw count
-        return None
-    draw_count = draws.pop()
+_MISMATCH = object()  # a pair check's result: the formats differ, every trial rejects
 
-    if not all(spec.accepts_when_checks_pass for spec in specs):
-        return _VectorState(draws=draw_count, constant_false=True)
 
+def _check(kind, receiver, port: int, sender, source: int):
+    """One (receiver, port) pair's trial-invariant check, against the
+    message of half-edge ``source``: ``None`` when it passes for every draw,
+    :data:`_MISMATCH` when it fails for every draw, otherwise the pair's
+    kernel row (a :class:`_DirtyPair`, or a parity pair's packed XOR-diff
+    words)."""
+    if kind is ParityVectorSpec:
+        diff = receiver.stored_values[port] ^ sender.own_value
+        return pack_value_words(diff, receiver.width) if diff else None
     # Sender/receiver fingerprint-format mismatches (a forged label claiming
-    # a different kappa) are trial-invariant: the scalar check_raw rejects on
-    # packed width / point count before any arithmetic, every trial.
-    # Otherwise a pair is dirty unless its receiver checks the sender's own
-    # polynomial over the sender's own field.
-    owner = plan.half_edge_owners
-    pairs: List[_DirtyPair] = []
-    for i, incoming_ports in enumerate(plan.incoming):
-        receiver = specs[i]
-        for port, source in enumerate(incoming_ports):
-            sender = specs[owner[source]]
-            if (
-                sender.certificate_bits != receiver.certificate_bits
-                or sender.sub_points != receiver.sub_points
-            ):
-                return _VectorState(draws=draw_count, constant_false=True)
-            stored = receiver.stored[port]
-            if receiver.prime != sender.prime or stored != sender.own:
-                pairs.append(
-                    _DirtyPair(source, sender.prime, sender.own, receiver.prime, stored)
-                )
+    # a different kappa, a Unif payload of another length) are
+    # trial-invariant: the scalar check rejects on them before any
+    # arithmetic, every trial.  Otherwise a pair is dirty unless its
+    # receiver checks the sender's own polynomial over the sender's own
+    # field.
+    if (
+        sender.certificate_bits != receiver.certificate_bits
+        or sender.sub_points != receiver.sub_points
+        or sender.header != receiver.header
+    ):
+        return _MISMATCH
+    stored = receiver.stored[port]
+    if receiver.prime != sender.prime or stored != sender.own:
+        return _DirtyPair(source, sender.prime, sender.own, receiver.prime, stored)
+    return None
 
+
+def _shape(spec) -> tuple:
+    """What every node of a kernel plan must share: the spec kind, the
+    fingerprint draw count, or the parity mask count and width."""
+    if isinstance(spec, FingerprintVectorSpec):
+        return (FingerprintVectorSpec, spec.draws)
+    if isinstance(spec, ParityVectorSpec):
+        return (ParityVectorSpec, spec.repetitions, spec.width)
+    return (None,)  # pragma: no cover - the two spec kinds are the only ones
+
+
+class _PairTable:
+    """Every node's spec and every (receiver, port) pair's check for one
+    plan's slots, kept on the compile memo to be updated in place.
+
+    A pair is keyed by the receiver's flat half-edge index ``k`` (port ``q``
+    of node ``i`` is ``offset[i] + q``, the layout of the half-edges), and
+    its message comes from half-edge ``sources[k]``.  ``checks[k]`` holds
+    the pair's last two ``(receiver spec, sender spec, result)`` triples,
+    the current one first, so a node that returns to a spec it had one
+    change ago (the victim of a scan's previous candidate) is not compared
+    again; as with the node slots, the return drops the newer triple.
+    (Two victims in a row that are neighbours evict their shared edge's
+    older checks, which the next candidate then repeats.)  ``rows`` maps
+    the dirty pairs' keys to their rows, ``mismatched`` holds the format
+    mismatches and ``rejecting`` the nodes whose residual verdict is False.
+    """
+
+    __slots__ = (
+        "slots", "specs", "shape", "offsets", "owners", "sources",
+        "checks", "rows", "mismatched", "rejecting",
+    )
+
+    @classmethod
+    def build(cls, plan) -> Optional["_PairTable"]:
+        """Describe every node and check every pair; ``None`` where the plan
+        has no kernel (a context without a spec, unparseable labels, specs
+        that do not share one shape)."""
+        spec_hook = plan.scheme.engine_vector_spec
+        specs = []
+        for slot, context in zip(plan._slots, plan.contexts):
+            if context is None:
+                return None  # plan.constant_verdict is False; nothing to run
+            if slot.context is context:
+                spec = slot.vector_spec(spec_hook)
+            else:  # a context swapped into the plan after compile
+                spec = spec_hook(context)
+            if spec is None:
+                return None
+            specs.append(spec)
+        shapes = set(map(_shape, specs))
+        if len(shapes) != 1:
+            # Mixed kinds cannot happen within one scheme; differing kappa
+            # claims across shared-coins nodes draw masks at different
+            # widths, so the per-edge verdicts are genuinely random *and*
+            # asymmetric — the scalar hook path handles that shape; the
+            # batched kernel only takes the uniform-width case every honest
+            # (and every single-bit-fault) workload has.
+            return None
+        table = cls()
+        table.slots = plan._slots
+        table.specs = specs
+        table.shape = shapes.pop()
+        offsets = []
+        total = 0
+        for degree in plan.degrees:
+            offsets.append(total)
+            total += degree
+        table.offsets = offsets
+        table.owners = plan.half_edge_owners
+        table.sources = tuple(source for ports in plan.incoming for source in ports)
+        table.checks = [None] * total
+        table.rows = {}
+        table.mismatched = set()
+        table.rejecting = {
+            i for i, spec in enumerate(specs) if not spec.accepts_when_checks_pass
+        }
+        for k in range(total):
+            table._recheck(k)
+        return table
+
+    def update(self, plan):
+        """Move the table to ``plan``'s slots and return the plan's state.
+
+        Returns ``None`` (table untouched) when a changed node has no spec,
+        as the from-scratch build would, and :data:`_UNSET` when a changed
+        spec breaks the shared shape, which only a from-scratch build can
+        settle.
+        """
+        slots = plan._slots
+        changed = list(compress(count(), map(is_not, slots, self.slots)))
+        if changed:
+            spec_hook = plan.scheme.engine_vector_spec
+            fresh = []
+            for i in changed:
+                slot = slots[i]
+                if slot.context is None:
+                    return None
+                spec = slot.vector_spec(spec_hook)
+                if spec is None:
+                    return None
+                if _shape(spec) != self.shape:
+                    return _UNSET
+                fresh.append(spec)
+            keys = set()
+            specs, offsets, sources = self.specs, self.offsets, self.sources
+            for i, spec in zip(changed, fresh):
+                specs[i] = spec
+                if spec.accepts_when_checks_pass:
+                    self.rejecting.discard(i)
+                else:
+                    self.rejecting.add(i)
+                for k in range(offsets[i], offsets[i] + plan.degrees[i]):
+                    keys.add(k)           # i receives on this port
+                    keys.add(sources[k])  # and sends to the pair across
+            for k in keys:
+                self._recheck(k)
+            self.slots = slots
+        return self.state(plan)
+
+    def _recheck(self, k: int) -> None:
+        """Bring pair ``k``'s result up to date with the current specs."""
+        receiver_index = self.owners[k]
+        receiver = self.specs[receiver_index]
+        source = self.sources[k]
+        sender = self.specs[self.owners[source]]
+        held = self.checks[k]
+        if held is not None:
+            current, previous = held
+            if current[0] is receiver and current[1] is sender:
+                return
+            if previous is not None and previous[0] is receiver and previous[1] is sender:
+                self.checks[k] = (previous, None)
+                self._file(k, previous[2])
+                return
+        else:
+            current = None
+        result = _check(
+            self.shape[0], receiver, k - self.offsets[receiver_index], sender, source
+        )
+        self.checks[k] = ((receiver, sender, result), current)
+        self._file(k, result)
+
+    def _file(self, k: int, result) -> None:
+        self.rows.pop(k, None)
+        self.mismatched.discard(k)
+        if result is _MISMATCH:
+            self.mismatched.add(k)
+        elif result is not None:
+            self.rows[k] = result
+
+    def state(self, plan):
+        """The kernel state these checks describe under ``plan``'s
+        randomness: pairs in receiver-major, port-ascending order."""
+        rows = [self.rows[k] for k in sorted(self.rows)]
+        if self.shape[0] is ParityVectorSpec:
+            return _parity_state(plan, self.shape, bool(self.rejecting), rows)
+        return _fingerprint_state(
+            plan, self.shape[1], bool(self.rejecting or self.mismatched), rows
+        )
+
+
+def _fingerprint_state(plan, draw_count: int, constant_false: bool, pairs) -> _VectorState:
+    if constant_false:
+        return _VectorState(draws=draw_count, constant_false=True)
     if not pairs:
         return _VectorState(draws=draw_count, constant_false=False)
 
@@ -296,8 +479,8 @@ def _difference_row(stored, sent, prime):
     """
     width = max(len(stored), len(sent))
     difference = _np.zeros(width, dtype=_np.int64)
-    difference[width - len(stored):] = stored
-    difference[width - len(sent):] -= _np.asarray(sent, dtype=_np.int64)
+    difference[width - len(stored):] = _coefficient_array(stored)
+    difference[width - len(sent):] -= _coefficient_array(sent)
     difference %= prime
     nonzero = _np.flatnonzero(difference)
     if not len(nonzero):
@@ -312,61 +495,41 @@ def _difference_row(stored, sent, prime):
     return row
 
 
+def _coefficient_array(coefficients):
+    """A coefficient sequence (bytes in the schemes here) as int64."""
+    return _np.fromiter(coefficients, dtype=_np.int64, count=len(coefficients))
+
+
 def _mixed_prime_row(pair):
     """``x < p_r and A_s(x) < p_r and Q_r(x) == A_s(x)`` for ``x`` in
     ``range(p_s)``, each polynomial evaluated over its own field."""
     points = _np.arange(pair.sender_prime, dtype=_np.int64).reshape(1, -1)
     sent = poly_eval_rows(
-        _np.asarray(pair.sent, dtype=_np.int64).reshape(1, -1), points, pair.sender_prime
+        _coefficient_array(pair.sent).reshape(1, -1), points, pair.sender_prime
     )[0]
     checked = poly_eval_rows(
-        _np.asarray(pair.stored, dtype=_np.int64).reshape(1, -1), points, pair.receiver_prime
+        _coefficient_array(pair.stored).reshape(1, -1), points, pair.receiver_prime
     )[0]
     points = points[0]
     return (points < pair.receiver_prime) & (sent < pair.receiver_prime) & (checked == sent)
 
 
-def _build_parity_state(plan, specs) -> Optional[_ParityState]:
-    repetitions = {spec.repetitions for spec in specs}
-    if len(repetitions) != 1:  # pragma: no cover - one scheme, one t
-        return None
-    t = repetitions.pop()
-
-    widths = {spec.width for spec in specs}
-    if len(widths) != 1:
-        # Differing kappa claims across nodes draw masks at different
-        # widths, so the per-edge verdicts are genuinely random *and*
-        # asymmetric — the scalar hook path handles that shape; the batched
-        # kernel only takes the uniform-width case every honest (and every
-        # single-bit-fault) workload has.
-        return None
-    width = widths.pop()
-
+def _parity_state(plan, shape, rejecting: bool, rows) -> _ParityState:
+    _kind, t, width = shape
+    mask_words = (width + WORD_BITS - 1) // WORD_BITS
     # A shared-coins plan run under a private-coin randomness mode is a
     # model mismatch: engine_verify receives no public coins and rejects,
     # every node, every trial.
-    constant_false = plan.randomness != "shared" or any(
-        not spec.accepts_when_checks_pass for spec in specs
-    )
-    mask_words = (width + WORD_BITS - 1) // WORD_BITS
-    if constant_false:
+    if plan.randomness != "shared" or rejecting:
         return _ParityState(
             repetitions=t,
             width=width,
             mask_words=mask_words,
             constant_false=True,
         )
-
-    owner = plan.half_edge_owners
-    diffs: List[List[int]] = []
-    for i, spec in enumerate(specs):
-        for port, source in enumerate(plan.incoming[i]):
-            diff = spec.stored_values[port] ^ specs[owner[source]].own_value
-            if diff:
-                diffs.append(pack_value_words(diff, width))
     diff_words = (
-        _np.asarray(diffs, dtype=_np.uint64)
-        if diffs and mask_words
+        _np.asarray(rows, dtype=_np.uint64)
+        if rows and mask_words
         else None  # no nonzero diff (or width 0): every parity check passes
     )
     return _ParityState(

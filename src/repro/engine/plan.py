@@ -113,33 +113,45 @@ node or two (a forgery search, a bit-flip ranking) pay only for the nodes
 whose label changed.  The memo keeps, per live configuration, one
 *skeleton*: the label-independent half of a compile — ``params``,
 ``nodes``, ``degrees``, the ``incoming`` wiring, ``half_edge_count``, the
-half-edge owner list and the node states — and, per scheme, one slot per
-node holding ``(state, own_label, context, spec)`` from that node's last
-compile.  A compile reuses the skeleton iff ``configuration.graph`` is the
-same object with an unmoved :attr:`~repro.graphs.port_graph.PortGraph.mutations`
+half-edge owner list and the node states — and, per scheme, a memo
+holding each node's last two slots ``(state, own_label, context, spec)``,
+the last compile's labels and slots, and the kernel's pair table.  A
+compile reuses the skeleton iff ``configuration.graph`` is the same object
+with an unmoved :attr:`~repro.graphs.port_graph.PortGraph.mutations`
 counter (every ``PortGraph`` mutator bumps it) and every node's state is
 the identical, frozen object; otherwise it rebuilds the skeleton, which
-keeps the old slots only if ``params``, ``nodes`` and ``degrees`` are
-unchanged.  A node then reuses its slot iff ``slot.state is state`` and
-``slot.own_label == label`` (the skeleton fixes node, degree and params),
-and otherwise calls ``engine_node_context`` on a fresh
-:class:`~repro.core.scheme.LabelView` and overwrites the slot — the
-unparseable outcome included.  The slot's ``spec`` is the context's
-``engine_vector_spec``, computed once, on the first
-:func:`~repro.engine.kernels.vector_state` that needs it.  A one-node
-relabel therefore parses one node and describes one node to the kernel;
-what is left per candidate is a few flat passes over the nodes' slots and,
-in ``vector_state``, one over the half-edges comparing coefficient tuples.
+keeps the old held slots (not the last compile or the pair table) only if
+``params``, ``nodes`` and ``degrees`` are unchanged.
+
+A compile looks up only the nodes whose label *object* differs from the
+last compile's (one identity pass over the nodes).  Such a node reuses a
+held slot iff ``slot.state is state`` and ``slot.own_label == label`` (the
+skeleton fixes node, degree and params), and otherwise calls
+``engine_node_context`` on a fresh :class:`~repro.core.scheme.LabelView`;
+the new slot, the unparseable outcome included, becomes the most recent of
+the two held, evicting the older one, and a return to the older drops the
+newer.  Two are enough for a scan over one set of honest labels: the
+previous candidate's victim returns to its held honest slot, so each
+candidate parses its own victim only, and the abandoned forgery is not
+kept.  The slot's ``spec`` is the context's ``engine_vector_spec``,
+computed once, on the first :func:`~repro.engine.kernels.vector_state`
+that needs it, and ``vector_state`` updates the pair table in place,
+re-checking only the (receiver, port) pairs incident to a node whose slot
+changed (see :mod:`repro.engine.kernels`).  A one-node relabel therefore parses one
+node, describes one node and compares that node's pairs; what is left per
+candidate is a few identity passes over the nodes.
 
 Configurations are keyed weakly (the memo dies with its configuration) and
-schemes by identity, as in ``PlanCache``; a slot list holds its scheme
+schemes by identity, as in ``PlanCache``; a scheme memo holds its scheme
 strongly, so the ``id`` cannot be recycled while it lives.  A state that
 holds a mutable container (:meth:`NodeState.frozen
 <repro.core.configuration.NodeState.frozen>` is False) is never stored in a
 slot, and a skeleton over one is rebuilt on every compile.  Memory is one
-skeleton per live configuration plus at most one slot per node per scheme;
-plans share the skeleton's tuples.  Generic-path schemes use the skeleton
-but build no slots, and build ``plan.label_views`` on first use.
+skeleton per live configuration plus, per scheme, at most two slots per
+node, one pair table and two checks per pair (two slots only while a
+node is away from its older label); plans share the skeleton's
+tuples.  Generic-path schemes use the skeleton but build no slots, and
+build ``plan.label_views`` on first use.
 """
 
 from __future__ import annotations
@@ -148,7 +160,8 @@ import random
 import threading
 import weakref
 from functools import cached_property
-from operator import is_
+from itertools import compress, count, repeat
+from operator import attrgetter, is_, is_not
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bitstrings import BitString
@@ -199,9 +212,9 @@ def check_kernel_mode(rng_mode: RngMode) -> None:
 _EMPTY = BitString.empty()
 
 # The node-context memo: configuration -> its _Skeleton, whose ``slots``
-# map id(scheme) -> (scheme, per-node _Slot list).  The lock covers memo
-# and slot-list lookups only; a slot is immutable but for its lazily set
-# spec, and a slot list entry is replaced as one object, so a reader always
+# map id(scheme) -> that scheme's _SchemeMemo.  The lock covers memo and
+# scheme-memo lookups only; a slot is immutable but for its lazily set spec,
+# and every other memo entry is replaced as one object, so a reader always
 # sees a matching (inputs, context) slot, and two racing compiles of equal
 # inputs store one of two equal contexts.
 _CONTEXT_MEMO: "weakref.WeakKeyDictionary[Configuration, _Skeleton]" = (
@@ -209,6 +222,7 @@ _CONTEXT_MEMO: "weakref.WeakKeyDictionary[Configuration, _Skeleton]" = (
 )
 _CONTEXT_MEMO_LOCK = threading.Lock()
 _NO_SPEC = object()
+_CONTEXT = attrgetter("context")
 
 
 class _Slot:
@@ -236,13 +250,33 @@ class _Slot:
         return spec
 
 
+class _SchemeMemo:
+    """One scheme's compiles of one skeleton.
+
+    ``held[i]`` holds node ``i``'s last two slots, the most recent first
+    (see :meth:`_Skeleton._slot`); ``last`` is the last compile's
+    ``(labels, slots)``, one entry per node; ``kernel`` is the kernel's
+    pair table for the last described slots, owned by
+    :mod:`repro.engine.kernels` and updated under ``lock``.
+    """
+
+    __slots__ = ("scheme", "held", "last", "kernel", "lock")
+
+    def __init__(self, scheme: RandomizedScheme, held: List[tuple]) -> None:
+        self.scheme = scheme
+        self.held = held
+        self.last: Optional[tuple] = None
+        self.kernel = None
+        self.lock = threading.Lock()
+
+
 class _Skeleton:
     """The label-independent half of a compile, built once per configuration.
 
     Holds what every compile of one configuration computes alike — params,
     node order, degrees, the resolved port wiring and the node states — plus
-    the per-scheme node slots.  A skeleton is reused while
-    :meth:`describes` the configuration.
+    the per-scheme memos.  A skeleton is reused while :meth:`describes` the
+    configuration.
     """
 
     __slots__ = (
@@ -284,7 +318,7 @@ class _Skeleton:
         self.incoming: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(ports) for ports in incoming
         )
-        self.slots: Dict[int, tuple] = {}
+        self.slots: Dict[int, _SchemeMemo] = {}
 
     def describes(self, configuration: Configuration) -> bool:
         """True while the configuration is still the one this was built from:
@@ -309,53 +343,86 @@ class _Skeleton:
             and self.degrees == other.degrees
         )
 
-    def node_slots(
-        self, scheme: RandomizedScheme, labels: Dict[Node, BitString]
-    ) -> Tuple[_Slot, ...]:
-        """Every node's slot for ``labels``, rebuilt only where the node's
-        state or label changed since its slot was stored."""
+    def scheme_memo(self, scheme: RandomizedScheme) -> _SchemeMemo:
+        """``scheme``'s memo on this skeleton, created on first use."""
         with _CONTEXT_MEMO_LOCK:
-            entry = self.slots.get(id(scheme))
-            if entry is None:
-                entry = self.slots[id(scheme)] = (scheme, [None] * len(self.nodes))
-        memo = entry[1]
-        engine_node_context = scheme.engine_node_context
-        slots: List[_Slot] = []
-        for i, state in enumerate(self.states):
-            node = self.nodes[i]
-            label = labels[node]
-            slot = memo[i]
-            if (
-                slot is None
-                or slot.state is not state
-                or (slot.own_label is not label and slot.own_label != label)
+            memo = self.slots.get(id(scheme))
+            if memo is None:
+                memo = self.slots[id(scheme)] = _SchemeMemo(
+                    scheme, [()] * len(self.nodes)
+                )
+        return memo
+
+    def node_slots(
+        self, memo: _SchemeMemo, labels: Dict[Node, BitString]
+    ) -> Tuple[_Slot, ...]:
+        """Every node's slot for ``labels``.  Only the nodes whose label
+        object differs from the last compile's are looked up, and of those
+        only a node whose label matches neither of its two held slots is
+        parsed."""
+        current = tuple(map(labels.__getitem__, self.nodes))
+        last = memo.last
+        if last is None:
+            changed = range(len(current))
+            slots = [None] * len(current)
+        else:
+            last_labels, last_slots = last
+            changed = list(compress(count(), map(is_not, current, last_labels)))
+            if not changed:
+                return last_slots
+            slots = list(last_slots)
+        for i in changed:
+            slots[i] = self._slot(memo, i, current[i])
+        slots = tuple(slots)
+        if self.frozen:
+            memo.last = (current, slots)
+        return slots
+
+    def _slot(self, memo: _SchemeMemo, i: int, label: BitString) -> _Slot:
+        """Node ``i``'s slot for ``label``: a held one if its state and
+        label match, else a fresh parse, which becomes the most recent of
+        the two held slots (the unparseable outcome included).  Returning
+        to the older held slot drops the newer: the node has left that
+        label, as a scan's previous victim has left its forgery."""
+        state = self.states[i]
+        held = memo.held[i]
+        for slot in held:
+            if slot.state is state and (
+                slot.own_label is label or slot.own_label == label
             ):
-                try:
-                    context = engine_node_context(
-                        LabelView(node, state, self.degrees[i], self.params, label)
-                    )
-                except ValueError:
-                    # Unparseable (forged) label: certificates are malformed
-                    # and the node itself rejects — see run_trial.
-                    context = None
-                slot = _Slot(state, label, context)
-                if state.frozen():
-                    memo[i] = slot
-            slots.append(slot)
-        return tuple(slots)
+                if slot is not held[0]:
+                    memo.held[i] = (slot,)
+                return slot
+        node = self.nodes[i]
+        try:
+            context = memo.scheme.engine_node_context(
+                LabelView(node, state, self.degrees[i], self.params, label)
+            )
+        except ValueError:
+            # Unparseable (forged) label: certificates are malformed and the
+            # node itself rejects — see run_trial.
+            context = None
+        slot = _Slot(state, label, context)
+        if state.frozen():
+            memo.held[i] = (slot,) + held[:1]
+        return slot
 
 
 def _skeleton(configuration: Configuration) -> _Skeleton:
     """The configuration's skeleton, rebuilt (and stored) unless it still
     describes the configuration; a rebuilt skeleton keeps the old one's
-    slots when they stay valid."""
+    held slots when they stay valid (not its last compile or pair tables,
+    which belong to the old wiring and states)."""
     with _CONTEXT_MEMO_LOCK:
         skeleton = _CONTEXT_MEMO.get(configuration)
     if skeleton is not None and skeleton.describes(configuration):
         return skeleton
     fresh = _Skeleton(configuration)
     if skeleton is not None and fresh.keeps_slots_of(skeleton):
-        fresh.slots = skeleton.slots
+        fresh.slots = {
+            key: _SchemeMemo(memo.scheme, memo.held)
+            for key, memo in skeleton.slots.items()
+        }
     with _CONTEXT_MEMO_LOCK:
         _CONTEXT_MEMO[configuration] = fresh
     return fresh
@@ -411,21 +478,24 @@ class VerificationPlan:
 
         # Scheme fast path: parse every label once (and, through the
         # node-context memo, only the labels that changed since this
-        # configuration's last compile).
+        # configuration's last compile).  ``_compiled`` is the memo and the
+        # contexts as compiled: the kernel's incremental pair table serves
+        # this plan only while ``contexts`` is still that tuple.
         self._slots: Optional[Tuple[_Slot, ...]] = None
         self.contexts: Optional[Tuple[object, ...]] = None
+        self._compiled: Optional[tuple] = None
         if engine_hooks_available(scheme):
-            self._slots = skeleton.node_slots(scheme, labels)
-            self.contexts = tuple(slot.context for slot in self._slots)
+            memo = skeleton.scheme_memo(scheme)
+            self._slots = skeleton.node_slots(memo, labels)
+            self.contexts = tuple(map(_CONTEXT, self._slots))
+            self._compiled = (memo, self.contexts)
 
         # Compile-time constant folding: a node that cannot parse its own
         # label rejects every trial, so the whole plan's verdict is already
         # known — no trial of any seed or rng mode can accept.  Monte-Carlo
         # drivers consult this before running anything.
         self.constant_verdict: Optional[bool] = None
-        if self.contexts is not None and any(
-            context is None for context in self.contexts
-        ):
+        if self.contexts is not None and any(map(is_, self.contexts, repeat(None))):
             self.constant_verdict = False
 
     @cached_property

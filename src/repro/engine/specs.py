@@ -593,7 +593,7 @@ register(VerdictSpec(
     scheme=_unif_scheme,
     workload=_uniform_clean,
     fault=_uniform_fault,
-    note="Lemma C.3 direct Unif scheme (scalar fingerprint check)",
+    note="Lemma C.3 direct Unif scheme (payload fingerprints on the table kernel)",
 ))
 register(VerdictSpec(
     name="boosting",

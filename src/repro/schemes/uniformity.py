@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.core.bitstrings import BitReader, BitString, BitWriter
 from repro.core.configuration import Configuration
-from repro.core.fingerprint import Fingerprinter
+from repro.core.fingerprint import Fingerprinter, FingerprintVectorSpec
 from repro.core.predicate import Predicate
 from repro.core.scheme import (
     LabelView,
@@ -96,8 +96,9 @@ class _UnifNodeContext:
     """Per-node trial-invariant state for the engine fast path."""
 
     payload_length: int
-    coefficients: tuple  # payload polynomial, highest degree first
+    coefficients: bytes  # payload polynomial, highest degree first
     fingerprinter: Fingerprinter
+    degree: int
 
 
 class DirectUnifRPLS(RandomizedScheme):
@@ -162,6 +163,7 @@ class DirectUnifRPLS(RandomizedScheme):
             payload_length=payload.length,
             coefficients=fingerprinter.reversed_coefficients(payload),
             fingerprinter=fingerprinter,
+            degree=view.degree,
         )
 
     def engine_certificate(self, context: "_UnifNodeContext", port: int, rng: random.Random):
@@ -180,3 +182,30 @@ class DirectUnifRPLS(RandomizedScheme):
             if not check_raw(coefficients, raw_fingerprint):
                 return False
         return True
+
+    def engine_vector_spec(
+        self, context: "_UnifNodeContext"
+    ) -> Optional[FingerprintVectorSpec]:
+        """Describe this context to the agreement-table kernel.
+
+        A node sends its payload's polynomial and checks every port's
+        message against that same polynomial, so ``own`` is the payload's
+        coefficients and every ``stored`` entry repeats them.  The claimed
+        payload length rides as the ``header``: a receiver rejects another
+        length before any arithmetic, even where both lengths share a
+        fingerprint format.  ``None`` (scalar fallback) when the field is
+        not vectorizable.
+        """
+        fingerprinter = context.fingerprinter
+        if not fingerprinter.vectorizable():
+            return None
+        return FingerprintVectorSpec(
+            prime=fingerprinter.params.prime,
+            sub_points=fingerprinter.repetitions,
+            certificate_bits=fingerprinter.certificate_bits,
+            draws=fingerprinter.repetitions,
+            own=context.coefficients,
+            stored=(context.coefficients,) * context.degree,
+            accepts_when_checks_pass=True,
+            header=(context.payload_length,),
+        )

@@ -177,7 +177,8 @@ class PrimeField:
             coefficients if descending else tuple(reversed(coefficients))
         )
         return _poly_eval_chunk(
-            _np.asarray(highest_first, dtype=_np.int64),
+            # fromiter takes any sequence of ints, bytes included.
+            _np.fromiter(highest_first, dtype=_np.int64, count=len(highest_first)),
             _np.asarray(xs, dtype=_np.int64),
             self.p,
         )

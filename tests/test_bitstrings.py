@@ -213,3 +213,156 @@ class TestWriterReader:
         writer.write_varuint(value)
         groups = max(1, (value.bit_length() + 2) // 3)
         assert writer.length == 4 * groups
+
+
+def _slice_reader(bit_string):
+    """The reference decoder: every field through ``BitString.slice``."""
+    offset = 0
+
+    def read(width):
+        nonlocal offset
+        piece = bit_string.slice(offset, width)
+        offset += width
+        return piece
+
+    return read
+
+
+def _reference_varuint(read):
+    value = shift = 0
+    while True:
+        group = read(4).value
+        value |= (group & 0b111) << shift
+        shift += 3
+        if not group & 0b1000:
+            return value
+        if shift > 96:
+            raise ValueError("varuint too long")
+
+
+class TestOnePassReader:
+    """BitReader reads what BitString.slice reads, and fails where it fails."""
+
+    WIDTHS = (0, 1, 2, 3, 7, 8, 63, 64, 65, 100, 129, 700)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fields_match_slices(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        # Long enough, in some cases, for the reader to drop read bits.
+        length = rng.choice((0, 1, 5, 64, 65, 300, 1500, 4000))
+        bit_string = BitString(rng.getrandbits(length) if length else 0, length)
+        reader, reference = BitReader(bit_string), _slice_reader(bit_string)
+        left = length
+        while left:
+            width = min(left, rng.choice(self.WIDTHS))
+            kind = rng.randrange(3)
+            if kind == 0:
+                assert reader.read_uint(width) == reference(width).value
+            elif kind == 1:
+                assert reader.read_bitstring(width) == reference(width)
+            else:
+                assert reader.read_flag() == (reference(1).value == 1)
+                width = 1
+            left -= width
+            assert reader.remaining == left
+        # The last field ended on the last bit; a zero-width read still works.
+        assert reader.read_uint(0) == 0
+        reader.expect_exhausted()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_over_reads_and_negative_widths_raise(self, seed):
+        import random
+
+        rng = random.Random(100 + seed)
+        length = rng.choice((0, 1, 9, 70, 2000))
+        bit_string = BitString(rng.getrandbits(length) if length else 0, length)
+        start = rng.randint(0, length)
+        for width in (length - start + 1, length - start + 65, -1, -64):
+            reader = BitReader(bit_string)
+            reader.read_uint(start)
+            with pytest.raises(ValueError):
+                bit_string.slice(start, width)
+            with pytest.raises(ValueError):
+                reader.read_uint(width)
+            with pytest.raises(ValueError):
+                reader.read_bitstring(width)
+        reader = BitReader(bit_string)
+        reader.read_uint(length)
+        with pytest.raises(ValueError):
+            reader.read_flag()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_varuints_match_the_group_by_group_decode(self, seed):
+        """On arbitrary bits — forged labels — both decoders return the same
+        values and raise at the same varuint."""
+        import random
+
+        rng = random.Random(200 + seed)
+        length = rng.choice((3, 4, 13, 64, 200, 1500))
+        # Bias towards continuation bits so long and runaway varuints occur.
+        bits = [
+            1 if index % 4 == 0 and rng.random() < 0.8 else rng.randrange(2)
+            for index in range(length)
+        ]
+        bit_string = BitString.from_bits(bits)
+        reader, reference = BitReader(bit_string), _slice_reader(bit_string)
+        while True:
+            try:
+                expected = _reference_varuint(reference)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    reader.read_varuint()
+                return
+            assert reader.read_varuint() == expected
+
+    def test_varuint_too_long(self):
+        runaway = BitString.from_bits([1, 0, 0, 0] * 40)
+        with pytest.raises(ValueError, match="varuint too long"):
+            BitReader(runaway).read_varuint()
+        # Thirty-two continued groups and a final one still decode.
+        writer = BitWriter()
+        writer.write_varuint(2**99 - 1)
+        assert BitReader(writer.finish()).read_varuint() == 2**99 - 1
+
+    def test_varuint_past_the_end_is_not_too_long(self):
+        with pytest.raises(ValueError) as raised:
+            BitReader(BitString.from_bits([1, 0, 0, 0, 1, 0])).read_varuint()
+        assert "too long" not in str(raised.value)
+
+
+class TestLabelDecoders:
+    """Scheme label parsers reject truncated and extended labels."""
+
+    @staticmethod
+    def _damaged(label):
+        """Every strict prefix of interest, and the label extended."""
+        for cut in sorted({1, 2, 3, 4, 5, label.length // 2, label.length - 1}):
+            if 0 < cut <= label.length:
+                yield BitString(label.value >> cut, label.length - cut)
+        for extra in (1, 4, 9):
+            yield BitString(label.value << extra, label.length + extra)
+            yield BitString((label.value << extra) | 1, label.length + extra)
+
+    def test_mst_unpack(self):
+        from repro.graphs.generators import mst_configuration
+        from repro.schemes.mst import MSTPLS, _unpack
+
+        config = mst_configuration(12, seed=3)
+        for label in MSTPLS().prover(config).values():
+            _unpack(label)
+            for damaged in self._damaged(label):
+                with pytest.raises(ValueError):
+                    _unpack(damaged)
+
+    def test_unif_unpack(self):
+        from repro.graphs.generators import uniform_configuration
+        from repro.schemes.uniformity import UnifPLS
+
+        config = uniform_configuration(6, 20, equal=True, seed=4)
+        for label in UnifPLS().prover(config).values():
+            UnifPLS._unpack(label)
+            for damaged in self._damaged(label):
+                with pytest.raises(ValueError):
+                    UnifPLS._unpack(damaged)

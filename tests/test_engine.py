@@ -31,6 +31,7 @@ from repro.engine import (
     estimate_acceptance_fast,
 )
 from repro.engine.plan import RNG_MODES
+from repro.engine.specs import build_scheme, clean_configuration, get_spec, spec_names
 from repro.graphs.generators import (
     corrupt_mst_swap,
     corrupt_spanning_tree,
@@ -450,6 +451,12 @@ def _assert_vector_identical(plan, seeds):
         plan.run_trials(seeds, rng_mode="compat", vectorize=True)
 
 
+class HooksOnlyUnif(DirectUnifRPLS):
+    """DirectUnifRPLS without its vector spec: hook-fast, scalar only."""
+
+    engine_vector_spec = None
+
+
 @needs_numpy
 class TestVectorizedKernels:
     """The numpy trial-chunk kernel: pure speed, identical decisions."""
@@ -478,8 +485,9 @@ class TestVectorizedKernels:
         assert boosted_shared_plan.run_trial(derive_trial_seed(0, 0)) is False
         # Hooks without a vector spec stay scalar.
         unif_config = uniform_configuration(6, 8, equal=True, seed=51)
-        unif_plan = VerificationPlan.compile(DirectUnifRPLS(), unif_config)
+        unif_plan = VerificationPlan.compile(HooksOnlyUnif(), unif_config)
         assert unif_plan.uses_fast_path and not unif_plan.vector_ready
+        assert VerificationPlan.compile(DirectUnifRPLS(), unif_config).vector_ready
 
     @pytest.mark.parametrize("randomness", ALL_MODES)
     def test_compiled_scheme_vectorized_matches_oracle(self, randomness):
@@ -549,6 +557,34 @@ class TestVectorizedKernels:
             assert plan.run_trial(seed) == reference
         _assert_vector_identical(plan, seeds)
 
+    @pytest.mark.parametrize("boosted", (False, True))
+    def test_unif_payload_lengths_that_share_a_format_reject(self, boosted):
+        """Two payload lengths can share a fingerprint format (field and
+        packed width), but the scalar verifier rejects a claimed length
+        other than its own first: the kernel folds such pairs to constant
+        False instead of comparing the two polynomials."""
+        from repro.core.fingerprint import Fingerprinter
+        from repro.engine.kernels import run_chunk, vector_state
+
+        length = next(
+            k for k in range(8, 64)
+            if Fingerprinter.shared(k).params.prime == Fingerprinter.shared(k + 1).params.prime
+        )
+        config = uniform_configuration(8, length, equal=True, seed=61)
+        victim = config.graph.nodes[0]
+        payload = config.state(victim).get("payload")
+        config = config.with_state(victim, config.state(victim).with_fields(
+            payload=BitString(payload.value << 1, length + 1)
+        ))
+        scheme = BoostedRPLS(DirectUnifRPLS(), 2) if boosted else DirectUnifRPLS()
+        plan = VerificationPlan.compile(scheme, config, rng_mode="vector")
+        state = vector_state(plan)
+        assert plan.vector_ready and state.constant_false
+        seeds = [derive_trial_seed(62, t) for t in range(200)]
+        scalar = [plan.run_trial(seed) for seed in seeds]
+        assert run_chunk(plan, seeds).tolist() == scalar
+        assert not any(scalar)
+
     def test_estimator_vectorize_knob(self):
         config = spanning_tree_configuration(12, 4, seed=58)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
@@ -559,7 +595,7 @@ class TestVectorizedKernels:
         assert scalar.accepted == vector.accepted == auto.accepted
         # Explicitly requesting the kernel on an unsupported plan fails loudly.
         unif_plan = VerificationPlan.compile(
-            DirectUnifRPLS(), uniform_configuration(6, 8, equal=True, seed=60),
+            HooksOnlyUnif(), uniform_configuration(6, 8, equal=True, seed=60),
             rng_mode="vector",
         )
         with pytest.raises(ValueError, match="no vectorized kernel"):
@@ -1318,7 +1354,7 @@ def _two_polynomial_rows(pairs):
         points = np.arange(pair.sender_prime, dtype=np.int64).reshape(1, -1)
 
         def values(coefficients, prime, points=points):
-            matrix = np.asarray(coefficients, dtype=np.int64).reshape(1, -1)
+            matrix = np.asarray(list(coefficients), dtype=np.int64).reshape(1, -1)
             return poly_eval_rows(matrix, points, prime)[0]
 
         sent = values(pair.sent, pair.sender_prime)
@@ -1726,8 +1762,8 @@ class TestIncrementalCompile:
         assert rebuilt(honest) == (everyone, everyone)
         assert rebuilt(dict(honest)) == ([], [])
         assert rebuilt(self._flip(honest, a)) == ([a], [a])
-        # One slot per node: A reverts to honest (rebuilt), B changes.
-        assert rebuilt(self._flip(honest, b)) == (sorted([a, b]), sorted([a, b]))
+        # Two slots per node: A reverts to its held honest slot, B changes.
+        assert rebuilt(self._flip(honest, b)) == ([b], [b])
         # The unparseable outcome is memoized too (and has no spec).
         truncated = self._truncate(honest, b)
         assert rebuilt(truncated) == ([b], [])
@@ -1738,6 +1774,254 @@ class TestIncrementalCompile:
             VerificationPlan.compile(scheme, config).incoming
             is VerificationPlan.compile(scheme, config, labels=truncated).incoming
         )
+
+    @staticmethod
+    def _same_state(left, right):
+        """Two kernel descriptions hold the same values, arrays included."""
+        import dataclasses
+
+        import numpy as np
+
+        if left is None or right is None or type(left) is not type(right):
+            return left is right
+        for field in dataclasses.fields(left):
+            a, b = getattr(left, field.name), getattr(right, field.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if not (
+                    isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                    and a.dtype == b.dtype and np.array_equal(a, b)
+                ):
+                    return False
+            elif a != b:
+                return False
+        return True
+
+    RELABELS = ("flip", "flip", "back", "same", "flip", "unparseable", "back")
+
+    def _walk(self, rng, scheme, config, mutation):
+        """Yield ``(action, labels)`` along a random relabel walk from the
+        honest labels, with ``mutation`` applied to ``config`` halfway and
+        the labels then re-proved where the prover still can."""
+        honest = scheme.prover(config)
+        labels = dict(honest)
+        victim = None
+        yield "honest", dict(labels)
+        for action in self.RELABELS + (mutation, "reprove") + self.RELABELS:
+            nodes = [node for node in config.graph.nodes if labels[node].length]
+            if action in ("flip", "same", "unparseable") and not nodes:
+                action = "relabel"  # empty labels everywhere (uniformity)
+            if action in ("flip", "same"):
+                if action == "flip" or victim not in nodes:
+                    victim = rng.choice(nodes)
+                label = labels[victim]
+                labels[victim] = BitString(
+                    label.value ^ (1 << rng.randrange(label.length)), label.length
+                )
+            elif action == "back":
+                for node in rng.sample(sorted(labels, key=repr), 2):
+                    labels[node] = honest.get(node, labels[node])
+            elif action == "unparseable":
+                labels.update(self._truncate(labels, rng.choice(nodes)))
+            elif action == "relabel":
+                labels.update(self._relabel(labels, rng.choice(config.graph.nodes)))
+            elif action == "reprove":
+                try:
+                    honest = scheme.prover(config)
+                except (ValueError, LookupError, AssertionError):
+                    continue  # the provers cannot prove the mutated configuration
+                labels = dict(honest)
+            elif action == "replace_state":
+                # An equal state under a new object: the skeleton is rebuilt
+                # and keeps its held slots.
+                node = config.graph.nodes[0]
+                config.states[node] = config.state(node).with_fields()
+            else:
+                self._mutate(config, labels, action)
+            yield action, dict(labels)
+
+    @pytest.mark.parametrize("randomness", ALL_MODES)
+    @pytest.mark.parametrize("name", spec_names())
+    def test_relabel_walk_updates_the_kernel_state_in_place(self, name, randomness):
+        """On every verdict spec and randomness mode, random walks of
+        relabels, relabels back, repeated victims, unparseable labels and
+        one skeleton rebuild each leave the in-place kernel state equal to
+        a from-scratch build after every step, with kernel verdicts equal
+        to the scalar path's."""
+        from repro.engine.kernels import _build_vector_state, run_chunk, vector_state
+        from repro.engine.plan import _CONTEXT_MEMO
+
+        spec = get_spec(name)
+        scheme = build_scheme(spec)
+        rng = random.Random(f"{name}/{randomness}")
+        seeds = [derive_trial_seed(13, t) for t in range(6)]
+        in_place = walks = 0
+        for mutation in self.MUTATIONS:
+            config = clean_configuration(spec, seed=0)
+            table = None
+            # The walk mutates config as it goes: compile each step as it comes.
+            for action, labels in self._walk(rng, scheme, config, mutation):
+                try:
+                    plan = VerificationPlan.compile(
+                        scheme, config, labels=labels, randomness=randomness,
+                        rng_mode="vector",
+                    )
+                except LookupError:
+                    # A new port outran port-indexed state data (edge
+                    # weights): the scheme cannot read this configuration.
+                    assert mutation == "add_edge", (name, mutation)
+                    break
+                state = vector_state(plan)
+                assert self._same_state(state, _build_vector_state(plan)), (name, action)
+                kernel = _CONTEXT_MEMO[config].slots[id(scheme)].kernel
+                in_place += table is not None and kernel is table
+                table = kernel
+                if state is not None and not state.constant_false and state.dirty_pairs:
+                    scalar = [plan.run_trial(seed) for seed in seeds]
+                    assert run_chunk(plan, seeds).tolist() == scalar, (name, action)
+            else:
+                walks += 1
+        # Not vacuous: most steps updated the table rather than rebuilt it.
+        assert walks >= len(self.MUTATIONS) - 1, name
+        assert in_place >= 8 * walks, (name, in_place)
+
+    def test_a_scan_candidate_parses_and_compares_only_its_victim(
+        self, counted, monkeypatch
+    ):
+        """After warm-up, every single-bit candidate of a scan over the
+        honest labels parses its victim once, describes it once, and
+        re-checks exactly the pairs incident to it: the previous victim
+        returns to its held honest slot, and its pairs to their held
+        honest checks.  (A pair holds two checks, so two victims in a row
+        that are neighbours evict their shared edge's honest checks, which
+        the next candidate then repeats; this scan's victims in a row are
+        never neighbours, as in a scan with evenly spaced victims.)"""
+        from repro.engine import kernels
+
+        config = spanning_tree_configuration(40, 12, seed=132)
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        honest = scheme.prover(config)
+        described, checked = [], []
+        original_spec = FingerprintCompiledRPLS.engine_vector_spec
+        original_check = kernels._check
+
+        def counting_spec(scheme, context):
+            described.append(context)
+            return original_spec(scheme, context)
+
+        def counting_check(kind, receiver, port, sender, source):
+            checked.append(source)
+            return original_check(kind, receiver, port, sender, source)
+
+        monkeypatch.setattr(FingerprintCompiledRPLS, "engine_vector_spec", counting_spec)
+        monkeypatch.setattr(kernels, "_check", counting_check)
+        rng = random.Random(7)
+        graph = config.graph
+        pending, victims = list(graph.nodes), []
+        while True:
+            victim = next((node for node in pending if not any(
+                node == last or graph.has_edge(node, last) for last in victims[-2:]
+            )), None)
+            if victim is None:
+                break
+            pending.remove(victim)
+            victims.append(victim)
+        assert len(victims) >= 30
+        # Bits in a label's lower half flip replica bits, never the kappa
+        # header, so every candidate parses and reaches the kernel.
+        candidates = [(node, rng.randrange(honest[node].length // 2)) for node in victims]
+        dirty = 0
+        for index, (victim, bit) in enumerate([(None, 0)] + candidates):
+            labels = dict(honest)
+            if victim is not None:
+                label = honest[victim]
+                labels[victim] = BitString(label.value ^ (1 << bit), label.length)
+            counted.clear()
+            described.clear()
+            checked.clear()
+            plan = VerificationPlan.compile(
+                scheme, config, labels=labels, rng_mode="vector"
+            ).prepare()
+            if index < 2:
+                continue  # warm-up: the honest compile and a first victim
+            i = plan.nodes.index(victim)
+            start = sum(plan.degrees[:i])
+            incident = sorted(plan.incoming[i] + tuple(range(start, start + plan.degrees[i])))
+            assert counted == [victim], (victim, bit)
+            assert [id(context) for context in described] == [id(plan.contexts[i])]
+            assert sorted(checked) == incident, (victim, bit)
+            dirty += kernels.vector_state(plan).dirty_pairs > 0
+        assert dirty >= 3  # not only flips the base verifier rejects outright
+
+    def test_a_width_changing_kappa_claim_leaves_the_table_standing(self):
+        """A shared-coins label re-encoded under another kappa parses, but
+        its masks have another width: the plan has no kernel, as from
+        scratch, and the table stays in place for the next candidate."""
+        from repro.core.bitstrings import BitWriter
+        from repro.engine.kernels import _build_vector_state, vector_state
+        from repro.engine.plan import _CONTEXT_MEMO
+
+        config = spanning_tree_configuration(12, 4, seed=134)
+        scheme = SharedCoinsCompiledRPLS(SpanningTreePLS())
+        honest = scheme.prover(config)
+        base = scheme.base.prover(config)
+        victim = config.graph.nodes[2]
+        kappa = max(label.length for label in base.values()) + 3
+        writer = BitWriter()
+        writer.write_varuint(kappa)
+        for node in [victim] + [
+            config.graph.neighbor(victim, port) for port in range(config.graph.degree(victim))
+        ]:
+            writer.write_bitstring(scheme._replica(base[node], kappa))
+        widened = dict(honest)
+        widened[victim] = writer.finish()
+
+        def state_of(labels):
+            plan = VerificationPlan.compile(
+                scheme, config, labels=labels, randomness="shared", rng_mode="vector"
+            )
+            state = vector_state(plan)
+            assert self._same_state(state, _build_vector_state(plan))
+            return plan, state
+
+        state_of(self._flip(honest, victim))
+        table = _CONTEXT_MEMO[config].slots[id(scheme)].kernel
+        plan, state = state_of(widened)
+        assert plan.constant_verdict is None and state is None
+        assert _CONTEXT_MEMO[config].slots[id(scheme)].kernel is table
+        _plan, state = state_of(self._flip(honest, config.graph.nodes[5]))
+        assert state is not None
+        assert _CONTEXT_MEMO[config].slots[id(scheme)].kernel is table
+
+    def test_each_node_holds_at_most_two_slots(self, counted):
+        """A node holds its most recent slot and the one before it: a
+        return to the older costs no parse and drops the newer, a third
+        label re-parses and evicts the oldest."""
+        from repro.engine.plan import _CONTEXT_MEMO
+
+        config = spanning_tree_configuration(12, 4, seed=133)
+        scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+        honest = scheme.prover(config)
+        victim = config.graph.nodes[3]
+        index = config.graph.nodes.index(victim)
+        flips = [self._flip(honest, victim, bit) for bit in range(4)]
+
+        def parsed(labels):
+            counted.clear()
+            VerificationPlan.compile(scheme, config, labels=labels)
+            held = _CONTEXT_MEMO[config].slots[id(scheme)].held
+            assert all(len(slots) <= 2 for slots in held)
+            return list(counted), len(held[index])
+
+        assert parsed(honest) == (list(config.graph.nodes), 1)
+        assert parsed(flips[0]) == ([victim], 2)
+        assert parsed(honest) == ([], 1)  # back to the older: the forgery is dropped
+        assert parsed(flips[0]) == ([victim], 2)
+        for labels in flips[1:]:
+            assert parsed(labels) == ([victim], 2)
+        assert parsed(flips[2]) == ([], 1)
+        assert parsed(flips[3]) == ([victim], 2)  # dropped on the way back
+        assert parsed(honest) == ([victim], 2)  # evicted long ago
+        assert parsed(flips[3]) == ([], 1)
 
     MUTATIONS = ("add_node", "add_edge", "graft", "rewire", "swap_ports", "replace_state")
 

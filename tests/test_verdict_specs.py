@@ -134,13 +134,7 @@ class TestRegistryContract:
         plan = spec_plan(name)
         assert plan.uses_fast_path, name
         assert plan.constant_verdict is None, name
-        if hasattr(scheme_for(get_spec(name)), "engine_vector_spec"):
-            assert plan.vector_ready, name
-        else:
-            # DirectUnifRPLS is hook-fast but scalar-only by design: its
-            # verdict is one scalar fingerprint comparison, so there is no
-            # chunk kernel to vectorize.
-            assert name == "uniformity", name
+        assert plan.vector_ready, name
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_spec_declares_a_fault_workload(self, name):
@@ -207,17 +201,14 @@ class TestDifferentialMatrix:
             plan = matrix_plan(name, kind, rng_mode)
             if plan is None or plan.constant_verdict is not None:
                 continue  # vacuous cell / compile-time verdict: no kernel runs
-            if not plan.vector_ready:
-                continue  # scalar-only hook scheme (uniformity)
+            assert plan.vector_ready, (name, kind)
             scalar = [plan.run_trials([s], vectorize=False) for s in seeds]
             vector = [plan.run_trials([s], vectorize=True) for s in seeds]
             assert scalar == vector, (name, kind, rng_mode)
             # chunked execution is the same decisions, just batched
             assert plan.run_trials(seeds, vectorize=True) == sum(scalar)
             compared += 1
-        if not compared:
-            assert name == "uniformity", f"{name}: no randomized cell compared"
-            pytest.skip(f"{name}: hook-fast but scalar-only (no engine_vector_spec)")
+        assert compared, f"{name}: no randomized cell compared"
 
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
